@@ -58,6 +58,10 @@ std::vector<double> probe_vector(index_t cols) {
   return x;
 }
 
+/// Candidate 0: the paper's statically tuned merge default.
+constexpr Candidate kMergeDefault{Format::kCsr, Kernel::kMergePath, {128, 7},
+                                  "merge(128x7)"};
+
 core::merge::SpmvStats wrap_format_stats(double modeled_ms, double wall_ms) {
   core::merge::SpmvStats s;
   s.reduce_ms = modeled_ms;
@@ -89,11 +93,6 @@ const char* kernel_name(Kernel k) {
 
 bool enabled() { return util::env_int("MPS_AUTOTUNE", 0) != 0; }
 
-int max_trials() {
-  return static_cast<int>(
-      std::max(1ll, util::env_int("MPS_AUTOTUNE_TRIALS", 64)));
-}
-
 Features Features::from_stats(const sparse::MatrixStats& s) {
   Features f;
   f.rows = s.rows;
@@ -116,7 +115,7 @@ std::vector<Candidate> candidate_space(const Features& f, int trials) {
   std::vector<Candidate> c;
   // Candidate 0 is the paper's statically tuned merge default — always
   // trialed, so the tuned pick can never be slower than it.
-  c.push_back({Format::kCsr, Kernel::kMergePath, {128, 7}, "merge(128x7)"});
+  c.push_back(kMergeDefault);
   if (f.rows > 0 && f.nnz > 0) {
     c.push_back({Format::kCsr, Kernel::kMergePath, {128, 3}, "merge(128x3)"});
     c.push_back({Format::kCsr, Kernel::kMergePath, {128, 16}, "merge(128x16)"});
@@ -140,9 +139,20 @@ std::vector<Candidate> candidate_space(const Features& f, int trials) {
   return c;
 }
 
-TunedPlan::TunedPlan(vgpu::Device& device, const sparse::CsrD& a) {
+TunedPlan::TunedPlan(vgpu::Device& device, const sparse::CsrD& a,
+                     int trials) {
   telemetry::ScopedSpan tune_span("autotune.tune");
   tuner_metrics().tunes.add();
+  if (trials <= 1) {
+    // The merge default is the whole list: build its plan and skip the
+    // feature pass, the fingerprint (spmv_execute guards merge winners)
+    // and the trial, so the launches are exactly spmv_plan's.
+    choice_ = kMergeDefault;
+    plan_.emplace(core::merge::spmv_plan(device, a, choice_.cfg));
+    tune_ms_ = plan_->plan_ms();
+    tune_span.end(choice_.name);
+    return;
+  }
   features_ = Features::extract(a);
   num_rows_ = a.num_rows;
   num_cols_ = a.num_cols;
@@ -151,7 +161,7 @@ TunedPlan::TunedPlan(vgpu::Device& device, const sparse::CsrD& a) {
   val_data_ = a.val.data();
   val_size_ = a.val.size();
 
-  const auto candidates = candidate_space(features_, max_trials());
+  const auto candidates = candidate_space(features_, trials);
   const auto x = probe_vector(a.num_cols);
   std::vector<double> y_ref;  ///< candidate 0's probe output
   std::vector<double> y(static_cast<std::size_t>(a.num_rows));
@@ -219,6 +229,9 @@ TunedPlan::TunedPlan(vgpu::Device& device, const sparse::CsrD& a) {
 }
 
 std::size_t TunedPlan::bytes() const {
+  // A one-candidate plan is the bare merge default: charge exactly its
+  // SpmvPlan, so an autotune-off cache holds what it always held.
+  if (trials_.empty()) return plan_->bytes();
   std::size_t b = sizeof(TunedPlan) + trials_.capacity() * sizeof(Trial);
   if (plan_) b += plan_->bytes();
   if (ell_) b += ell_->device_bytes();
@@ -234,11 +247,11 @@ void TunedPlan::check_match(const sparse::CsrD& a) const {
         "tuned plan executed against a matrix with a different sparsity "
         "pattern");
   }
-  if ((ell_ || cmrs_) &&
+  if (binds_values() &&
       (a.val.data() != val_data_ || a.val.size() != val_size_)) {
     // Format-converted storage snapshots the values; a moved value
     // buffer means they may be stale.  Re-tune (the serving engine
-    // invalidates tuned entries on re-registration).
+    // drops value-bound entries on re-registration).
     throw PlanMismatchError(
         "tuned plan's converted storage is bound to a value buffer that "
         "moved; re-tune after updating matrix values");
@@ -249,7 +262,9 @@ core::merge::SpmvStats TunedPlan::execute(vgpu::Device& device,
                                           const sparse::CsrD& a,
                                           std::span<const double> x,
                                           std::span<double> y) const {
-  check_match(a);
+  // spmv_execute rejects a different pattern with the same error, so a
+  // merge winner hashes row_offsets once per execute, not twice.
+  if (choice_.kernel != Kernel::kMergePath) check_match(a);
   switch (choice_.kernel) {
     case Kernel::kMergePath:
       return core::merge::spmv_execute(device, a, x, y, *plan_);
@@ -272,12 +287,6 @@ core::merge::SpmvStats TunedPlan::execute(vgpu::Device& device,
 
 TunedPlan tune(vgpu::Device& device, const sparse::CsrD& a) {
   return TunedPlan(device, a);
-}
-
-core::merge::SpmvStats spmv(vgpu::Device& device, const TunedPlan& plan,
-                            const sparse::CsrD& a, std::span<const double> x,
-                            std::span<double> y) {
-  return plan.execute(device, a, x, y);
 }
 
 }  // namespace mps::autotune

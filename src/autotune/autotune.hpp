@@ -24,12 +24,12 @@
 // the row once (the canonical order tests/oracle.hpp pins down), so
 // tuning can never change a result, only its cost.
 //
-// Env knobs: MPS_AUTOTUNE=1 enables tuned dispatch in the serving
-// engine and the iterative drivers (default off); MPS_AUTOTUNE_TRIALS
-// caps how many candidates are trialed (default: all).
+// Env knob: MPS_AUTOTUNE=1 enables tuned dispatch in the serving engine
+// and the iterative drivers (default off).
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -53,9 +53,9 @@ const char* kernel_name(Kernel k);
 
 /// True when MPS_AUTOTUNE is set to a nonzero value (default off).
 bool enabled();
-/// MPS_AUTOTUNE_TRIALS: cap on candidates trialed per matrix (>= 1;
-/// candidate 0, the merge default, is always trialed).
-int max_trials();
+
+/// Candidate cap that keeps the whole feature-gated list.
+inline constexpr int kAllCandidates = std::numeric_limits<int>::max();
 
 /// The structural feature vector — a cheap projection of
 /// sparse::MatrixStats (one fused pass over the matrix; the nnz/row
@@ -104,27 +104,38 @@ struct Trial {
 /// additionally rejects a matrix whose value storage moved —
 /// re-tune (or let the serving engine invalidate) after updating
 /// values.  Executes are const and safe to run concurrently.
+/// `trials` caps the candidate list; a cap of 1 builds the merge
+/// default's SpmvPlan with no feature pass and no trial (it launches
+/// exactly what spmv_plan launches — the serving engine's autotune-off
+/// plans).
 class TunedPlan {
  public:
-  TunedPlan(vgpu::Device& device, const sparse::CsrD& a);
+  TunedPlan(vgpu::Device& device, const sparse::CsrD& a,
+            int trials = kAllCandidates);
 
   const Candidate& choice() const { return choice_; }
+  /// The extracted features (all zero under a cap of 1).
   const Features& features() const { return features_; }
-  /// Every trial that ran, in candidate order.
+  /// Every trial that ran, in candidate order (none under a cap of 1).
   const std::vector<Trial>& trials() const { return trials_; }
   /// One-time tuning cost: every trial's modeled kernel time plus the
   /// winner's plan-build cost.  Never included in execute()'s stats —
   /// the oracle suite asserts it cannot leak into steady state.
   double tune_ms() const { return tune_ms_; }
-  /// The winner's modeled per-apply cost, measured at tune time.
+  /// The winner's modeled per-apply cost from its trial (0 if none ran).
   double steady_ms() const { return steady_ms_; }
-  /// Resident footprint: winner's plan arrays or converted storage.
-  /// The serving engine's PlanCache charges tuned entries by this.
+  /// Resident footprint: winner's plan arrays or converted storage plus
+  /// the decision record; exactly SpmvPlan::bytes() under a cap of 1.
+  /// The serving engine's PlanCache charges entries by this.
   std::size_t bytes() const;
+  /// True for ELL/CMRS winners, whose storage binds the source matrix's
+  /// value buffer: a re-registration that replaces values must drop them.
+  bool binds_values() const { return ell_.has_value() || cmrs_.has_value(); }
 
   /// y = A x through the tuned choice.  Throws PlanMismatchError when
   /// `a` does not match the tuned pattern fingerprint (or, for
-  /// format-converted winners, when its value buffer moved).  Output is
+  /// format-converted winners, when its value buffer moved); merge
+  /// winners rely on spmv_execute's own pattern guard.  Output is
   /// bitwise-identical to every other kernel in the candidate space.
   core::merge::SpmvStats execute(vgpu::Device& device, const sparse::CsrD& a,
                                  std::span<const double> x,
@@ -156,12 +167,5 @@ class TunedPlan {
 /// Run the trial protocol for `a` and return the winning plan.
 /// Deterministic: the same matrix always tunes to the same choice.
 TunedPlan tune(vgpu::Device& device, const sparse::CsrD& a);
-
-/// Convenience dispatch for iterative drivers: tuned execute when the
-/// caller opted in (plan built by tune()), falling back to the static
-/// merge path otherwise.  See examples/pagerank.cpp.
-core::merge::SpmvStats spmv(vgpu::Device& device, const TunedPlan& plan,
-                            const sparse::CsrD& a, std::span<const double> x,
-                            std::span<double> y);
 
 }  // namespace mps::autotune

@@ -42,6 +42,12 @@ MatrixHandle pattern_fingerprint(const sparse::CsrD& a) {
 
 namespace {
 
+/// Dispatch builds a plan only for shards that own rows and nonzeros;
+/// the rest run one-shot (shard::spmv_tuned's null-entry fallback).
+bool needs_plan(const shard::Shard& sh) {
+  return sh.row_end > sh.row_begin && sh.local.nnz() > 0;
+}
+
 EngineConfig resolve_config(EngineConfig cfg) {
   // Every MPS_SERVE_* knob parses strictly (the MPS_FAULT_*/MPS_CHAOS_*
   // pattern): a negative count or non-numeric garbage in a production
@@ -322,7 +328,9 @@ Engine::Engine(EngineConfig cfg)
           cfg_.device_spec,
           cfg_.devices > 0 ? cfg_.devices : static_cast<int>(cfg_.threads),
           "MPS_SERVE_DEVICE_SPEC")),
-      plan_cache_(cfg_.plan_cache_bytes),
+      // Autotune off is the one-candidate tune: merge default, no trial.
+      plan_cache_(cfg_.plan_cache_bytes,
+                  cfg_.autotune > 0 ? autotune::kAllCandidates : 1),
       breaker_(cfg_.breaker),
       paused_(cfg_.start_paused),
       batch_histogram_(static_cast<std::size_t>(cfg_.batch_window) + 1, 0),
@@ -387,25 +395,6 @@ void Engine::init_durability() {
     versions_[m.handle] = m.version;
   }
   recovery_info_ = recovered.info;
-  if (cfg_.durable_warm > 0 && fleet_.size() > 0) {
-    // Eager warm-up: rebuild the snapshot's warm plan set on worker 0 so
-    // the first post-restart request pays no partition (or autotune
-    // trial) cost.  Plans are deterministic rebuilds — results are
-    // bitwise-identical either way; only the modeled cost of the first
-    // touch moves.
-    vgpu::Device& device = fleet_.device(0);
-    for (const auto& w : recovered.warm) {
-      auto it = registry_.find(w.handle);
-      if (it == registry_.end()) continue;
-      if (w.tuned) {
-        if (cfg_.autotune > 0) {
-          plan_cache_.get_or_build_tuned(device, *it->second, w.handle);
-        }
-      } else {
-        plan_cache_.get_or_build(device, *it->second, w.handle);
-      }
-    }
-  }
   if (cfg_.devices > 0) {
     // Shard layouts are a deterministic function of (matrix, fleet,
     // knobs): recovery re-derives them rather than trusting bytes on
@@ -438,6 +427,33 @@ void Engine::init_durability() {
       }
     }
   }
+  if (cfg_.durable_warm > 0 && fleet_.size() > 0) {
+    // Eager warm-up: rebuild the snapshot's warm plan set (a sharded
+    // handle's primary shard plans on their own slots, others on slot 0)
+    // so the first post-restart request pays no partition (or autotune
+    // trial) cost.  Plans are deterministic rebuilds — results are
+    // bitwise-identical either way; only the first touch's cost moves.
+    std::vector<vgpu::Device*> devices(fleet_.size());
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+      devices[i] = &fleet_.device(i);
+    }
+    for (const auto& w : recovered.warm) {
+      auto it = registry_.find(w.handle);
+      if (it == registry_.end()) continue;
+      std::shared_ptr<const shard::ShardedMatrix> sm;
+      {
+        std::lock_guard<std::mutex> slock(shard_mutex_);
+        if (auto sit = shardings_.find(w.handle); sit != shardings_.end()) {
+          sm = sit->second.primary;
+        }
+      }
+      if (sm) {
+        shard_plans(w.handle, *sm, devices, /*replica=*/false, nullptr);
+      } else {
+        plan_cache_.get_or_build(*devices.front(), *it->second, w.handle);
+      }
+    }
+  }
   store_ = std::make_unique<durability::DurableStore>(
       durability::DurableConfig{cfg_.durable_dir, cfg_.durable_snapshot_every,
                                 cfg_.durable_fsync > 0},
@@ -459,7 +475,9 @@ durability::SnapshotData Engine::capture_snapshot() const {
   // Appends run under registry_mutex_ too (register_matrix), so reading
   // last_seq here gives a capture that covers exactly seq <= last_seq.
   data.last_seq = store_->last_seq();
-  for (const auto& [key, tuned] : plan_cache_.warm_entries()) {
+  // The snapshot keeps its per-entry tuned byte; recovery ignores it.
+  const bool tuned = cfg_.autotune > 0;
+  for (const std::uint64_t key : plan_cache_.warm_entries()) {
     // Warm metadata only for handles that are still registered: a plan
     // can outlive its registration in the LRU.
     if (registry_.count(key) != 0) data.warm.push_back({key, tuned});
@@ -484,7 +502,17 @@ durability::SnapshotData Engine::capture_snapshot() const {
         }
         data.shard_layouts.push_back(std::move(rec));
       };
-      if (entry.second.primary) record(*entry.second.primary, false);
+      if (const auto& primary = entry.second.primary) {
+        record(*primary, false);
+        // Warm when every primary shard plan dispatch reads is resident.
+        bool warm_shards = true;
+        for (std::size_t i = 0; i < primary->shards().size(); ++i) {
+          warm_shards = warm_shards && (!needs_plan(primary->shards()[i]) ||
+                                        plan_cache_.peek(shard_plan_key(
+                                            entry.first, i, false)));
+        }
+        if (warm_shards) data.warm.push_back({entry.first, tuned});
+      }
       if (entry.second.replica) record(*entry.second.replica, true);
     }
   }
@@ -573,14 +601,15 @@ MatrixHandle Engine::register_matrix(const sparse::CsrD& a) {
     versions_[h] = version;
     registry_[h] = std::move(copy);  // same pattern => refreshed values
   }
-  // A tuned plan may hold format-converted storage bound to the previous
+  // An ELL/CMRS plan holds converted storage bound to the previous
   // registration's value buffer; re-registration (even with an identical
-  // pattern) must drop it.  Merge plans are value-free and stay valid.
-  plan_cache_.invalidate_tuned(h);
-  // Sharded mode: drop the handle's per-shard plans (tuned shard entries
-  // have the same stale-value hazard) and rebuild the layout — identical
-  // structure re-shards identically, but the shard-local value buffers
-  // must refresh.
+  // pattern) must drop it.  Every other plan is value-free and stays valid.
+  if (auto plan = plan_cache_.peek(h); plan && plan->binds_values()) {
+    plan_cache_.invalidate(h);
+  }
+  // Sharded mode: drop the handle's per-shard plans and rebuild the
+  // layout — identical structure re-shards identically, but the
+  // shard-local value buffers must refresh.
   invalidate_shard_plans(h);
   build_sharding(h, a);
   return h;
@@ -665,6 +694,30 @@ void Engine::invalidate_shard_plans(MatrixHandle h) {
   for (std::size_t i = 0; i < replica; ++i) {
     plan_cache_.invalidate(shard_plan_key(h, i, true));
   }
+}
+
+std::vector<std::shared_ptr<const autotune::TunedPlan>> Engine::shard_plans(
+    MatrixHandle h, const shard::ShardedMatrix& sm,
+    std::span<vgpu::Device* const> devices, bool replica, bool* all_hit) {
+  std::vector<std::shared_ptr<const autotune::TunedPlan>> plans(
+      sm.shards().size());
+  if (all_hit) *all_hit = true;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    const shard::Shard& sh = sm.shards()[i];
+    if (!needs_plan(sh)) continue;
+    bool hit = false;
+    try {
+      plans[i] = plan_cache_.get_or_build(
+          *devices[static_cast<std::size_t>(sh.device)], sh.local,
+          shard_plan_key(h, i, replica), &hit);
+    } catch (const vgpu::DeviceLostError& e) {
+      // Attribute plan-build losses to the shard's slot so failover
+      // quarantines the device that actually died.
+      throw shard::ShardLostError(e.what(), sh.device);
+    }
+    if (all_hit) *all_hit = *all_hit && hit;
+  }
+  return plans;
 }
 
 std::shared_ptr<const sparse::CsrD> Engine::lookup(MatrixHandle h) const {
@@ -1438,6 +1491,16 @@ void Engine::execute_batch(Batch& batch, Lease& lease) {
       double modeled = 0.0;
       double backoff_ms = 0.0;
       bool hit = false;
+      // Rebuild from clean state: every placement's keys in the sharded
+      // case, since which shard tripped is not recorded.
+      const auto drop_and_retry = [&](int attempt) {
+        if (lease.sharded) {
+          invalidate_shard_plans(handle);
+        } else {
+          plan_cache_.invalidate(handle);
+        }
+        backoff_ms += prepare_retry(head, attempt);
+      };
       telemetry::ScopedSpan exec_span("serve.execute");
       for (int attempt = 0;; ++attempt) {
         try {
@@ -1448,88 +1511,29 @@ void Engine::execute_batch(Batch& batch, Lease& lease) {
             // bitwise-identical to the single-device paths below
             // (docs/sharding.md; tests/shard_test.cpp).
             const shard::ShardedMatrix& sm = *lease.sharded;
-            const std::size_t width = sm.shards().size();
             if (degraded_.load(std::memory_order_relaxed)) {
               modeled = shard::spmv(sm, lease.devices, head.x, y).modeled_ms;
               hit = false;
-            } else if (cfg_.autotune > 0) {
-              std::vector<std::shared_ptr<const autotune::TunedPlan>> tuned(
-                  width);
-              bool all_hit = true;
-              for (std::size_t i = 0; i < width; ++i) {
-                const shard::Shard& sh = sm.shards()[i];
-                if (sh.row_end <= sh.row_begin || sh.local.nnz() == 0) continue;
-                bool shard_hit = false;
-                try {
-                  tuned[i] = plan_cache_.get_or_build_tuned(
-                      *lease.devices[static_cast<std::size_t>(sh.device)],
-                      sh.local, shard_plan_key(handle, i, lease.replica),
-                      &shard_hit);
-                } catch (const vgpu::DeviceLostError& e) {
-                  // Attribute plan-build losses to the shard's slot so
-                  // failover quarantines the device that actually died.
-                  throw shard::ShardLostError(e.what(), sh.device);
-                }
-                all_hit = all_hit && shard_hit;
-              }
-              hit = all_hit;
-              modeled =
-                  shard::spmv_tuned(sm, lease.devices, tuned, head.x, y)
-                      .modeled_ms;
             } else {
-              std::vector<std::shared_ptr<const core::merge::SpmvPlan>> plans(
-                  width);
-              bool all_hit = true;
-              for (std::size_t i = 0; i < width; ++i) {
-                const shard::Shard& sh = sm.shards()[i];
-                if (sh.row_end <= sh.row_begin || sh.local.nnz() == 0) continue;
-                bool shard_hit = false;
-                try {
-                  plans[i] = plan_cache_.get_or_build(
-                      *lease.devices[static_cast<std::size_t>(sh.device)],
-                      sh.local, shard_plan_key(handle, i, lease.replica),
-                      &shard_hit);
-                } catch (const vgpu::DeviceLostError& e) {
-                  throw shard::ShardLostError(e.what(), sh.device);
-                }
-                all_hit = all_hit && shard_hit;
-              }
-              hit = all_hit;
-              modeled =
-                  shard::spmv_execute(sm, lease.devices, plans, head.x, y)
-                      .modeled_ms;
+              const auto plans =
+                  shard_plans(handle, sm, lease.devices, lease.replica, &hit);
+              modeled = shard::spmv_tuned(sm, lease.devices, plans, head.x, y)
+                            .modeled_ms;
             }
           } else if (degraded_.load(std::memory_order_relaxed)) {
             modeled = core::merge::spmv(device, a, head.x, y).modeled_ms();
             hit = false;
-          } else if (cfg_.autotune > 0) {
-            auto tuned =
-                plan_cache_.get_or_build_tuned(device, a, handle, &hit);
-            modeled = tuned->execute(device, a, head.x, y).modeled_ms();
           } else {
             auto plan = plan_cache_.get_or_build(device, a, handle, &hit);
-            modeled = core::merge::spmv_execute(device, a, head.x, y, *plan)
-                          .modeled_ms();
+            modeled = plan->execute(device, a, head.x, y).modeled_ms();
           }
           break;
         } catch (const IntegrityError&) {
-          // Rebuild from clean state (every placement's keys in the
-          // sharded case — which shard tripped is not recorded).
-          if (lease.sharded) {
-            invalidate_shard_plans(handle);
-          } else {
-            plan_cache_.invalidate(handle);
-          }
-          backoff_ms += prepare_retry(head, attempt);
+          drop_and_retry(attempt);
         } catch (const PlanMismatchError&) {
-          // A stale tuned entry (e.g. values re-registered between
-          // lookup and execute) — drop it and re-tune.
-          if (lease.sharded) {
-            invalidate_shard_plans(handle);
-          } else {
-            plan_cache_.invalidate_tuned(handle);
-          }
-          backoff_ms += prepare_retry(head, attempt);
+          // A stale entry (e.g. values re-registered between lookup and
+          // execute) — drop it and rebuild.
+          drop_and_retry(attempt);
         } catch (const vgpu::DeviceOomError&) {
           note_memory_pressure();
           backoff_ms += prepare_retry(head, attempt);
@@ -1800,20 +1804,19 @@ PlanExplain Engine::explain(MatrixHandle h) const {
     std::lock_guard<std::mutex> lock(registry_mutex_);
     ex.registered = registry_.count(h) != 0;
   }
-  // Unsharded entries first: peek never touches LRU order or counters,
+  // Unsharded entry first: peek never touches LRU order or counters,
   // so explain() can run from ops tooling without perturbing the cache.
+  const auto describe = [&ex](const autotune::TunedPlan& plan) {
+    ex.choice = plan.choice().name;
+    ex.tune_ms = plan.tune_ms();
+    ex.steady_ms = plan.steady_ms();
+    ex.features = plan.features();
+    ex.trials = plan.trials();
+  };
   if (auto plan = plan_cache_.peek(h)) {
     ex.plan_resident = true;
     ex.plan_bytes = plan->bytes();
-  }
-  if (auto tuned = plan_cache_.peek_tuned(h)) {
-    ex.tuned_resident = true;
-    ex.choice = tuned->choice().name;
-    ex.tune_ms = tuned->tune_ms();
-    ex.steady_ms = tuned->steady_ms();
-    ex.plan_bytes = tuned->bytes();
-    ex.features = tuned->features();
-    ex.trials = tuned->trials();
+    describe(*plan);
   }
   {
     std::lock_guard<std::mutex> lock(shard_mutex_);
@@ -1830,20 +1833,11 @@ PlanExplain Engine::explain(MatrixHandle h) const {
     for (int i = 0; i < ex.shards; ++i) {
       const std::uint64_t key = shard_plan_key(h, static_cast<std::size_t>(i),
                                                /*replica=*/false);
-      if (auto tuned = plan_cache_.peek_tuned(key)) {
-        ex.shard_plans.push_back(std::string("tuned:") + tuned->choice().name);
+      if (auto plan = plan_cache_.peek(key)) {
+        ex.shard_plans.push_back(plan->choice().name);
         // Surface the first resident shard's decision record when the
-        // unsharded keys are cold (sharded handles never populate them).
-        if (!ex.tuned_resident) {
-          ex.tuned_resident = true;
-          ex.choice = tuned->choice().name;
-          ex.tune_ms = tuned->tune_ms();
-          ex.steady_ms = tuned->steady_ms();
-          ex.features = tuned->features();
-          ex.trials = tuned->trials();
-        }
-      } else if (plan_cache_.peek(key)) {
-        ex.shard_plans.push_back("merge");
+        // unsharded key is cold (sharded handles never populate it).
+        if (ex.choice.empty()) describe(*plan);
       } else {
         ex.shard_plans.push_back("cold");
       }

@@ -93,6 +93,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -160,17 +161,17 @@ enum class Priority { kHigh, kNormal, kLow };
 ///                             into one spmm dispatch (default 8;
 ///                             1 disables batching)
 ///   MPS_SERVE_PLAN_CACHE_MB — plan-cache capacity in MiB (default 64)
-///   MPS_AUTOTUNE            — unbatched SpMV dispatch runs through the
-///                             format/kernel autotuner's TunedPlan
-///                             (default 0; docs/autotuning.md)
+///   MPS_AUTOTUNE            — unbatched SpMV plans tune over every
+///                             format/kernel candidate (default 0: the
+///                             merge default only; docs/autotuning.md)
 struct EngineConfig {
   unsigned threads = 0;
   std::size_t queue_capacity = 0;
   int batch_window = 0;
   std::size_t plan_cache_bytes = 0;
-  /// < 0: resolve from MPS_AUTOTUNE; 0: static merge path; > 0: tuned
-  /// dispatch for unbatched SpMV (batched dispatch always uses the
-  /// merge spmm — coalescing already picked the kernel shape).
+  /// < 0: resolve from MPS_AUTOTUNE; 0: one-candidate plans (merge
+  /// default, no trial); > 0: plans tune over every candidate (batched
+  /// dispatch always uses the merge spmm).
   int autotune = -1;
   /// Default per-request queue-wait timeout; <= 0 means no timeout.
   std::chrono::milliseconds default_timeout{0};
@@ -370,25 +371,25 @@ struct EngineStats {
 struct PlanExplain {
   MatrixHandle handle = 0;
   bool registered = false;
-  bool plan_resident = false;   ///< merge SpmvPlan cached (unsharded key)
-  bool tuned_resident = false;  ///< TunedPlan cached (unsharded key)
-  /// Winning candidate name when tuned_resident ("merge-path(...)",
-  /// "ell", ...); empty otherwise.
+  bool plan_resident = false;  ///< plan cached (unsharded key)
+  /// Winning candidate name ("merge(128x7)", "ell", ...) of the unsharded
+  /// entry, else of the first resident primary shard; empty when cold.
   std::string choice;
-  double tune_ms = 0.0;    ///< one-time trial cost (tuned only)
-  double steady_ms = 0.0;  ///< winner's modeled per-apply cost
+  double tune_ms = 0.0;    ///< one-time plan build + trial cost
+  double steady_ms = 0.0;  ///< winner's modeled per-apply cost (0: no trial)
   std::size_t plan_bytes = 0;  ///< resident footprint of the entry
-  /// The feature vector the autotuner extracted (tuned only).
+  /// The feature vector the autotuner extracted (zero with autotune off).
   autotune::Features features;
-  /// Every candidate trialed, with its modeled time (tuned only) — the
-  /// full decision record, also logged as "autotune.trial" spans.
+  /// Every candidate trialed, with its modeled time (empty with autotune
+  /// off) — the full decision record, also logged as "autotune.trial"
+  /// spans.
   std::vector<autotune::Trial> trials;
   bool sharded = false;
   bool replicated = false;
   int shards = 0;
   std::vector<int> shard_devices;  ///< primary placement ordinals
-  /// Resident per-shard plan state, one entry per primary shard:
-  /// "tuned:<choice>", "merge", or "cold".
+  /// Resident per-shard plan state, one entry per primary shard: the
+  /// plan's choice name or "cold".
   std::vector<std::string> shard_plans;
 };
 
@@ -541,6 +542,13 @@ class Engine {
   bool note_sharded_request(MatrixHandle h, Sharding& s);
   /// Drop a handle's per-shard plan-cache entries (both placements).
   void invalidate_shard_plans(MatrixHandle h);
+  /// Per-shard plans for `sm` (null where a shard has no nonzeros), each
+  /// built on its shard's slot on a miss; `all_hit` (optional) reports
+  /// whether every lookup hit.  A build-time device loss throws
+  /// ShardLostError naming the slot.  Dispatch and warm recovery share it.
+  std::vector<std::shared_ptr<const autotune::TunedPlan>> shard_plans(
+      MatrixHandle h, const shard::ShardedMatrix& sm,
+      std::span<vgpu::Device* const> devices, bool replica, bool* all_hit);
   /// Settle-time bookkeeping: engine counters, latency reservoir, and —
   /// when the SLO tracker is on — the tenant's burn-rate accounting
   /// (an alert edge notes the flight recorder and dumps a bundle).

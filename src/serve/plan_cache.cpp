@@ -34,7 +34,7 @@ std::uint64_t shard_plan_key(std::uint64_t handle, std::size_t shard,
   return z ^ (z >> 31);
 }
 
-std::shared_ptr<const core::merge::SpmvPlan> PlanCache::get_or_build(
+std::shared_ptr<const autotune::TunedPlan> PlanCache::get_or_build(
     vgpu::Device& device, const sparse::CsrD& a, std::uint64_t key,
     bool* was_hit) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -49,51 +49,13 @@ std::shared_ptr<const core::merge::SpmvPlan> PlanCache::get_or_build(
   ++misses_;
   cache_metrics().misses.add();
   telemetry::ScopedSpan build_span("serve.plan_build");
-  auto plan = std::make_shared<const core::merge::SpmvPlan>(
-      core::merge::spmv_plan(device, a));
-  build_span.end();
-  const std::size_t bytes = plan->bytes();
-  if (bytes > capacity_bytes_) {
-    ++oversize_;  // serve it, but never resident
-    return plan;
-  }
-  while (bytes_in_use_ + bytes > capacity_bytes_ && !lru_.empty()) {
-    const Entry& victim = lru_.back();
-    bytes_in_use_ -= victim.bytes;
-    index_.erase(victim.key);
-    lru_.pop_back();
-    ++evictions_;
-    cache_metrics().evictions.add();
-  }
-  lru_.push_front(Entry{key, plan, nullptr, bytes});
-  index_[key] = lru_.begin();
-  bytes_in_use_ += bytes;
-  return plan;
-}
-
-std::shared_ptr<const autotune::TunedPlan> PlanCache::get_or_build_tuned(
-    vgpu::Device& device, const sparse::CsrD& a, std::uint64_t key,
-    bool* was_hit) {
-  const std::uint64_t tagged = key ^ kTunedKeyTag;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (was_hit) *was_hit = false;
-  if (auto it = index_.find(tagged); it != index_.end()) {
-    ++hits_;
-    cache_metrics().hits.add();
-    if (was_hit) *was_hit = true;
-    lru_.splice(lru_.begin(), lru_, it->second);  // touch
-    return it->second->tuned;
-  }
-  ++misses_;
-  cache_metrics().misses.add();
-  telemetry::ScopedSpan build_span("serve.tuned_plan_build");
-  auto tuned =
-      std::make_shared<const autotune::TunedPlan>(autotune::tune(device, a));
+  auto plan =
+      std::make_shared<const autotune::TunedPlan>(device, a, candidates_);
   // Plan-decision explainability: with the tracer on, the features the
   // autotuner extracted and every candidate's modeled time land in the
   // trace as children of the build span — the same record explain()
   // serves queryably from the cached entry.
-  if (telemetry::tracer().enabled()) {
+  if (telemetry::tracer().enabled() && !plan->trials().empty()) {
     auto& tr = telemetry::tracer();
     const telemetry::SpanContext parent = build_span.context();
     const double now = tr.now_us();
@@ -110,70 +72,46 @@ std::shared_ptr<const autotune::TunedPlan> PlanCache::get_or_build_tuned(
       rec.tid = telemetry::current_tid();
       tr.record(std::move(rec));
     };
-    const autotune::Features& f = tuned->features();
+    const autotune::Features& f = plan->features();
     instant("autotune.features",
             "rows=" + std::to_string(f.rows) + " nnz=" + std::to_string(f.nnz) +
                 " avg_row=" + std::to_string(f.avg_row) +
                 " cv_row=" + std::to_string(f.cv_row) +
                 " empty_frac=" + std::to_string(f.empty_frac));
-    for (const autotune::Trial& t : tuned->trials()) {
+    for (const autotune::Trial& t : plan->trials()) {
       instant(std::string("autotune.trial:") + t.name,
               std::to_string(t.modeled_ms) + " ms" +
-                  (std::string(t.name) == tuned->choice().name ? " (chosen)"
-                                                               : ""));
+                  (std::string(t.name) == plan->choice().name ? " (chosen)"
+                                                              : ""));
     }
   }
-  build_span.end(tuned->choice().name);
-  const std::size_t bytes = tuned->bytes();
+  build_span.end(plan->choice().name);
+  const std::size_t bytes = plan->bytes();
   if (bytes > capacity_bytes_) {
     ++oversize_;  // serve it, but never resident
-    return tuned;
+    return plan;
   }
-  while (bytes_in_use_ + bytes > capacity_bytes_ && !lru_.empty()) {
-    const Entry& victim = lru_.back();
-    bytes_in_use_ -= victim.bytes;
-    index_.erase(victim.key);
-    lru_.pop_back();
-    ++evictions_;
-    cache_metrics().evictions.add();
-  }
-  lru_.push_front(Entry{tagged, nullptr, tuned, bytes});
-  index_[tagged] = lru_.begin();
+  evict_locked(bytes);
+  lru_.push_front(Entry{key, plan, bytes});
+  index_[key] = lru_.begin();
   bytes_in_use_ += bytes;
-  return tuned;
+  return plan;
 }
 
-std::shared_ptr<const core::merge::SpmvPlan> PlanCache::peek(
+std::shared_ptr<const autotune::TunedPlan> PlanCache::peek(
     std::uint64_t key) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
   return it == index_.end() ? nullptr : it->second->plan;
 }
 
-std::shared_ptr<const autotune::TunedPlan> PlanCache::peek_tuned(
-    std::uint64_t key) const {
+void PlanCache::invalidate(std::uint64_t key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key ^ kTunedKeyTag);
-  return it == index_.end() ? nullptr : it->second->tuned;
-}
-
-void PlanCache::erase_locked(std::uint64_t tagged_key) {
-  if (auto it = index_.find(tagged_key); it != index_.end()) {
+  if (auto it = index_.find(key); it != index_.end()) {
     bytes_in_use_ -= it->second->bytes;
     lru_.erase(it->second);
     index_.erase(it);
   }
-}
-
-void PlanCache::invalidate(std::uint64_t key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  erase_locked(key);
-  erase_locked(key ^ kTunedKeyTag);
-}
-
-void PlanCache::invalidate_tuned(std::uint64_t key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  erase_locked(key ^ kTunedKeyTag);
 }
 
 void PlanCache::clear() {
@@ -183,10 +121,8 @@ void PlanCache::clear() {
   bytes_in_use_ = 0;
 }
 
-void PlanCache::set_capacity(std::size_t capacity_bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_bytes_ = capacity_bytes;
-  while (bytes_in_use_ > capacity_bytes_ && !lru_.empty()) {
+void PlanCache::evict_locked(std::size_t incoming) {
+  while (bytes_in_use_ + incoming > capacity_bytes_ && !lru_.empty()) {
     const Entry& victim = lru_.back();
     bytes_in_use_ -= victim.bytes;
     index_.erase(victim.key);
@@ -196,14 +132,17 @@ void PlanCache::set_capacity(std::size_t capacity_bytes) {
   }
 }
 
-std::vector<std::pair<std::uint64_t, bool>> PlanCache::warm_entries() const {
+void PlanCache::set_capacity(std::size_t capacity_bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::uint64_t, bool>> out;
+  capacity_bytes_ = capacity_bytes;
+  evict_locked(0);
+}
+
+std::vector<std::uint64_t> PlanCache::warm_entries() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::uint64_t> out;
   out.reserve(lru_.size());
-  for (const Entry& e : lru_) {
-    const bool tuned = e.tuned != nullptr;
-    out.emplace_back(tuned ? (e.key ^ kTunedKeyTag) : e.key, tuned);
-  }
+  for (const Entry& e : lru_) out.push_back(e.key);
   return out;
 }
 

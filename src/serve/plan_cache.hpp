@@ -1,21 +1,23 @@
 #pragma once
-// Capacity-bounded LRU cache of SpmvPlans keyed by matrix pattern
+// Capacity-bounded LRU cache of SpMV plans keyed by matrix pattern
 // fingerprint (docs/serving.md).
 //
 // The serving engine amortizes merge-path partitioning across
 // *independent* requests the same way SpmvPlan amortizes it across the
 // iterations of one solver (the MERBIT setting, PAPERS.md): the first
 // SpMV against a registered matrix builds the plan, every later request
-// — from any client, on any worker — reuses it.  Entries charge their
-// real heap footprint (SpmvPlan::bytes()) against a byte capacity;
-// insertion evicts least-recently-used entries until the new plan fits.
+// — from any client, on any worker — reuses it.  Every entry is an
+// autotune::TunedPlan built under the cache's candidate cap (1 = the
+// merge default, no trial; docs/autotuning.md) and charges its real heap
+// footprint (TunedPlan::bytes()) against a byte capacity; insertion
+// evicts least-recently-used entries until the new plan fits.
 //
-// Concurrency: lookups hand out shared_ptr<const SpmvPlan>, so an
+// Concurrency: lookups hand out shared_ptr<const TunedPlan>, so an
 // evicted plan stays alive until the last in-flight execute drops it
-// (spmv_execute only reads plan state — concurrent executes of one plan
-// are safe, tests/serve_test.cpp proves bitwise identity under N
-// threads).  get_or_build serializes on the cache mutex, which doubles
-// as single-flight control: concurrent misses on one key build the plan
+// (executes only read plan state — concurrent executes of one plan are
+// safe, tests/serve_test.cpp proves bitwise identity under N threads).
+// get_or_build serializes on the cache mutex, which doubles as
+// single-flight control: concurrent misses on one key build the plan
 // once, not N times.
 
 #include <cstdint>
@@ -23,11 +25,9 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "autotune/autotune.hpp"
-#include "core/spmv.hpp"
 #include "sparse/csr.hpp"
 #include "vgpu/device.hpp"
 
@@ -37,58 +37,40 @@ namespace mps::serve {
 /// handle mixed with the shard index and the placement (primary vs hot
 /// replica) through a splitmix64-style finalizer.  Distinct from every
 /// unsharded handle key with overwhelming probability, so per-shard
-/// merge plans and tuned plans share the engine's one LRU budget with
-/// whole-matrix entries.
+/// plans share the engine's one LRU budget with whole-matrix entries.
 std::uint64_t shard_plan_key(std::uint64_t handle, std::size_t shard,
                              bool replica);
 
-// The cache holds two entry kinds in ONE LRU under one byte budget:
-// merge SpmvPlans (pattern-only, value-free) and autotune TunedPlans
-// (winning candidate + its resident storage, charged by
-// TunedPlan::bytes()).  Tuned entries live under a tagged key so the
-// two kinds of one matrix never collide; eviction pressure is shared —
-// a large tuned entry can displace plain plans and vice versa.
 class PlanCache {
  public:
-  /// `capacity_bytes` bounds the summed SpmvPlan::bytes() of resident
+  /// `capacity_bytes` bounds the summed TunedPlan::bytes() of resident
   /// entries.  A single plan larger than the whole capacity is built but
-  /// not cached (counted as an oversize miss).
-  explicit PlanCache(std::size_t capacity_bytes)
-      : capacity_bytes_(capacity_bytes) {}
+  /// not cached (counted as an oversize miss).  `candidates` caps every
+  /// build's candidate list (1 = static merge default, no trial).
+  explicit PlanCache(std::size_t capacity_bytes,
+                     int candidates = autotune::kAllCandidates)
+      : capacity_bytes_(capacity_bytes), candidates_(candidates) {}
 
   /// The plan for `key`, building it from `a` on `device` on a miss.
   /// The key must never alias two different row structures; finer keys
-  /// are sound (plans depend only on row structure).  The engine uses
-  /// its full-structure MatrixHandle fingerprint, which refines the
-  /// row-structure partition.  `was_hit` (optional) reports whether this
-  /// call was served from cache.
-  std::shared_ptr<const core::merge::SpmvPlan> get_or_build(
+  /// are sound (plan guards check row structure).  The engine uses its
+  /// full-structure MatrixHandle fingerprint, which refines the
+  /// row-structure partition.  Trial cost is paid at build time only —
+  /// the cached entry's executes report steady-state cost.  `was_hit`
+  /// (optional) reports whether this call was served from cache.
+  std::shared_ptr<const autotune::TunedPlan> get_or_build(
       vgpu::Device& device, const sparse::CsrD& a, std::uint64_t key,
       bool* was_hit = nullptr);
 
-  /// The tuned plan for `key`, running the autotune trial protocol on a
-  /// miss (docs/autotuning.md).  Trial cost is paid at build time only
-  /// — the cached entry's executes report steady-state cost.
-  std::shared_ptr<const autotune::TunedPlan> get_or_build_tuned(
-      vgpu::Device& device, const sparse::CsrD& a, std::uint64_t key,
-      bool* was_hit = nullptr);
-
-  /// Read-only probes for explainability (Engine::explain): the resident
+  /// Read-only probe for explainability (Engine::explain): the resident
   /// entry for `key`, or null.  Never builds, never touches LRU order,
   /// never bumps hit/miss counters — explain() must not perturb what it
   /// observes.
-  std::shared_ptr<const core::merge::SpmvPlan> peek(std::uint64_t key) const;
-  std::shared_ptr<const autotune::TunedPlan> peek_tuned(
-      std::uint64_t key) const;
+  std::shared_ptr<const autotune::TunedPlan> peek(std::uint64_t key) const;
 
-  /// Drop both entry kinds for `key` if resident (the engine invalidates
-  /// a plan whose integrity checksum failed before rebuilding it).
+  /// Drop the entry for `key` if resident (integrity failure, stale
+  /// pattern, or a re-registration that replaced bound values).
   void invalidate(std::uint64_t key);
-
-  /// Drop only the tuned entry for `key`.  register_matrix calls this on
-  /// every (re-)registration: tuned storage may bind the matrix's value
-  /// buffer, which re-registration replaces.
-  void invalidate_tuned(std::uint64_t key);
 
   /// Drop every entry (shutdown path; in-flight executes keep their
   /// shared_ptrs alive until they finish).
@@ -99,12 +81,11 @@ class PlanCache {
   /// budget under memory pressure and restores it on recovery.
   void set_capacity(std::size_t capacity_bytes);
 
-  /// Metadata of every resident entry — (untagged key, tuned?) pairs in
-  /// LRU order, most recent first.  The durability snapshot persists
-  /// these so MPS_DURABLE_WARM recovery can rebuild the warm set eagerly
-  /// (plans are deterministic rebuilds; only *which* entries were warm
-  /// is worth writing to disk).
-  std::vector<std::pair<std::uint64_t, bool>> warm_entries() const;
+  /// Keys of every resident entry in LRU order, most recent first.  The
+  /// durability snapshot persists these so MPS_DURABLE_WARM recovery can
+  /// rebuild the warm set eagerly (plans are deterministic rebuilds; only
+  /// *which* entries were warm is worth writing to disk).
+  std::vector<std::uint64_t> warm_entries() const;
 
   struct Stats {
     long long hits = 0;
@@ -118,23 +99,20 @@ class PlanCache {
   Stats stats() const;
 
  private:
-  /// Tuned entries are indexed under key ^ kTunedKeyTag so one matrix
-  /// can hold both kinds without collision.
-  static constexpr std::uint64_t kTunedKeyTag = 0x9e3779b97f4a7c15ull;
-
   struct Entry {
-    std::uint64_t key = 0;  ///< tagged key, as indexed
-    std::shared_ptr<const core::merge::SpmvPlan> plan;
-    std::shared_ptr<const autotune::TunedPlan> tuned;
+    std::uint64_t key = 0;
+    std::shared_ptr<const autotune::TunedPlan> plan;
     std::size_t bytes = 0;
   };
 
-  void erase_locked(std::uint64_t tagged_key);
+  /// Evict least-recently-used entries until `incoming` more bytes fit.
+  void evict_locked(std::size_t incoming);
 
   // Doubly-linked LRU list, most-recent at the front; the map points at
   // list nodes.  All state guarded by mutex_.
   mutable std::mutex mutex_;
   std::size_t capacity_bytes_;
+  const int candidates_;
   std::size_t bytes_in_use_ = 0;
   std::list<Entry> lru_;
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;

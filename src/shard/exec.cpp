@@ -7,6 +7,7 @@
 #include "core/spadd.hpp"
 #include "core/spgemm.hpp"
 #include "core/spmm.hpp"
+#include "core/spmv.hpp"
 #include "telemetry/profile.hpp"
 #include "telemetry/span.hpp"
 #include "util/common.hpp"
@@ -181,23 +182,6 @@ ExecStats spmv(const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
                        return core::merge::spmv(dev, s.local, sub_x, y_sub)
                            .modeled_ms();
                      });
-}
-
-ExecStats spmv_execute(
-    const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
-    std::span<const std::shared_ptr<const core::merge::SpmvPlan>> plans,
-    std::span<const double> x, std::span<double> y) {
-  MPS_CHECK(plans.size() == sm.shards().size());
-  return run_rowwise(
-      sm, devices, x, y, 1,
-      [&](std::size_t i, vgpu::Device& dev, const Shard& s,
-          std::span<const double> sub_x, std::span<double> y_sub) {
-        if (!plans[i]) {
-          return core::merge::spmv(dev, s.local, sub_x, y_sub).modeled_ms();
-        }
-        return core::merge::spmv_execute(dev, s.local, sub_x, y_sub, *plans[i])
-            .modeled_ms();
-      });
 }
 
 ExecStats spmv_tuned(

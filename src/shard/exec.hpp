@@ -29,7 +29,6 @@
 #include <string>
 
 #include "autotune/autotune.hpp"
-#include "core/spmv.hpp"
 #include "shard/sharded_matrix.hpp"
 #include "sparse/csr.hpp"
 #include "vgpu/chaos.hpp"
@@ -68,17 +67,10 @@ struct ExecStats {
 ExecStats spmv(const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
                std::span<const double> x, std::span<double> y);
 
-/// Plan-reuse variant: plans[i] drives shards()[i] (null entries fall
-/// back to one-shot).  Bit-identical to spmv() above.
-ExecStats spmv_execute(
-    const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
-    std::span<const std::shared_ptr<const core::merge::SpmvPlan>> plans,
-    std::span<const double> x, std::span<double> y);
-
-/// Autotuned variant: tuned[i] drives shards()[i] (null entries fall
-/// back to one-shot merge).  Bitwise only when every tuned plan's format
-/// is bitwise-faithful to merge — the engine keys tuned plans per shard,
-/// so the autotuner's own oracle gates apply per shard unchanged.
+/// Plan-reuse variant: tuned[i] drives shards()[i] (null entries fall
+/// back to one-shot merge).  Bit-identical to spmv() above: every
+/// autotune candidate shares merge's canonical accumulation order, and
+/// the engine keys plans per shard, so the oracle gates apply per shard.
 ExecStats spmv_tuned(
     const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
     std::span<const std::shared_ptr<const autotune::TunedPlan>> tuned,

@@ -26,14 +26,11 @@
 //                             into one spmm dispatch (default 8)
 //   MPS_SERVE_PLAN_CACHE_MB — plan-cache capacity in MiB (default 64)
 //
-// Autotuning knobs (docs/autotuning.md; read by mps::autotune):
+// Autotuning knob (docs/autotuning.md; read by mps::autotune):
 //   MPS_AUTOTUNE        — 1: adaptive format/kernel selection for SpMV in
 //                         the serving engine, examples and fig5 (default 0;
 //                         results stay bitwise-identical to the static
 //                         merge path — only the dispatch choice changes)
-//   MPS_AUTOTUNE_TRIALS — cap on candidates tried per matrix (default 64,
-//                         i.e. the full candidate space; 1 degenerates to
-//                         the static merge default)
 
 // Chaos knobs (docs/robustness.md; read by vgpu::ChaosSchedule::from_env):
 //   MPS_CHAOS_SCRIPT — explicit fault timeline (device loss, stragglers,

@@ -201,10 +201,16 @@ TEST(Autotune, FingerprintGuardRejectsDifferentPattern) {
   vgpu::Device dev;
   const auto a = make_regime_matrix(Regime::kUniform, 1);
   const auto b = make_regime_matrix(Regime::kUniform, 2);  // same dims
-  const TunedPlan tuned(dev, a);
   std::vector<double> x(static_cast<std::size_t>(b.num_cols), 1.0);
   std::vector<double> y(static_cast<std::size_t>(b.num_rows));
+  const TunedPlan tuned(dev, a);
   EXPECT_THROW(tuned.execute(dev, b, x, y), PlanMismatchError);
+  // A one-candidate plan is a merge winner: spmv_execute's own pattern
+  // guard is the only check on its path, and it must still reject b.
+  const TunedPlan merge_only(dev, a, /*trials=*/1);
+  ASSERT_EQ(merge_only.choice().kernel, autotune::Kernel::kMergePath);
+  EXPECT_THROW(merge_only.execute(dev, b, x, y), PlanMismatchError);
+  EXPECT_NO_THROW(merge_only.execute(dev, a, x, y));
 }
 
 TEST(Autotune, ValueBufferGuardForConvertedFormats) {
@@ -332,6 +338,34 @@ TEST(AutotuneServe, ReRegistrationInvalidatesValueBoundTunedEntry) {
   EXPECT_FALSE(r.plan_cache_hit);  // tuned entry was invalidated
   EXPECT_TRUE(bitwise_equal(r.y, seq_reference(a, x)));
   // Doubling every value exactly doubles every (finite) output.
+  ASSERT_EQ(r.y.size(), y_old.size());
+  for (std::size_t i = 0; i < r.y.size(); ++i) {
+    ASSERT_DOUBLE_EQ(r.y[i], 2.0 * y_old[i]);
+  }
+}
+
+TEST(AutotuneServe, ReRegistrationKeepsValueFreeTunedEntry) {
+  // A hub-dominated matrix tunes to a merge-family winner, whose plan
+  // holds only the pattern: a same-pattern re-registration keeps it
+  // resident, and the hit must still compute with the NEW values.
+  auto a = workloads::powerlaw_web(20000, 0.015, 1.5, 2, /*seed=*/2025);
+  const auto x = oracle_x(a);
+  serve::Engine engine(tuned_engine_config());
+  const auto h1 = engine.register_matrix(a);
+  const auto y_old = engine.submit_spmv(h1, x).get().y;
+  const auto before = engine.explain(h1);
+  ASSERT_TRUE(before.plan_resident);
+  ASSERT_FALSE(before.trials.empty());  // the tune really ran
+  ASSERT_NE(before.choice, "ell");
+  ASSERT_NE(before.choice, "cmrs");
+
+  for (auto& v : a.val) v *= 2.0;
+  const auto h2 = engine.register_matrix(a);
+  EXPECT_EQ(h1, h2);
+  EXPECT_TRUE(engine.explain(h2).plan_resident);
+  const auto r = engine.submit_spmv(h2, x).get();
+  EXPECT_TRUE(r.plan_cache_hit);  // value-free entry survived
+  EXPECT_TRUE(bitwise_equal(r.y, seq_reference(a, x)));
   ASSERT_EQ(r.y.size(), y_old.size());
   for (std::size_t i = 0; i < r.y.size(); ++i) {
     ASSERT_DOUBLE_EQ(r.y[i], 2.0 * y_old[i]);

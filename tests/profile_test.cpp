@@ -15,11 +15,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/spmv.hpp"
 #include "serve/engine.hpp"
 #include "serve/slo.hpp"
 #include "sparse/convert.hpp"
@@ -645,16 +647,55 @@ TEST(EngineExplain, ColdResidentAndUnknownHandles) {
   EXPECT_TRUE(ex.registered);
   EXPECT_EQ(ex.handle, h);
   EXPECT_FALSE(ex.plan_resident);  // nothing submitted yet
-  EXPECT_FALSE(ex.tuned_resident);
+  EXPECT_TRUE(ex.choice.empty());
   EXPECT_FALSE(ex.sharded);
 
   engine.submit_spmv(h, ones_x(a)).get();
   ex = engine.explain(h);
   EXPECT_TRUE(ex.plan_resident);
   EXPECT_GT(ex.plan_bytes, 0u);
-  EXPECT_FALSE(ex.tuned_resident);  // autotune off: static merge path
-  EXPECT_TRUE(ex.choice.empty());
+  // Autotune off: the one-candidate tune, the static merge default
+  // built without a trial.
+  EXPECT_EQ(ex.choice, "merge(128x7)");
   EXPECT_TRUE(ex.trials.empty());
+  EXPECT_EQ(ex.steady_ms, 0.0);
+}
+
+TEST(EngineExplain, AutotuneOffLaunchesExactlyPlanPlusExecute) {
+  // Autotune off is the one-candidate tune: the first unbatched SpMV in a
+  // legacy engine must cost exactly spmv_plan + spmv_execute on a titan,
+  // and launch exactly that pair's kernels — no trial may run.
+  ProfilerReset guard;
+  const auto a = small_matrix();
+  const auto x = ones_x(a);
+
+  vgpu::Device ref_dev(vgpu::gtx_titan());
+  std::vector<double> y_ref(static_cast<std::size_t>(a.num_rows));
+  const auto plan = core::merge::spmv_plan(ref_dev, a);
+  const auto exec = core::merge::spmv_execute(ref_dev, a, x, y_ref, plan);
+  std::map<std::string, long long> ref_launches;
+  for (const auto& k : ref_dev.log()) ++ref_launches[k.name];
+
+  telemetry::profiler().enable();
+  serve::Engine engine(engine_config());
+  const auto h = engine.register_matrix(a);
+  const auto r = engine.submit_spmv(h, x).get();
+  engine.shutdown();
+  const auto rep = telemetry::profiler().report();
+
+  EXPECT_FALSE(r.plan_cache_hit);
+  EXPECT_EQ(r.modeled_ms, exec.modeled_ms());  // bit-equal
+  EXPECT_EQ(r.y, y_ref);
+  std::map<std::string, long long> engine_launches;
+  for (const auto& [name, agg] : rep.by_op) {
+    engine_launches[name] = agg.launches;
+  }
+  EXPECT_EQ(engine_launches, ref_launches);
+  ASSERT_EQ(rep.by_tenant.count(h), 1u);
+  EXPECT_EQ(rep.by_tenant.at(h).launches,
+            static_cast<long long>(ref_dev.log().size()));
+  EXPECT_EQ(telemetry::metrics().counter("autotune.trials").value(), 0);
+  EXPECT_EQ(telemetry::metrics().counter("autotune.tunes").value(), 1);
 }
 
 TEST(EngineExplain, TunedDispatchRecordsTrialsAndChoice) {
@@ -667,7 +708,7 @@ TEST(EngineExplain, TunedDispatchRecordsTrialsAndChoice) {
   engine.submit_spmv(h, ones_x(a)).get();
 
   const auto ex = engine.explain(h);
-  EXPECT_TRUE(ex.tuned_resident);
+  EXPECT_TRUE(ex.plan_resident);
   EXPECT_FALSE(ex.choice.empty());
   EXPECT_FALSE(ex.trials.empty());  // the full decision record
   EXPECT_GT(ex.steady_ms, 0.0);

@@ -261,6 +261,52 @@ TEST(ServeDurable, WarmRecoveryPrebuildsPlans) {
       << "the first post-recovery request must not pay a cache miss";
 }
 
+TEST(ServeDurable, WarmRecoveryPrebuildsShardPlans) {
+  // A sharded tenant's plans live under per-shard keys, not under its
+  // handle: the snapshot must still record the handle as warm, and
+  // recovery must rebuild each primary shard plan on the shard's own
+  // slot — the plans sharded dispatch actually reads.
+  CleanDurableEnv env;
+  TempDir dir;
+  const auto a = make_matrix(12);
+  const auto sharded_config = [&dir] {
+    auto cfg = test_config(dir.path());
+    cfg.devices = 4;
+    cfg.shard_max = 4;
+    cfg.shard_min_nnz = 256;
+    cfg.shard_placement = "uniform";
+    cfg.shard_replicate_hot = 0.0;
+    cfg.shard_2d_nnz = 0;
+    return cfg;
+  };
+  MatrixHandle h{};
+  std::vector<double> before;
+  {
+    Engine engine(sharded_config());
+    h = engine.register_matrix(a);
+    ASSERT_TRUE(engine.explain(h).sharded);
+    before = engine.submit_spmv(h, random_x(a, 13)).get().y;  // warms shards
+    engine.shutdown();  // snapshot records the warm set
+  }
+  auto cfg = sharded_config();
+  cfg.durable_warm = 1;
+  auto recovered = Engine::recover(dir.path(), cfg);
+  const auto s0 = recovered->stats();
+  EXPECT_GT(s0.plan_cache.misses, 0)
+      << "warm recovery must rebuild the shard plans before the first request";
+  for (const auto& plan : recovered->explain(h).shard_plans) {
+    EXPECT_NE(plan, "cold");
+  }
+  // No re-registration: the first request must find every shard warm.
+  const auto r = recovered->submit_spmv(h, random_x(a, 13)).get();
+  EXPECT_EQ(r.y, before);
+  EXPECT_TRUE(r.plan_cache_hit)
+      << "the first post-recovery request must hit every shard plan";
+  recovered->shutdown();
+  EXPECT_EQ(recovered->stats().plan_cache.misses, s0.plan_cache.misses)
+      << "the first post-recovery request must not pay a cache miss";
+}
+
 // ---------------------------------------------------------------------------
 // Torn-tail tolerance at the engine level.
 

@@ -251,8 +251,10 @@ TEST(PlanCache, HitsMissesEvictionsAndOversize) {
   const auto a = coo_to_csr(testing::random_coo(rng, 400, 400, 4000));
   const auto b = coo_to_csr(testing::random_coo(rng, 500, 500, 5000));
 
-  const std::size_t a_bytes = core::merge::spmv_plan(dev, a).bytes();
-  const std::size_t b_bytes = core::merge::spmv_plan(dev, b).bytes();
+  // Entries charge TunedPlan::bytes(): the winner's plan arrays or
+  // converted storage plus the decision record.
+  const std::size_t a_bytes = autotune::TunedPlan(dev, a).bytes();
+  const std::size_t b_bytes = autotune::TunedPlan(dev, b).bytes();
 
   // Capacity fits either plan alone but not both: B's insertion evicts A.
   PlanCache cache(std::max(a_bytes, b_bytes) + 16);
@@ -271,79 +273,41 @@ TEST(PlanCache, HitsMissesEvictionsAndOversize) {
   EXPECT_EQ(s.misses, 2);
   EXPECT_EQ(s.evictions, 1);
   EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.bytes_in_use, b_bytes);
+  EXPECT_EQ(s.bytes_in_use, b_bytes);  // exact after the eviction
   // The evicted plan survives through the caller's shared_ptr.
-  EXPECT_TRUE(p1->valid());
+  EXPECT_EQ(p1->bytes(), a_bytes);
 
   // A plan larger than the whole capacity is served but never resident.
   PlanCache tiny(8);
   auto p4 = tiny.get_or_build(dev, a, 1, &hit);
-  EXPECT_TRUE(p4->valid());
+  EXPECT_EQ(p4->bytes(), a_bytes);
   EXPECT_EQ(tiny.stats().oversize, 1);
   EXPECT_EQ(tiny.stats().entries, 0u);
+  EXPECT_EQ(tiny.stats().bytes_in_use, 0u);
 
   // invalidate drops the entry; the next lookup rebuilds.
   cache.invalidate(2);
   EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().bytes_in_use, 0u);
   cache.get_or_build(dev, b, 2, &hit);
   EXPECT_FALSE(hit);
-}
 
-TEST(PlanCache, MixedEntriesExactByteAccountingUnderEviction) {
-  // SpmvPlan and TunedPlan entries share ONE LRU and one byte budget;
-  // the accounting must stay exact through insertions, evictions and
-  // invalidations of either kind.
-  vgpu::Device dev;
-  util::Rng rng(93);
-  const auto a = coo_to_csr(testing::random_coo(rng, 400, 400, 4000));
-  const auto b = coo_to_csr(testing::random_coo(rng, 500, 500, 5000));
-
-  const std::size_t plan_a_bytes = core::merge::spmv_plan(dev, a).bytes();
-  const std::size_t tuned_a_bytes = autotune::TunedPlan(dev, a).bytes();
-  const std::size_t tuned_b_bytes = autotune::TunedPlan(dev, b).bytes();
-  // The deterministic-LRU scenario below needs the tuned entries (which
-  // may hold converted storage) to dwarf the pattern-only merge plan.
-  ASSERT_GT(tuned_a_bytes, plan_a_bytes);
-  ASSERT_GT(tuned_b_bytes, plan_a_bytes);
-
-  // Roomy cache: both kinds for one key coexist without collision.
-  PlanCache cache(plan_a_bytes + tuned_a_bytes + tuned_b_bytes);
-  bool hit = false;
-  auto plan_a = cache.get_or_build(dev, a, 1, &hit);
-  auto tuned_a = cache.get_or_build_tuned(dev, a, 1, &hit);
-  EXPECT_FALSE(hit);
-  auto tuned_b = cache.get_or_build_tuned(dev, b, 2, &hit);
-  EXPECT_FALSE(hit);
-  auto s = cache.stats();
-  EXPECT_EQ(s.entries, 3u);
-  EXPECT_EQ(s.bytes_in_use, plan_a_bytes + tuned_a_bytes + tuned_b_bytes);
-  EXPECT_EQ(cache.get_or_build(dev, a, 1, &hit).get(), plan_a.get());
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(cache.get_or_build_tuned(dev, a, 1, &hit).get(), tuned_a.get());
-  EXPECT_TRUE(hit);
-
-  // invalidate(key) drops BOTH kinds for that key, exactly.
-  cache.invalidate(1);
-  s = cache.stats();
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.bytes_in_use, tuned_b_bytes);
-
-  // Eviction pressure across kinds: capacity holds one tuned entry plus
-  // the small plan.  Insert tuned_a, then plan_a (fits beside it), then
-  // tuned_b — which must displace tuned_a (LRU) but keep plan_a.
-  PlanCache small(tuned_b_bytes + plan_a_bytes);
-  ASSERT_LE(tuned_a_bytes, small.stats().capacity_bytes);
-  small.get_or_build_tuned(dev, a, 1, &hit);
-  small.get_or_build(dev, a, 1, &hit);
-  small.get_or_build_tuned(dev, b, 2, &hit);
-  s = small.stats();
+  // A one-candidate cache (autotune off) builds the merge default
+  // without a trial and charges exactly its SpmvPlan, so a given budget
+  // evicts exactly as a cache of bare merge plans would.
+  const std::size_t a_plan = core::merge::spmv_plan(dev, a).bytes();
+  const std::size_t b_plan = core::merge::spmv_plan(dev, b).bytes();
+  PlanCache one(std::max(a_plan, b_plan) + 16, /*candidates=*/1);
+  const auto p5 = one.get_or_build(dev, a, 1, &hit);
+  EXPECT_STREQ(p5->choice().name, "merge(128x7)");
+  EXPECT_TRUE(p5->trials().empty());
+  EXPECT_EQ(p5->bytes(), a_plan);
+  EXPECT_EQ(one.stats().bytes_in_use, a_plan);
+  one.get_or_build(dev, b, 2, &hit);
+  s = one.stats();
   EXPECT_EQ(s.evictions, 1);
-  EXPECT_EQ(s.entries, 2u);
-  EXPECT_EQ(s.bytes_in_use, plan_a_bytes + tuned_b_bytes);  // exact
-  small.get_or_build(dev, a, 1, &hit);
-  EXPECT_TRUE(hit);  // the merge plan survived the tuned eviction
-  small.get_or_build_tuned(dev, a, 1, &hit);
-  EXPECT_FALSE(hit);  // the tuned entry was the victim
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.bytes_in_use, b_plan);
 }
 
 TEST(ServeEngine, ChangedPatternReRegistrationNeverServesStaleTunedPlan) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "autotune/autotune.hpp"
 #include "core/spadd.hpp"
 #include "core/spgemm.hpp"
 #include "core/spmm.hpp"
@@ -273,19 +274,21 @@ TEST(ShardExecOracle, SpmvPlanReuseBitwise) {
   const ShardedMatrix sm(a, fleet.ordinals, uniform_weights(3));
   std::vector<double> y_oneshot(static_cast<std::size_t>(a.num_rows), -1.0);
   spmv(sm, fleet.ptrs, x, y_oneshot);
-  std::vector<std::shared_ptr<const core::merge::SpmvPlan>> plans;
+  // One-candidate plans: the serving engine's autotune-off shard plans.
+  std::vector<std::shared_ptr<const autotune::TunedPlan>> plans;
   for (std::size_t i = 0; i < sm.shards().size(); ++i) {
     const auto& s = sm.shards()[i];
     if (s.local.num_rows == 0) {
       plans.push_back(nullptr);
       continue;
     }
-    plans.push_back(std::make_shared<const core::merge::SpmvPlan>(
-        core::merge::spmv_plan(*fleet.ptrs[static_cast<std::size_t>(s.device)],
-                               s.local)));
+    plans.push_back(std::make_shared<const autotune::TunedPlan>(
+        *fleet.ptrs[static_cast<std::size_t>(s.device)], s.local,
+        /*trials=*/1));
+    EXPECT_TRUE(plans.back()->trials().empty());
   }
   std::vector<double> y_planned(static_cast<std::size_t>(a.num_rows), -2.0);
-  spmv_execute(sm, fleet.ptrs, plans, x, y_planned);
+  spmv_tuned(sm, fleet.ptrs, plans, x, y_planned);
   EXPECT_TRUE(bitwise_equal(y_planned, y_oneshot));
 }
 
