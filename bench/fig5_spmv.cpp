@@ -40,6 +40,9 @@ int main() {
         {"cusp_ms", r.cusp_ms},
         {"rowwise_ms", r.rowwise_ms},
         {"merge_ms", r.merge_ms},
+        // Planned steady state (spmv_execute on a cached plan): the
+        // per-call cost iterative and serving workloads pay.
+        {"merge_exec_ms", r.merge_exec_ms},
         {"merge_gflops", merge}};
     if (tuned) {
       const double auto_gf = analysis::gflops(flops, r.auto_ms);

@@ -96,11 +96,9 @@ SpmmStats spmm_impl(vgpu::Device& device, const sparse::CsrMatrix<V>& a,
     cta.charge_flops(2 * count * nv);  // one multiply-add per nnz per vector
     cta.charge_sync();
     cta.charge_sync();
-  });
-  stats.modeled_ms += s.modeled_ms;
-
-  auto fix = device.launch("merge.spmm_update", 1, kBlock, [&](vgpu::Cta& cta) {
-    // Canonical accumulation order (see merge.spmv_update): spanning rows
+  }, [&](vgpu::Cta& cta) {
+    // Carry update as the launch's serialized last-CTA tail.  Canonical
+    // accumulation order (see merge.spmv_reduce's tail): spanning rows
     // are rebuilt ascending-k so column j of Y stays bitwise identical to
     // spmv of right-hand side j under every batching decision.  Charges
     // model the carry fold the GPU kernel performs.
@@ -132,7 +130,7 @@ SpmmStats spmm_impl(vgpu::Device& device, const sparse::CsrMatrix<V>& a,
                       (sizeof(index_t) + nv * sizeof(V)));
     cta.charge_alu_uniform(static_cast<std::size_t>(num_ctas) * nv);
   });
-  stats.modeled_ms += fix.modeled_ms;
+  stats.modeled_ms += s.modeled_ms;
   // Output postcondition under MPS_INTEGRITY_CHECK: all of Y finite.
   if (resilience::integrity_checks_enabled()) {
     stats.modeled_ms += resilience::check_finite(

@@ -3,7 +3,8 @@
 // sides (row-major X and Y).  Same flat nonzero decomposition as SpMV;
 // each product row of the tile touches `num_vectors` consecutive values
 // of X, so the gathers amortize into short coalesced bursts — the reason
-// blocked SpMV is a standard library feature.
+// blocked SpMV is a standard library feature.  One launch: the inter-CTA
+// carry update runs as its serialized last-CTA tail.
 
 #include <span>
 

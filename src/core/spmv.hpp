@@ -12,7 +12,10 @@
 //               segmented scan; complete rows are stored to y, the open
 //               trailing row's partial sum goes to the carry buffer r;
 //   update    — a segmented scan over r folds each CTA's carry into the
-//               first row of the following CTA.
+//               first row of the following CTA.  It runs as the reduction
+//               launch's serialized last-CTA tail (vgpu::Device::launch),
+//               so reduction + update are one launch and pay one launch
+//               floor; SpmvStats::update_ms reports the tail's share.
 //
 // Empty rows: the fast path requires none (carry row ids would collide);
 // when A has empty rows the kernel compacts the row offsets first (the
@@ -24,7 +27,7 @@
 // and compaction phases — which depend only on the row offsets and the
 // CTA geometry — can be computed once and reused: build an `SpmvPlan`
 // with `spmv_plan`, then call `spmv_execute` per iteration.  Execution
-// through a plan runs only the reduction + update phases and is
+// through a plan runs only the reduction + update phases (one launch) and is
 // bit-identical to one-shot `spmv` (the one-shot entry point itself runs
 // through a transient plan).  A cheap pattern fingerprint
 // (dims/nnz + row-offset checksum) rejects a mismatched matrix.
@@ -49,6 +52,9 @@ struct SpmvConfig {
 
 struct SpmvStats {
   double partition_ms = 0.0;
+  /// The reduce launch's modeled time, split: update_ms is its
+  /// serialized carry-update tail, reduce_ms the rest (grid makespan plus
+  /// the one launch floor).
   double reduce_ms = 0.0;
   double update_ms = 0.0;
   double compact_ms = 0.0;
@@ -163,7 +169,7 @@ SpmvPlan spmv_plan(vgpu::Device& device, const sparse::CsrMatrix<float>& a,
                    const SpmvConfig& cfg = {});
 
 /// y = A x through a prebuilt plan: only the reduction + update phases
-/// run.  A must match the plan's pattern fingerprint (dims, nnz,
+/// run, as one launch.  A must match the plan's pattern fingerprint (dims, nnz,
 /// row-offset checksum) — values may differ freely; a mismatch throws
 /// std::logic_error instead of computing garbage.  Output is bit-identical
 /// to one-shot spmv with the plan's config.

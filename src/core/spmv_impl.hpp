@@ -232,9 +232,12 @@ struct SpmvPlanAccess {
     const int num_ctas = plan.num_ctas_;
     const std::vector<index_t>& s_bounds = plan.s_bounds_;
 
-    // --- Reduction ------------------------------------------------------
+    // --- Reduction + update, one launch ----------------------------------
     // Carries: the open trailing row of each CTA (original row id,
-    // partial sum).  The device-side buffer is pinned by the plan.
+    // partial sum).  The device-side buffer is pinned by the plan.  The
+    // inter-CTA carry update runs as the launch's serialized tail (the
+    // last CTA to finish folds the carries), so a planned execute is a
+    // single launch.
     std::vector<index_t> carry_row(static_cast<std::size_t>(num_ctas), -1);
     std::vector<V> carry_val(static_cast<std::size_t>(num_ctas), V{});
     {
@@ -290,14 +293,8 @@ struct SpmvPlanAccess {
                 cta.charge_global(sizeof(V) + sizeof(index_t));
               }
             }
-          });
-      stats.reduce_ms = s.modeled_ms;
-    }
-
-    // --- Update (inter-CTA carry propagation) ---------------------------
-    {
-      const auto s = device.launch(
-          "merge.spmv_update", 1, cfg.block_threads, [&](vgpu::Cta& cta) {
+          },
+          [&](vgpu::Cta& cta) {
             // Canonical accumulation order: a CTA-spanning row received
             // its final segment in the reduce phase and its earlier
             // segments as carries, an addition order that depends on the
@@ -329,7 +326,8 @@ struct SpmvPlanAccess {
             cta.charge_shared_elems(static_cast<std::size_t>(num_ctas));
             cta.charge_alu_uniform(static_cast<std::size_t>(num_ctas));
           });
-      stats.update_ms = s.modeled_ms;
+      stats.reduce_ms = s.modeled_ms - s.tail_ms;
+      stats.update_ms = s.tail_ms;
     }
     // Output postcondition: y finite.  By this point y is written, so a
     // failure reports corrupted output rather than preserving it — that

@@ -1342,6 +1342,16 @@ Engine::Lease Engine::acquire_lease(Batch& batch) {
 }
 
 void Engine::release_lease(const Lease& lease) {
+  // Every launch appends a KernelStats to its device's log, so a
+  // long-running worker would grow it without bound.  The only reader is
+  // write_trace, which needs the kernels only while a trace is being
+  // collected; otherwise drop them while the lease still holds the
+  // devices (no concurrent launch can append).
+  if (!telemetry::tracer().enabled()) {
+    for (vgpu::Device* d : lease.devices) {
+      if (d != nullptr) d->clear_log();
+    }
+  }
   {
     std::lock_guard<std::mutex> lock(devices_mutex_);
     for (const int o : lease.ordinals) {

@@ -76,7 +76,9 @@ void Profiler::record_kernel(const std::string& name, double bytes,
   sample.bytes = bytes;
   sample.flops = flops;
   sample.modeled_ms = modeled_ms;
-  sample.capacity_bytes = modeled_ms * 1e6 * peak_bytes_per_ns;
+  // Whole bytes: sums of integer-valued doubles are exact, so aggregates
+  // do not depend on the order in which concurrent launches record.
+  sample.capacity_bytes = std::round(modeled_ms * 1e6 * peak_bytes_per_ns);
   std::lock_guard<std::mutex> lock(mutex_);
   by_op_[name] += sample;
   by_phase_[attr.phase[0] ? attr.phase : "(none)"] += sample;

@@ -79,7 +79,8 @@ struct RooflineAgg {
   double flops = 0.0;
   double modeled_ms = 0.0;
   /// Bytes the device(s) could have moved at peak bandwidth in the same
-  /// modeled time (modeled_ns x peak bytes/ns, summed per launch) — the
+  /// modeled time (modeled_ns x peak bytes/ns rounded to whole bytes,
+  /// summed per launch, so the sum is exact in any order) — the
   /// denominator of the achieved fraction, correct across heterogeneous
   /// devices.
   double capacity_bytes = 0.0;

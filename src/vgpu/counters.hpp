@@ -55,6 +55,10 @@ struct KernelStats {
   int num_ctas = 0;
   double device_cycles = 0.0;  ///< modeled, includes launch overhead
   double modeled_ms = 0.0;
+  /// Share of the above spent in the launch's serialized tail (zero for a
+  /// launch without one; see Device::launch).
+  double tail_cycles = 0.0;
+  double tail_ms = 0.0;
   double wall_ms = 0.0;        ///< host wall time (informational only)
   CtaCounters totals;          ///< summed over CTAs
   /// Telemetry correlation (telemetry/span.hpp): the active span context
@@ -69,6 +73,8 @@ struct KernelStats {
     num_ctas += o.num_ctas;
     device_cycles += o.device_cycles;
     modeled_ms += o.modeled_ms;
+    tail_cycles += o.tail_cycles;
+    tail_ms += o.tail_ms;
     wall_ms += o.wall_ms;
     totals += o.totals;
     return *this;

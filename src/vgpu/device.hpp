@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "telemetry/profile.hpp"
@@ -42,15 +43,26 @@ class Device {
   ///
   /// `kernel` must write disjoint outputs per CTA (as real CUDA kernels in
   /// this codebase do); results and stats are then deterministic.
-  template <typename F>
+  ///
+  /// Optional `tail(Cta&)`: a serialized fix-up that runs once, on its own
+  /// CTA, after every grid CTA has finished — the last-block-done pattern
+  /// (each CTA fences its writes and bumps a global done counter; the CTA
+  /// that arrives last runs the fix-up).  Each grid CTA is charged its
+  /// arrival (one 4-byte global RMW), and the tail's cycles are added
+  /// after the makespan, so the launch pays one kernel_launch_cycles
+  /// floor, not two.  The tail always runs on the launching thread after
+  /// the grid joins, so its charge never depends on which host thread
+  /// finished last.  KernelStats::tail_ms reports its share.
+  template <typename F, typename T = std::nullptr_t>
   KernelStats launch(const std::string& name, int num_ctas, int block_threads,
-                     F&& kernel) {
+                     F&& kernel, T&& tail = nullptr) {
+    constexpr bool kHasTail = !std::is_null_pointer_v<std::decay_t<T>>;
     MPS_CHECK(num_ctas >= 0);
     MPS_CHECK(block_threads > 0 && block_threads <= props_.max_cta_threads);
     // Chaos hook: one predictable branch when no schedule is armed (the
     // zero-overhead-when-off contract asserted by bench/serve_throughput).
     // A lost device refuses every launch; a straggler multiplies this
-    // launch's modeled latency after the cost model runs.
+    // launch's modeled latency (tail included) after the cost model runs.
     double chaos_factor = 1.0;
     if (fault_->chaos_armed()) {
       const FaultInjector::LaunchFault f = fault_->on_launch(modeled_total_ms_);
@@ -69,17 +81,22 @@ class Device {
     const double start_us = traced ? telemetry::tracer().now_us() : -1.0;
     util::WallTimer wall;
     std::vector<CtaCounters> counters(static_cast<std::size_t>(num_ctas));
-    auto body = [&](std::size_t i) {
+    auto run_cta = [&](auto&& fn, int cta_id, int grid, CtaCounters& c) {
       thread_local SharedMemory shm(props_.shared_mem_per_cta);
       if (shm.capacity() != props_.shared_mem_per_cta) {
         shm = SharedMemory(props_.shared_mem_per_cta);
       }
       shm.reset();
-      Cta cta(static_cast<int>(i), num_ctas, block_threads, props_, shm,
-              counters[i]);
-      kernel(cta);
+      Cta cta(cta_id, grid, block_threads, props_, shm, c);
+      fn(cta);
     };
-    global_pool().parallel_for(static_cast<std::size_t>(num_ctas), body);
+    global_pool().parallel_for(
+        static_cast<std::size_t>(num_ctas), [&](std::size_t i) {
+          run_cta(kernel, static_cast<int>(i), num_ctas, counters[i]);
+          if constexpr (kHasTail) {
+            counters[i].global_bytes += sizeof(std::uint32_t);  // arrival
+          }
+        });
 
     KernelStats stats;
     stats.name = name;
@@ -89,11 +106,21 @@ class Device {
       cycles[i] = counters[i].cycles(props_);
       stats.totals += counters[i];
     }
-    stats.device_cycles = schedule_cycles(props_, cycles);
-    stats.modeled_ms = props_.cycles_to_ms(stats.device_cycles);
+    const double grid_cycles = schedule_cycles(props_, cycles);
+    if constexpr (kHasTail) {
+      CtaCounters tail_counters;
+      run_cta(tail, 0, 1, tail_counters);
+      stats.tail_cycles = tail_counters.cycles(props_);
+      stats.totals += tail_counters;
+    }
+    stats.device_cycles = grid_cycles + stats.tail_cycles;
+    stats.tail_ms = props_.cycles_to_ms(stats.tail_cycles);
+    stats.modeled_ms = props_.cycles_to_ms(grid_cycles) + stats.tail_ms;
     if (chaos_factor != 1.0) {
       stats.device_cycles *= chaos_factor;
       stats.modeled_ms *= chaos_factor;
+      stats.tail_cycles *= chaos_factor;
+      stats.tail_ms *= chaos_factor;
     }
     modeled_total_ms_ += stats.modeled_ms;
     stats.wall_ms = wall.milliseconds();

@@ -217,8 +217,10 @@ TEST(Autotune, ValueBufferGuardForConvertedFormats) {
   // A format-converted winner snapshots the value buffer; executing
   // against an identical-pattern COPY (values live elsewhere) must be
   // rejected, not silently served from the snapshot.
+  // 64x64: the smallest poisson2d grid a converted format (CMRS) still
+  // wins once merge pays one launch per execute.
   vgpu::Device dev;
-  const auto a = workloads::poisson2d(48, 48);
+  const auto a = workloads::poisson2d(64, 64);
   const TunedPlan tuned(dev, a);
   ASSERT_NE(tuned.choice().format, Format::kCsr) << tuned.choice().name;
   const sparse::CsrD copy = a;
@@ -325,11 +327,13 @@ TEST(AutotuneServe, ReRegistrationInvalidatesValueBoundTunedEntry) {
   // the registered values; re-registering the same pattern with new
   // values must invalidate it, and the next result must reflect the NEW
   // values (a stale snapshot would reproduce the old ones).
-  auto a = workloads::poisson2d(32, 32);
+  auto a = workloads::poisson2d(64, 64);
   const auto x = oracle_x(a);
   serve::Engine engine(tuned_engine_config());
   const auto h1 = engine.register_matrix(a);
   const auto y_old = engine.submit_spmv(h1, x).get().y;
+  const std::string choice = engine.explain(h1).choice;
+  ASSERT_TRUE(choice == "ell" || choice == "cmrs") << choice;
 
   for (auto& v : a.val) v *= 2.0;
   const auto h2 = engine.register_matrix(a);

@@ -150,6 +150,24 @@ TEST(Profiler, DisabledRecordsNothing) {
   EXPECT_EQ(rep.shard_batches, 0);
 }
 
+TEST(Profiler, CapacityAggregateIndependentOfRecordOrder) {
+  // Concurrent workers record launches in host-schedule order.  These
+  // three launches' unrounded capacities (8892356.2..., 10535870.8,
+  // 11273844.4 bytes) sum to different doubles forward and backward; the
+  // whole-byte aggregate must not.
+  ProfilerReset guard;
+  auto& prof = telemetry::profiler();
+  prof.enable();
+  const double ms[] = {0.031522, 0.037348, 0.039964};
+  for (const double m : ms) prof.record_kernel("fwd", 0.0, 0.0, m, 282.1);
+  for (int i = 2; i >= 0; --i) {
+    prof.record_kernel("rev", 0.0, 0.0, ms[i], 282.1);
+  }
+  const auto rep = prof.report();
+  EXPECT_EQ(rep.by_op.at("fwd").capacity_bytes,
+            rep.by_op.at("rev").capacity_bytes);
+}
+
 TEST(Profiler, RecordKernelAggregatesAlongAllAxes) {
   ProfilerReset guard;
   auto& prof = telemetry::profiler();
@@ -675,6 +693,11 @@ TEST(EngineExplain, AutotuneOffLaunchesExactlyPlanPlusExecute) {
   const auto exec = core::merge::spmv_execute(ref_dev, a, x, y_ref, plan);
   std::map<std::string, long long> ref_launches;
   for (const auto& k : ref_dev.log()) ++ref_launches[k.name];
+  // The pair is the partition launch plus ONE execute launch: the carry
+  // update is the reduce launch's tail.
+  EXPECT_EQ(ref_launches["merge.spmv_partition"], 1);
+  EXPECT_EQ(ref_launches["merge.spmv_reduce"], 1);
+  EXPECT_EQ(ref_launches.count("merge.spmv_update"), 0u);
 
   telemetry::profiler().enable();
   serve::Engine engine(engine_config());

@@ -205,8 +205,9 @@ TEST(ServeChaos, FailoverBudgetExhaustionSettlesTheBatchAndRecovers) {
 }
 
 TEST(ServeChaos, ShardedFleetSurvivesPermanentDeviceLoss) {
-  // 4-device fleet, every device armed to die permanently at its 4th
-  // kernel launch.  Shards are re-placed by slot replacement, so every
+  // 4-device fleet, every device armed to die permanently at its 3rd
+  // kernel launch: a shard's plan build, then one launch per execute, so
+  // the loss lands on the second request the device serves.  Shards are re-placed by slot replacement, so every
   // admitted request must still settle with the bitwise fault-free
   // answer and zero drops — the chaos harness invariant, now across a
   // fleet instead of one worker pool.
@@ -217,7 +218,7 @@ TEST(ServeChaos, ShardedFleetSurvivesPermanentDeviceLoss) {
   cfg.devices = 4;
   cfg.shard_min_nnz = 1024;  // 4800 nnz shards 2-wide
   cfg.max_failovers = 8;
-  cfg.chaos = vgpu::ChaosSchedule::parse("lose@launch=4");
+  cfg.chaos = vgpu::ChaosSchedule::parse("lose@launch=3");
   cfg.chaos_enabled = 1;
   Engine engine(cfg);
   const MatrixHandle ha = engine.register_matrix(a);

@@ -720,5 +720,40 @@ TEST(ServeTrace, WriteTraceCorrelatesRequestPhasesAndKernels) {
   EXPECT_TRUE(correlated);
 }
 
+TEST(ServeTrace, DeviceKernelLogsStayBoundedWhileNotTracing) {
+  // Every launch appends a KernelStats to its device's log.  With the
+  // tracer off the engine drops a lease's entries when it releases the
+  // lease, so a long-running worker's log stays bounded.  write_trace is
+  // the seam: its "kernels" total counts every entry of every device log.
+  telemetry::tracer().disable();
+  telemetry::tracer().clear();
+  Engine engine(test_config(/*threads=*/2, /*batch_window=*/4));
+  util::Rng rng(227);
+  const auto a = coo_to_csr(testing::random_coo(rng, 200, 200, 2000));
+  const auto h = engine.register_matrix(a);
+  constexpr int kRequests = 2048;
+  constexpr int kChunk = 64;
+  for (int done = 0; done < kRequests; done += kChunk) {
+    std::vector<std::future<SpmvResult>> futures;
+    for (int i = 0; i < kChunk; ++i) {
+      futures.push_back(engine.submit_spmv(
+          h, random_x(a, static_cast<std::uint64_t>(done + i))));
+    }
+    for (auto& f : futures) f.get();
+  }
+  // write_trace needs quiescent devices: read the logs after shutdown.
+  engine.shutdown();
+  EXPECT_EQ(engine.stats().completed, kRequests);
+  std::ostringstream os;
+  engine.write_trace(os);
+  const std::string s = os.str();
+  const std::string key = "\"kernels\":";
+  const std::size_t pos = s.rfind(key);
+  ASSERT_NE(pos, std::string::npos);
+  // Every request launched at least once, so an unbounded log would hold
+  // thousands of entries; settled work leaves none behind.
+  EXPECT_EQ(std::stoll(s.substr(pos + key.size())), 0);
+}
+
 }  // namespace
 }  // namespace mps::serve

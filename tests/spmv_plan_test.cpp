@@ -4,6 +4,7 @@
 // with and without the forced empty-row compaction path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "sparse/convert.hpp"
 #include "test_matrices.hpp"
 #include "vgpu/device.hpp"
+#include "vgpu/timing.hpp"
 #include "workloads/generators.hpp"
 
 namespace mps {
@@ -261,6 +263,164 @@ TEST(SpmvPlan, CompactionPathCarriesCompactedView) {
   spmv(dev, a, x, y_oneshot);
   spmv_execute(dev, a, x, y, plan);
   EXPECT_EQ(y, y_oneshot);
+}
+
+// ---------------------------------------------------------------------------
+// Single-launch execute: the carry update is the reduce launch's tail.
+// The fused cost is pinned to an independent rebuild of the two-launch
+// (reduce grid, then a one-CTA update) figure from the kernels' charges.
+
+/// Per-CTA cycles of the reduce grid (the charges in spmv_impl.hpp),
+/// each CTA paying `arrival` extra global bytes.
+std::vector<double> reduce_grid_cycles(const vgpu::DeviceProperties& p,
+                                       const CsrD& a, const SpmvConfig& cfg,
+                                       std::size_t arrival) {
+  // Segment offsets: nonempty rows only (identical to A's offsets when
+  // there are no empty rows).
+  std::vector<index_t> off{0};
+  for (index_t r = 0; r < a.num_rows; ++r) {
+    if (a.row_length(r) > 0) {
+      off.push_back(a.row_offsets[static_cast<std::size_t>(r) + 1]);
+    }
+  }
+  const std::size_t rows = off.size() - 1;
+  const std::size_t nnz = static_cast<std::size_t>(a.nnz());
+  const std::size_t tile = static_cast<std::size_t>(cfg.tile());
+  const std::size_t w = static_cast<std::size_t>(p.warp_size);
+  auto fence = [&](std::size_t pos) {
+    return static_cast<std::size_t>(
+        std::upper_bound(off.begin(), off.begin() + static_cast<long>(rows),
+                         static_cast<index_t>(pos)) -
+        off.begin() - 1);
+  };
+  std::vector<double> cycles;
+  for (std::size_t lo = 0; lo < nnz; lo += tile) {
+    const std::size_t hi = std::min(nnz, lo + tile);
+    const std::size_t count = hi - lo;
+    const std::size_t row_lo = fence(lo);
+    const std::size_t row_hi = fence(hi);
+    vgpu::CtaCounters c;
+    c.global_bytes = (row_hi - row_lo + 2) * sizeof(index_t) +
+                     count * (sizeof(index_t) + sizeof(double)) + arrival;
+    for (std::size_t r = row_lo; r <= row_hi && r < rows; ++r) {
+      const std::size_t seg_lo = std::max(lo, static_cast<std::size_t>(off[r]));
+      const std::size_t seg_hi =
+          std::min(hi, static_cast<std::size_t>(off[r + 1]));
+      if (seg_lo >= seg_hi) continue;
+      // A row ending in the tile stores y; an open row stores a carry.
+      c.global_bytes += static_cast<std::size_t>(off[r + 1]) <= hi
+                            ? sizeof(double)
+                            : sizeof(double) + sizeof(index_t);
+    }
+    c.gather_bytes = count * p.gather_sector_bytes;
+    c.shared_ops = (3 * count + w - 1) / w;
+    c.warp_iters = (2 * count + w - 1) / w;
+    c.syncs = 2;
+    cycles.push_back(c.cycles(p));
+  }
+  return cycles;
+}
+
+/// Cycles of the one-CTA carry fold over `num_ctas` carry records.
+double update_cycles(const vgpu::DeviceProperties& p, int num_ctas) {
+  const std::size_t n = static_cast<std::size_t>(num_ctas);
+  const std::size_t w = static_cast<std::size_t>(p.warp_size);
+  vgpu::CtaCounters c;
+  c.global_bytes = n * (sizeof(index_t) + sizeof(double));
+  c.shared_ops = (n + w - 1) / w;
+  c.warp_iters = (n + w - 1) / w;
+  return c.cycles(p);
+}
+
+const SpmvConfig kTileConfigs[] = {{128, 7}, {64, 5}, {256, 9}};
+
+/// The device's launches minus integrity-guard scans, which run only
+/// under MPS_INTEGRITY_CHECK.
+std::vector<vgpu::KernelStats> kernel_launches(const vgpu::Device& dev) {
+  std::vector<vgpu::KernelStats> out;
+  for (const auto& k : dev.log()) {
+    if (k.name.rfind("integrity.", 0) != 0) out.push_back(k);
+  }
+  return out;
+}
+
+void expect_fused_spmv_cost(const CsrD& a) {
+  util::Rng rng(71);
+  std::vector<double> x(static_cast<std::size_t>(a.num_cols));
+  for (auto& v : x) v = rng.uniform_double(-1, 1);
+  std::vector<double> ref(static_cast<std::size_t>(a.num_rows));
+  baselines::seq::spmv(a, x, ref);
+  for (const SpmvConfig& cfg : kTileConfigs) {
+    SCOPED_TRACE(std::to_string(cfg.block_threads) + "x" +
+                 std::to_string(cfg.items_per_thread));
+    vgpu::Device dev;
+    const vgpu::DeviceProperties& p = dev.props();
+    const double floor = p.kernel_launch_cycles;
+    const auto plan = spmv_plan(dev, a, cfg);
+    ASSERT_EQ(plan.used_compaction(), a.has_empty_rows());
+    ASSERT_GT(plan.num_ctas(), 1);
+
+    // The unfused two-launch figure: reduce grid + a separate update launch.
+    const double reduce_unfused =
+        vgpu::schedule_cycles(p, reduce_grid_cycles(p, a, cfg, 0));
+    const double update_unfused =
+        update_cycles(p, plan.num_ctas()) + floor;
+    const double with_arrivals = vgpu::schedule_cycles(
+        p, reduce_grid_cycles(p, a, cfg, sizeof(std::uint32_t)));
+    const double arrivals = with_arrivals - reduce_unfused;
+    EXPECT_GT(arrivals, 0.0);
+
+    // Planned execute: exactly one launch.
+    dev.clear_log();
+    std::vector<double> y(static_cast<std::size_t>(a.num_rows), -3.0);
+    const auto exec = spmv_execute(dev, a, x, y, plan);
+    const auto launches = kernel_launches(dev);
+    ASSERT_EQ(launches.size(), 1u);
+    const vgpu::KernelStats k = launches.front();
+    EXPECT_EQ(k.name, "merge.spmv_reduce");
+    EXPECT_EQ(k.tail_cycles, update_cycles(p, plan.num_ctas()));
+    EXPECT_EQ(k.device_cycles,
+              with_arrivals + update_cycles(p, plan.num_ctas()));
+    EXPECT_DOUBLE_EQ(k.device_cycles,
+                     reduce_unfused + update_unfused - floor + arrivals);
+    EXPECT_EQ(exec.update_ms, k.tail_ms);
+    EXPECT_DOUBLE_EQ(exec.reduce_ms + exec.update_ms, k.modeled_ms);
+    EXPECT_DOUBLE_EQ(exec.reduce_ms + exec.update_ms,
+                     p.cycles_to_ms(k.device_cycles));
+    EXPECT_EQ(y, ref);
+
+    // One-shot: the plan-build launches, then the same fused launch.
+    dev.clear_log();
+    std::vector<double> y1(static_cast<std::size_t>(a.num_rows), -3.0);
+    const auto one = spmv(dev, a, x, y1, cfg);
+    const auto one_launches = kernel_launches(dev);
+    ASSERT_EQ(one_launches.size(), a.has_empty_rows() ? 3u : 2u);
+    double setup = 0.0;
+    for (std::size_t i = 0; i + 1 < one_launches.size(); ++i) {
+      EXPECT_NE(one_launches[i].name, "merge.spmv_reduce");
+      setup += one_launches[i].device_cycles;
+    }
+    EXPECT_EQ(one_launches.back().device_cycles, k.device_cycles);
+    const double one_ms =
+        one.partition_ms + one.compact_ms + one.reduce_ms + one.update_ms;
+    EXPECT_NEAR(one_ms,
+                p.cycles_to_ms(setup + reduce_unfused + update_unfused -
+                               floor + arrivals),
+                1e-12 * one_ms);
+    EXPECT_EQ(y1, ref);
+  }
+}
+
+TEST(SpmvFusedTail, SpanningRowsCostOneLaunchAndStayBitwise) {
+  const CsrD a = testing::spanning_rows_csr(/*empty_rows=*/false, 81);
+  ASSERT_FALSE(a.has_empty_rows());
+  expect_fused_spmv_cost(a);
+}
+
+TEST(SpmvFusedTail, EmptyRowsCompactionPathCostOneLaunchAndStayBitwise) {
+  const CsrD a = testing::spanning_rows_csr(/*empty_rows=*/true, 82);
+  ASSERT_TRUE(a.has_empty_rows());
+  expect_fused_spmv_cost(a);
 }
 
 }  // namespace

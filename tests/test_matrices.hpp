@@ -69,6 +69,28 @@ inline sparse::CsrD random_powerlaw_csr(util::Rng& rng, index_t rows, index_t co
   return sparse::coo_to_csr(a);
 }
 
+/// 6000x6000 CSR whose rows 100 and 1500 hold 2500 and 1800 nonzeros, so
+/// they span several CTA tiles at every merge tile config; every other row
+/// holds 1-5.  With `empty_rows`, every third row is empty (merge SpMV's
+/// compaction path).
+inline sparse::CsrD spanning_rows_csr(bool empty_rows, std::uint64_t seed) {
+  constexpr index_t n = 6000;
+  util::Rng rng(seed);
+  sparse::CooD a(n, n);
+  for (index_t r = 0; r < n; ++r) {
+    index_t len = 1 + (r * 7) % 5;
+    if (r == 100) len = 2500;
+    if (r == 1500) len = 1800;
+    if (empty_rows && r % 3 == 1) len = 0;
+    // 37 is coprime to n, so the columns of a row are distinct.
+    for (index_t k = 0; k < len; ++k) {
+      a.push_back(r, (r + 37 * k) % n, rng.uniform_double(-1.0, 1.0));
+    }
+  }
+  a.canonicalize();
+  return sparse::coo_to_csr(a);
+}
+
 /// Dense multiply reference (small shapes only).
 inline std::vector<double> dense_of(const sparse::CsrD& a) {
   std::vector<double> d(static_cast<std::size_t>(a.num_rows) *

@@ -140,17 +140,21 @@ TEST(Trace, SpmvPlanChargesPartitionOnceAcrossIterations) {
     }
   }
 
-  int partitions = 0, compacts = 0, reduces = 0, updates = 0;
+  // Each execute is ONE launch: the carry update rides the reduce launch
+  // as its serialized tail instead of a separate merge.spmv_update.
+  int partitions = 0, compacts = 0, reduces = 0, tails = 0, merge = 0;
   for (const auto& k : dev.log()) {
+    if (k.name.rfind("merge.", 0) == 0) ++merge;
     if (k.name == "merge.spmv_partition") ++partitions;
     if (k.name == "merge.spmv_compact") ++compacts;
     if (k.name == "merge.spmv_reduce") ++reduces;
-    if (k.name == "merge.spmv_update") ++updates;
+    if (k.name == "merge.spmv_reduce" && k.tail_cycles > 0.0) ++tails;
   }
   EXPECT_EQ(partitions, 1);
   EXPECT_EQ(compacts, 0);  // no empty rows, fast path
   EXPECT_EQ(reduces, kIters);
-  EXPECT_EQ(updates, kIters);
+  EXPECT_EQ(tails, kIters);
+  EXPECT_EQ(merge, 1 + kIters);  // no merge.spmv_update launches
 }
 
 TEST(Analysis, BenchConfigDefaultsAndEnv) {

@@ -1,13 +1,19 @@
 // Unit tests for the virtual-GPU substrate.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "telemetry/profile.hpp"
+#include "vgpu/chaos.hpp"
 #include "vgpu/cpu_model.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/memory_model.hpp"
@@ -209,6 +215,193 @@ TEST(Device, RejectsBadBlockSize) {
   Device dev;
   EXPECT_THROW(dev.launch("k", 1, 0, [](Cta&) {}), mps::InvalidInputError);
   EXPECT_THROW(dev.launch("k", 1, 4096, [](Cta&) {}), mps::InvalidInputError);
+}
+
+// ---------------------------------------------------------------------------
+// Launch tails: a serialized fix-up run once after the whole grid.
+
+/// Uneven grid work: CTA i moves 64*(i % 7 + 1) bytes and runs i % 5 + 1
+/// uniform warp-steps.
+void tail_test_grid(Cta& cta) {
+  const auto i = static_cast<std::size_t>(cta.cta_id());
+  cta.charge_global(64 * (i % 7 + 1));
+  cta.charge_alu_uniform(32 * (i % 5 + 1));
+  cta.charge_flops(10);
+}
+
+/// The fix-up: a fixed carry fold over 40 records.
+void tail_test_fixup(Cta& cta) {
+  cta.charge_global(40 * 12);
+  cta.charge_shared_elems(40);
+  cta.charge_alu_uniform(40);
+  cta.charge_flops(7);
+}
+
+Device tail_test_device() {
+  Device dev;
+  dev.fault_injector().disarm();
+  return dev;
+}
+
+TEST(DeviceTail, ModeledCyclesAreMakespanPlusTailPlusOneFloor) {
+  Device dev = tail_test_device();
+  const DeviceProperties& p = dev.props();
+  constexpr int kCtas = 300;  // more than one wave on a titan
+  const KernelStats fused =
+      dev.launch("fused", kCtas, 128, tail_test_grid, tail_test_fixup);
+
+  // Independent reconstruction: each grid CTA pays its own work plus one
+  // 4-byte arrival; the tail's cycles follow the makespan.
+  std::vector<double> cycles;
+  for (int i = 0; i < kCtas; ++i) {
+    CtaCounters c;
+    const auto u = static_cast<std::size_t>(i);
+    c.global_bytes = 64 * (u % 7 + 1) + 4;
+    c.warp_iters = u % 5 + 1;
+    cycles.push_back(c.cycles(p));
+  }
+  CtaCounters tail;
+  tail.global_bytes = 40 * 12;
+  tail.shared_ops = 2;  // ceil(40 / 32)
+  tail.warp_iters = 2;
+  const double makespan = schedule_cycles(p, cycles) - p.kernel_launch_cycles;
+  EXPECT_EQ(fused.tail_cycles, tail.cycles(p));
+  EXPECT_EQ(fused.device_cycles - p.kernel_launch_cycles - fused.tail_cycles,
+            makespan);
+  EXPECT_EQ(fused.device_cycles,
+            schedule_cycles(p, cycles) + tail.cycles(p));
+  EXPECT_EQ(fused.tail_ms, p.cycles_to_ms(fused.tail_cycles));
+  EXPECT_DOUBLE_EQ(fused.modeled_ms, p.cycles_to_ms(fused.device_cycles));
+  EXPECT_EQ(dev.log().size(), 1u);
+
+  // The same work as two plain launches pays a second floor: the fused
+  // launch equals grid-with-arrivals + separate fix-up - one floor.
+  const KernelStats grid = dev.launch("grid", kCtas, 128, [](Cta& cta) {
+    tail_test_grid(cta);
+    cta.charge_global(4);
+  });
+  const KernelStats fix = dev.launch("fix", 1, 128, tail_test_fixup);
+  EXPECT_EQ(grid.tail_cycles, 0.0);
+  EXPECT_EQ(grid.tail_ms, 0.0);
+  EXPECT_DOUBLE_EQ(fused.device_cycles,
+                   grid.device_cycles + fix.device_cycles -
+                       p.kernel_launch_cycles);
+  EXPECT_DOUBLE_EQ(fused.modeled_ms,
+                   grid.modeled_ms + fix.modeled_ms -
+                       p.cycles_to_ms(p.kernel_launch_cycles));
+}
+
+TEST(DeviceTail, TailCountersLandInTotalsAndOneProfiledLaunch) {
+  telemetry::profiler().disable();
+  telemetry::profiler().clear();
+  telemetry::profiler().enable();
+  Device dev = tail_test_device();
+  constexpr int kCtas = 50;
+  const KernelStats s =
+      dev.launch("tail_profiled", kCtas, 128, tail_test_grid, tail_test_fixup);
+  const auto rep = telemetry::profiler().report();
+  telemetry::profiler().disable();
+  telemetry::profiler().clear();
+
+  std::uint64_t grid_bytes = 0;
+  for (std::size_t i = 0; i < kCtas; ++i) grid_bytes += 64 * (i % 7 + 1);
+  const std::uint64_t bytes = grid_bytes + 4 * kCtas + 40 * 12;
+  EXPECT_EQ(s.totals.global_bytes, bytes);
+  EXPECT_EQ(s.totals.flops, 10u * kCtas + 7u);
+  EXPECT_EQ(s.totals.shared_ops, 2u);  // the tail's only shared traffic
+  ASSERT_EQ(rep.by_op.count("tail_profiled"), 1u);
+  const auto& agg = rep.by_op.at("tail_profiled");
+  EXPECT_EQ(agg.launches, 1);
+  EXPECT_EQ(agg.bytes, static_cast<double>(bytes));
+  EXPECT_EQ(agg.flops, static_cast<double>(10u * kCtas + 7u));
+  EXPECT_EQ(agg.modeled_ms, s.modeled_ms);
+}
+
+TEST(DeviceTail, ChaosStragglerScalesTheWholeLaunch) {
+  Device base = tail_test_device();
+  const KernelStats b =
+      base.launch("fused", 120, 128, tail_test_grid, tail_test_fixup);
+  Device slow = tail_test_device();
+  slow.fault_injector().arm_chaos(
+      ChaosSchedule::parse("straggle@launch=1,x=2,every=1"), 0);
+  const KernelStats s =
+      slow.launch("fused", 120, 128, tail_test_grid, tail_test_fixup);
+  // Factor 2 scales doubles exactly: grid and tail both stretch.
+  EXPECT_EQ(s.device_cycles, 2.0 * b.device_cycles);
+  EXPECT_EQ(s.modeled_ms, 2.0 * b.modeled_ms);
+  EXPECT_EQ(s.tail_cycles, 2.0 * b.tail_cycles);
+  EXPECT_EQ(s.tail_ms, 2.0 * b.tail_ms);
+  EXPECT_EQ(slow.modeled_total_ms(), 2.0 * base.modeled_total_ms());
+  EXPECT_EQ(slow.fault_injector().stragglers_injected(), 1);
+}
+
+TEST(DeviceTail, EmptyGridStillRunsTheTailOnce) {
+  Device dev = tail_test_device();
+  int grid_runs = 0;
+  int tail_runs = 0;
+  int tail_grid = -1;
+  const KernelStats s = dev.launch(
+      "empty", 0, 128, [&](Cta&) { ++grid_runs; },
+      [&](Cta& cta) {
+        ++tail_runs;
+        tail_grid = cta.num_ctas();
+        tail_test_fixup(cta);
+      });
+  EXPECT_EQ(grid_runs, 0);
+  EXPECT_EQ(tail_runs, 1);
+  EXPECT_EQ(tail_grid, 1);  // the tail runs on its own one-CTA context
+  const DeviceProperties& p = dev.props();
+  EXPECT_EQ(s.num_ctas, 0);
+  EXPECT_GT(s.tail_cycles, 0.0);
+  EXPECT_EQ(s.device_cycles, p.kernel_launch_cycles + s.tail_cycles);
+  EXPECT_EQ(s.totals.global_bytes, 40u * 12u);  // no arrivals charged
+  EXPECT_EQ(dev.log().size(), 1u);
+}
+
+TEST(DeviceTail, PoolProbe) {
+  // Prints the fused launch's exact modeled figures for the pool-size
+  // comparison below.  CTAs finish in a host-schedule-dependent order
+  // (later CTAs sleep less), which the tail's charge must not see.
+  Device dev = tail_test_device();
+  const KernelStats s = dev.launch(
+      "probe", 64, 128,
+      [](Cta& cta) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(64 - cta.cta_id()));
+        tail_test_grid(cta);
+      },
+      tail_test_fixup);
+  std::printf("tail-probe pool=%u cycles=%a ms=%a tail=%a\n",
+              global_pool().num_threads(), s.device_cycles, s.modeled_ms,
+              s.tail_ms);
+}
+
+TEST(DeviceTail, ModeledTimeIdenticalAtPoolSizes1And4) {
+  char self[4096];
+  const ssize_t len = ::readlink("/proc/self/exe", self, sizeof(self) - 1);
+  ASSERT_GT(len, 0);
+  self[len] = '\0';
+  auto probe = [&](int threads) {
+    const std::string cmd = "MPS_THREADS=" + std::to_string(threads) + " '" +
+                            self + "' --gtest_filter=DeviceTail.PoolProbe";
+    FILE* pipe = ::popen(cmd.c_str(), "r");
+    EXPECT_NE(pipe, nullptr);
+    std::string line;
+    if (pipe == nullptr) return line;
+    char buf[512];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+      const std::string l(buf);
+      if (l.rfind("tail-probe ", 0) == 0) line = l;
+    }
+    EXPECT_EQ(::pclose(pipe), 0);
+    return line;
+  };
+  const std::string one = probe(1);
+  const std::string four = probe(4);
+  ASSERT_EQ(one.rfind("tail-probe pool=1 ", 0), 0u) << one;
+  ASSERT_EQ(four.rfind("tail-probe pool=4 ", 0), 0u) << four;
+  // Everything after the pool size is the modeled figures, bit for bit.
+  EXPECT_EQ(one.substr(one.find(" cycles=")), four.substr(four.find(" cycles=")));
 }
 
 TEST(Cta, WarpDivergentChargesMax) {
