@@ -165,10 +165,10 @@ int main() {
     const auto [cusp_useful, cusp_util] = fracs(cusp_it->second);
     const double cv = row_cv(a);
 
-    // The dominant reduce kernel may never sit below the roofline in
-    // charged-traffic terms either.  (Setup kernels like spmv_partition
-    // are binary-search bound and tiny; the phase-level useful fraction
-    // is what the paper's claim covers.)
+    // The reduce kernel may never sit below the roofline in
+    // charged-traffic terms either.  (One-shot merge is that one launch;
+    // its per-CTA fence searches are binary-search bound but tiny, and
+    // the phase-level useful fraction is what the paper's claim covers.)
     const bool is_skewed = cv >= kSkewCv;
     const bool row_wasteful = row_useful < kWasteRatio * merge_useful;
     if (enforce) {

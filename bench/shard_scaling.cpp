@@ -163,6 +163,7 @@ int main() {
   t.set_header({"devices", "spec", "placement", "modeled ms", "scaling",
                 "req/s", "shards"});
   analysis::BenchJson report("shard_scaling");
+  report.add_stat("scale", cfg.scale);
   report.add_stat("requests", static_cast<double>(trace.size()));
   report.add_stat("tenant_nnz", static_cast<double>(tenants[0].nnz()));
 

@@ -7,7 +7,9 @@ This script REPORTS deltas — a changed metric never fails the build; the
 table is for the reviewer reading the CI log.  Broken *inputs* do fail it:
 a missing/unreadable baseline, a run directory with no BENCH_*.json, or a
 malformed run file exits 1, so CI can't silently "pass" a bench step whose
-output was never produced.
+output was never produced.  So does a run whose recorded scale differs
+from its baseline's (or either side not recording one): a delta between
+different instance sizes means nothing, so that bench is not tabulated.
 
 Usage:
     bench_delta.py --dir <dir with BENCH_*.json runs>
@@ -18,13 +20,14 @@ With no --baseline, EVERY BENCH_*.json committed at the repo root (or
 put a bench under delta coverage — no script change, no hardcoded list.
 Two baseline formats are accepted and merged:
 
-  seed format (BENCH_seed.json):
+  seed format (BENCH_seed.json; "scale" covers every bench inside):
     {"schema": 1, "scale": 0.05,
      "benches": {"fig5_spmv": {"Dense": {"merge_ms": 0.016, ...}, ...}}}
 
   raw run format (what analysis::BenchJson writes, committed as-is):
     {"bench": "serve_throughput", "schema": 1,
-     "cases": [{"name": "t1_w1", "metrics": {...}}, ...], "stats": {...}}
+     "cases": [{"name": "t1_w1", "metrics": {...}}, ...],
+     "stats": {"scale": 0.05, ...}}
 """
 
 import argparse
@@ -35,17 +38,19 @@ import sys
 
 
 def load_run(path):
+    """(bench, {case: {metric: value}}, scale or None) of one run file."""
     with open(path) as f:
         doc = json.load(f)
     cases = {c["name"]: c.get("metrics", {}) for c in doc.get("cases", [])}
-    return doc.get("bench", os.path.basename(path)), cases
+    scale = doc.get("stats", {}).get("scale")
+    return doc.get("bench", os.path.basename(path)), cases, scale
 
 
 def load_baselines(paths):
     """Merge any mix of seed-format and raw-run-format baseline files into
-    one {bench: {case: {metric: value}}} table.  Raises on unreadable or
-    malformed input (the caller turns that into exit 1)."""
-    merged = {}
+    one {bench: {case: {metric: value}}} table plus {bench: scale}.  Raises
+    on unreadable or malformed input (the caller turns that into exit 1)."""
+    merged, scales = {}, {}
     for path in paths:
         with open(path) as f:
             doc = json.load(f)
@@ -55,12 +60,14 @@ def load_baselines(paths):
                 raise ValueError(f"{path}: 'benches' is not a table")
             for bench, cases in table.items():
                 merged.setdefault(bench, {}).update(cases)
+                scales[bench] = doc.get("scale")
         elif "bench" in doc:  # raw BenchJson run committed as baseline
-            bench, cases = load_run(path)
+            bench, cases, scale = load_run(path)
             merged.setdefault(bench, {}).update(cases)
+            scales[bench] = scale
         else:
             raise ValueError(f"{path}: neither seed nor run format")
-    return merged
+    return merged, scales
 
 
 def fmt_delta(base, cur):
@@ -102,7 +109,7 @@ def main():
             glob.glob(os.path.join(args.baseline_dir, "BENCH_*.json")))
         label = f"{len(baseline_paths)} committed baseline(s)"
     try:
-        baselines = load_baselines(baseline_paths)
+        baselines, base_scales = load_baselines(baseline_paths)
     except (OSError, json.JSONDecodeError, ValueError, TypeError,
             AttributeError) as e:
         print(f"bench_delta: ERROR: cannot read baseline: {e}", file=sys.stderr)
@@ -119,14 +126,16 @@ def main():
         return 1
 
     print(f"bench delta vs {label} "
-          "(deltas are report-only — only broken inputs fail the build)")
+          "(deltas are report-only — only broken inputs or a scale "
+          "mismatch fail the build)")
     print(f"{'bench':<18} {'case':<14} {'metric':<14} "
           f"{'baseline':>14} {'current':>14} {'delta':>12}")
-    exact, changed, uncovered, malformed = 0, 0, 0, 0
+    exact, changed, uncovered, malformed, rescaled = 0, 0, 0, 0, 0
     for path in runs:
         try:
-            bench, cases = load_run(path)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
+            bench, cases, scale = load_run(path)
+        except (OSError, json.JSONDecodeError, KeyError, TypeError,
+                AttributeError) as e:
             print(f"bench_delta: ERROR: malformed run file {path}: {e}",
                   file=sys.stderr)
             malformed += 1
@@ -135,6 +144,13 @@ def main():
         if base_cases is None:
             uncovered += 1
             print(f"{bench:<18} (no baseline recorded; skipped)")
+            continue
+        base_scale = base_scales.get(bench)
+        if scale is None or base_scale is None or scale != base_scale:
+            print(f"bench_delta: ERROR: {bench} ran at scale {scale} but its "
+                  f"baseline records scale {base_scale}; not compared",
+                  file=sys.stderr)
+            rescaled += 1
             continue
         for case in sorted(set(base_cases) | set(cases)):
             b_metrics = base_cases.get(case, {})
@@ -157,8 +173,10 @@ def main():
     if malformed:
         print(f"bench_delta: ERROR: {malformed} malformed run file(s)",
               file=sys.stderr)
-        return 1
-    return 0
+    if rescaled:
+        print(f"bench_delta: ERROR: {rescaled} run(s) at a scale other than "
+              "their baseline's", file=sys.stderr)
+    return 1 if malformed or rescaled else 0
 
 
 if __name__ == "__main__":

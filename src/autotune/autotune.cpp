@@ -6,6 +6,7 @@
 #include "baselines/cusplike.hpp"
 #include "baselines/formats.hpp"
 #include "baselines/rowwise.hpp"
+#include "resilience/integrity.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 #include "util/env.hpp"
@@ -62,9 +63,24 @@ std::vector<double> probe_vector(index_t cols) {
 constexpr Candidate kMergeDefault{Format::kCsr, Kernel::kMergePath, {128, 7},
                                   "merge(128x7)"};
 
-core::merge::SpmvStats wrap_format_stats(double modeled_ms, double wall_ms) {
+/// The output guard every candidate runs under MPS_INTEGRITY_CHECK: the
+/// same check_finite scan spmv_execute runs on a merge winner's y.
+/// Returns its modeled ms (0 with guards off).
+double guard_output(vgpu::Device& device, const sparse::CsrD& a,
+                    std::span<const double> y) {
+  if (!resilience::integrity_checks_enabled()) return 0.0;
+  return resilience::check_finite(
+      device, y.first(static_cast<std::size_t>(a.num_rows)), "autotune: y");
+}
+
+/// A non-merge kernel's run as SpmvStats, its output guard included.
+core::merge::SpmvStats wrap_format_stats(vgpu::Device& device,
+                                         const sparse::CsrD& a,
+                                         std::span<const double> y,
+                                         double modeled_ms, double wall_ms) {
   core::merge::SpmvStats s;
   s.reduce_ms = modeled_ms;
+  s.integrity_ms = guard_output(device, a, y);
   s.wall_ms = wall_ms;
   s.setup_amortized = true;
   return s;
@@ -167,12 +183,12 @@ TunedPlan::TunedPlan(vgpu::Device& device, const sparse::CsrD& a,
   std::vector<double> y(static_cast<std::size_t>(a.num_rows));
 
   std::size_t best = 0;
-  double best_ms = 0.0;
+  double best_rank_ms = 0.0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const Candidate& cand = candidates[i];
     telemetry::ScopedSpan trial_span("autotune.trial");
     tuner_metrics().trials.add();
-    double trial_ms = 0.0;
+    core::merge::SpmvStats st;
     std::optional<core::merge::SpmvPlan> plan;
     std::optional<sparse::EllMatrix<double>> ell;
     std::optional<sparse::CmrsD> cmrs;
@@ -180,28 +196,36 @@ TunedPlan::TunedPlan(vgpu::Device& device, const sparse::CsrD& a,
       case Kernel::kMergePath: {
         plan.emplace(core::merge::spmv_plan(device, a, cand.cfg));
         tune_ms_ += plan->plan_ms();  // build cost is tuning cost
-        trial_ms = core::merge::spmv_execute(device, a, x, y, *plan)
-                       .modeled_ms();
+        st = core::merge::spmv_execute(device, a, x, y, *plan);
         break;
       }
-      case Kernel::kRowWise:
-        trial_ms = baselines::rowwise::spmv(device, a, x, y).modeled_ms;
+      case Kernel::kRowWise: {
+        const auto s = baselines::rowwise::spmv(device, a, x, y);
+        st = wrap_format_stats(device, a, y, s.modeled_ms, s.wall_ms);
         break;
-      case Kernel::kCuspLike:
-        trial_ms = baselines::cusplike::spmv(device, a, x, y).modeled_ms;
+      }
+      case Kernel::kCuspLike: {
+        const auto s = baselines::cusplike::spmv(device, a, x, y);
+        st = wrap_format_stats(device, a, y, s.modeled_ms, s.wall_ms);
         break;
-      case Kernel::kFormatNative:
+      }
+      case Kernel::kFormatNative: {
         if (cand.format == Format::kEll) {
           ell.emplace(sparse::csr_to_ell(a));
-          trial_ms =
-              baselines::formats::spmv_ell(device, *ell, x, y).modeled_ms;
         } else {
           cmrs.emplace(sparse::csr_to_cmrs(a));
-          trial_ms =
-              baselines::formats::spmv_cmrs(device, *cmrs, x, y).modeled_ms;
         }
+        const auto s = ell ? baselines::formats::spmv_ell(device, *ell, x, y)
+                           : baselines::formats::spmv_cmrs(device, *cmrs, x, y);
+        st = wrap_format_stats(device, a, y, s.modeled_ms, s.wall_ms);
         break;
+      }
     }
+    // trial_ms is what the served plan pays, guards included; rank_ms
+    // leaves them out, so the winner does not depend on
+    // MPS_INTEGRITY_CHECK.
+    const double trial_ms = st.modeled_ms();
+    const double rank_ms = st.kernel_ms();
     tune_ms_ += trial_ms;
     trials_.push_back({cand.name, trial_ms});
     if (i == 0) {
@@ -214,16 +238,16 @@ TunedPlan::TunedPlan(vgpu::Device& device, const sparse::CsrD& a,
                                     y.size() * sizeof(double)) == 0,
                     "autotune: candidate diverged from canonical output");
     }
-    if (i == 0 || trial_ms < best_ms) {
+    if (i == 0 || rank_ms < best_rank_ms) {
       best = i;
-      best_ms = trial_ms;
+      best_rank_ms = rank_ms;
       choice_ = cand;
       plan_ = std::move(plan);
       ell_ = std::move(ell);
       cmrs_ = std::move(cmrs);
     }
   }
-  steady_ms_ = best_ms;
+  steady_ms_ = trials_[best].modeled_ms;
   if (best != 0) tuner_metrics().nondefault_wins.add();
   tune_span.end(choice_.name);
 }
@@ -270,16 +294,16 @@ core::merge::SpmvStats TunedPlan::execute(vgpu::Device& device,
       return core::merge::spmv_execute(device, a, x, y, *plan_);
     case Kernel::kRowWise: {
       const auto s = baselines::rowwise::spmv(device, a, x, y);
-      return wrap_format_stats(s.modeled_ms, s.wall_ms);
+      return wrap_format_stats(device, a, y, s.modeled_ms, s.wall_ms);
     }
     case Kernel::kCuspLike: {
       const auto s = baselines::cusplike::spmv(device, a, x, y);
-      return wrap_format_stats(s.modeled_ms, s.wall_ms);
+      return wrap_format_stats(device, a, y, s.modeled_ms, s.wall_ms);
     }
     case Kernel::kFormatNative: {
       const auto s = ell_ ? baselines::formats::spmv_ell(device, *ell_, x, y)
                           : baselines::formats::spmv_cmrs(device, *cmrs_, x, y);
-      return wrap_format_stats(s.modeled_ms, s.wall_ms);
+      return wrap_format_stats(device, a, y, s.modeled_ms, s.wall_ms);
     }
   }
   throw Error("autotune: unreachable kernel kind");

@@ -15,9 +15,12 @@
 // Everything is deterministic: features come from one compute_stats
 // pass, candidates are enumerated in a fixed order, trials measure
 // *modeled* time (bit-stable), and ties break toward the earlier
-// candidate.  Candidate 0 is always the static merge-path default, so
-// the tuned choice is never slower than the default in modeled time —
-// by construction, not by luck.
+// candidate.  Under MPS_INTEGRITY_CHECK every candidate runs the same
+// output guard, and candidates are ranked on their time without guard
+// scans, so the winner does not depend on whether guards are on.
+// Candidate 0 is always the static merge-path default, so the tuned
+// choice is never slower than the default in modeled time — by
+// construction, not by luck.
 //
 // Every candidate produces bitwise-identical y: all kernels in the
 // space accumulate each row's products in ascending-k order and write
@@ -93,7 +96,7 @@ std::vector<Candidate> candidate_space(const Features& f, int trials);
 /// Outcome of one candidate trial (kept for reporting).
 struct Trial {
   const char* name = "";
-  double modeled_ms = 0.0;
+  double modeled_ms = 0.0;  ///< guard scans included
 };
 
 /// A tuned execution plan: the winning candidate plus whatever storage
@@ -122,7 +125,8 @@ class TunedPlan {
   /// winner's plan-build cost.  Never included in execute()'s stats —
   /// the oracle suite asserts it cannot leak into steady state.
   double tune_ms() const { return tune_ms_; }
-  /// The winner's modeled per-apply cost from its trial (0 if none ran).
+  /// The winner's modeled per-apply cost from its trial, guard scans
+  /// included — what the served plan pays (0 if no trial ran).
   double steady_ms() const { return steady_ms_; }
   /// Resident footprint: winner's plan arrays or converted storage plus
   /// the decision record; exactly SpmvPlan::bytes() under a cap of 1.

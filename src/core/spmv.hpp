@@ -3,10 +3,10 @@
 //
 // Parallelism is exposed at the granularity of individual nonzeros: every
 // CTA is assigned exactly `tile` products regardless of row geometry.
-// Three phases:
+// Three logical phases:
 //
-//   partition — one binary search per CTA locates the last row whose
-//               offset precedes the CTA's first nonzero, stored in S;
+//   partition — one binary search per CTA fence locates the last row
+//               whose offset precedes the CTA's first nonzero;
 //   reduction — each CTA loads its row-offset window into shared memory,
 //               expands row indices, forms products, and runs a CTA-wide
 //               segmented scan; complete rows are stored to y, the open
@@ -17,20 +17,26 @@
 //               so reduction + update are one launch and pay one launch
 //               floor; SpmvStats::update_ms reports the tail's share.
 //
+// One-shot `spmv` is a single launch: each reduction CTA runs the
+// partition phase itself, two binary searches for its own fences at the
+// top of the reduce launch (Merrill & Garland's merge-based SpMV does the
+// same per thread), charged in SpmvStats::reduce_ms.
+//
 // Empty rows: the fast path requires none (carry row ids would collide);
 // when A has empty rows the kernel compacts the row offsets first (the
 // "slightly slower method" the paper describes) and runs the same kernel
-// on the compacted view.
+// on the compacted view — one extra launch.
 //
 // Iterative workloads (CG, PageRank, AMG smoothing, Markov evolution)
 // apply the same sparsity pattern thousands of times, so the partition
 // and compaction phases — which depend only on the row offsets and the
 // CTA geometry — can be computed once and reused: build an `SpmvPlan`
-// with `spmv_plan`, then call `spmv_execute` per iteration.  Execution
-// through a plan runs only the reduction + update phases (one launch) and is
-// bit-identical to one-shot `spmv` (the one-shot entry point itself runs
-// through a transient plan).  A cheap pattern fingerprint
-// (dims/nnz + row-offset checksum) rejects a mismatched matrix.
+// with `spmv_plan` (a partition launch that stores every fence), then
+// call `spmv_execute` per iteration.  Execution through a plan runs the
+// same reduce launch, reading its fences from the plan instead of
+// searching, and is bit-identical to one-shot `spmv`.  A cheap pattern
+// fingerprint (dims/nnz + row-offset checksum) rejects a mismatched
+// matrix.
 
 #include <cstdint>
 #include <optional>
@@ -51,6 +57,9 @@ struct SpmvConfig {
 };
 
 struct SpmvStats {
+  /// Per-call partition launch time.  Always 0: one-shot spmv searches
+  /// its fences inside the reduce launch and spmv_execute reads them from
+  /// the plan (whose build cost is SpmvPlan::partition_ms()).
   double partition_ms = 0.0;
   /// The reduce launch's modeled time, split: update_ms is its
   /// serialized carry-update tail, reduce_ms the rest (grid makespan plus
@@ -58,13 +67,16 @@ struct SpmvStats {
   double reduce_ms = 0.0;
   double update_ms = 0.0;
   double compact_ms = 0.0;
-  /// One-time setup cost (partition + compaction).  For one-shot spmv it
-  /// equals partition_ms + compact_ms; for spmv_execute it reports the
-  /// plan's build cost, which modeled_ms() deliberately excludes — the
-  /// steady-state per-iteration cost is reduce_ms + update_ms.
+  /// One-time setup cost.  For one-shot spmv it equals compact_ms (the
+  /// partition search runs inside the reduce launch, so partition_ms is
+  /// 0 and the search is charged in reduce_ms); for spmv_execute it
+  /// reports the plan's build cost, which modeled_ms() deliberately
+  /// excludes — the steady-state per-iteration cost is reduce_ms +
+  /// update_ms.
   double plan_ms = 0.0;
   /// Modeled cost of integrity guards (resilience/integrity.hpp): plan
-  /// state verification and output postcondition scans.  Exactly 0.0
+  /// state verification (planned execute only) and the output
+  /// postcondition scan.  Exactly 0.0
   /// unless MPS_INTEGRITY_CHECK is set — the guarded path must cost
   /// nothing when guards are off (bench/plan_reuse_spmv.cpp asserts it).
   double integrity_ms = 0.0;
@@ -73,9 +85,13 @@ struct SpmvStats {
   /// not re-executed (their per-call stats above are zero).
   bool setup_amortized = false;
   int num_ctas = 0;
-  double modeled_ms() const {
-    return partition_ms + reduce_ms + update_ms + compact_ms + integrity_ms;
+  /// Modeled kernel time without integrity-guard scans: the figure to
+  /// compare across guard settings (a planned execute also verifies its
+  /// plan state under guards, which one-shot has none of).
+  double kernel_ms() const {
+    return partition_ms + reduce_ms + update_ms + compact_ms;
   }
+  double modeled_ms() const { return kernel_ms() + integrity_ms; }
   double wall_ms = 0.0;
 };
 

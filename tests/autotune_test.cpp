@@ -6,7 +6,10 @@
 // serving engine's tuned path behaves identically to the untuned one.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "autotune/autotune.hpp"
@@ -109,6 +112,49 @@ TEST_P(CanonicalGridTest, TunedBitIdenticalToSeqAndUntuned) {
   // Never slower than the static default (candidate 0) in modeled time.
   ASSERT_FALSE(tuned.trials().empty());
   EXPECT_LE(tuned.steady_ms(), tuned.trials()[0].modeled_ms);
+  EXPECT_DOUBLE_EQ(st.modeled_ms(), tuned.steady_ms());
+}
+
+/// Sets MPS_INTEGRITY_CHECK for one scope and restores it after.
+class IntegrityChecksGuard {
+ public:
+  explicit IntegrityChecksGuard(const char* value) {
+    if (const char* old = std::getenv(kVar)) old_ = old;
+    ::setenv(kVar, value, 1);
+  }
+  ~IntegrityChecksGuard() {
+    if (old_) {
+      ::setenv(kVar, old_->c_str(), 1);
+    } else {
+      ::unsetenv(kVar);
+    }
+  }
+  IntegrityChecksGuard(const IntegrityChecksGuard&) = delete;
+  IntegrityChecksGuard& operator=(const IntegrityChecksGuard&) = delete;
+
+ private:
+  static constexpr const char* kVar = "MPS_INTEGRITY_CHECK";
+  std::optional<std::string> old_;
+};
+
+// Every candidate runs the same output guard and is ranked without guard
+// charges, so integrity guards never change which candidate wins.
+TEST_P(CanonicalGridTest, TunedChoiceIgnoresGuardScans) {
+  const auto [regime, seed] = GetParam();
+  const auto a = make_regime_matrix(regime, seed);
+  const auto x = oracle_x(a);
+  std::string off;
+  {
+    IntegrityChecksGuard guards("0");
+    off = TunedPlan(dev_, a).choice().name;
+  }
+  IntegrityChecksGuard guards("1");
+  const TunedPlan tuned(dev_, a);
+  EXPECT_EQ(tuned.choice().name, off);
+  // The served winner pays its output guard, whatever its kernel.
+  std::vector<double> y(static_cast<std::size_t>(a.num_rows));
+  const auto st = tuned.execute(dev_, a, x, y);
+  EXPECT_GT(st.integrity_ms, 0.0) << tuned.choice().name;
   EXPECT_DOUBLE_EQ(st.modeled_ms(), tuned.steady_ms());
 }
 

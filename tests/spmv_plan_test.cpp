@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <tuple>
 #include <vector>
 
@@ -178,43 +179,69 @@ TEST(SpmvPlan, ExecuteIsCheaperThanOneShotAndAmortizes) {
   util::Rng rng(307);
   const auto a = coo_to_csr(testing::random_coo(rng, 2000, 2000, 30000));
   std::vector<double> x(2000, 1.0), y(2000);
-  const double oneshot_ms = spmv(dev, a, x, y).modeled_ms();
+  const double oneshot_ms = spmv(dev, a, x, y).kernel_ms();
   const auto plan = spmv_plan(dev, a);
   const auto exec = spmv_execute(dev, a, x, y, plan);
-  // The steady-state per-iteration cost excludes partition entirely.
-  EXPECT_LT(exec.modeled_ms(), oneshot_ms);
+  const double exec_ms = exec.kernel_ms();
+  // One-shot searches its fences inside the reduce launch; a planned
+  // execute reads them, so it is strictly cheaper per call.
+  EXPECT_LT(exec_ms, oneshot_ms);
   EXPECT_DOUBLE_EQ(exec.partition_ms, 0.0);
   EXPECT_DOUBLE_EQ(exec.compact_ms, 0.0);
-  // plan + execute recovers the one-shot total.
-  EXPECT_NEAR(plan.plan_ms() + exec.modeled_ms(), oneshot_ms,
-              0.01 * oneshot_ms);
-  // Acceptance shape: amortized per-iteration cost strictly below
-  // one-shot from 10 iterations on.
-  for (const double n : {10.0, 100.0, 1000.0}) {
-    EXPECT_LT((plan.plan_ms() + n * exec.modeled_ms()) / n, oneshot_ms)
-        << "n=" << n;
+  // The plan pays for itself after n* = plan_ms / (one-shot - execute)
+  // applications, and not before.
+  const double break_even = plan.plan_ms() / (oneshot_ms - exec_ms);
+  EXPECT_GT(break_even, 1.0);
+  for (const double n : {std::ceil(break_even), 10 * std::ceil(break_even)}) {
+    EXPECT_LT((plan.plan_ms() + n * exec_ms) / n, oneshot_ms) << "n=" << n;
   }
+  EXPECT_GT(plan.plan_ms() + exec_ms, oneshot_ms);
 }
 
 TEST(SpmvPlan, StatsBreakdown) {
   vgpu::Device dev;
   util::Rng rng(311);
   const auto a = coo_to_csr(testing::random_coo(rng, 500, 500, 6000));
+  ASSERT_FALSE(a.has_empty_rows());
   std::vector<double> x(500, 1.0), y(500);
+  // One-shot: no partition launch and, without empty rows, no compaction;
+  // the whole call is the fused reduce launch (plus guards, if on).
   const auto oneshot = spmv(dev, a, x, y);
-  EXPECT_DOUBLE_EQ(oneshot.plan_ms, oneshot.partition_ms + oneshot.compact_ms);
-  EXPECT_GT(oneshot.partition_ms, 0.0);
+  EXPECT_DOUBLE_EQ(oneshot.partition_ms, 0.0);
+  EXPECT_DOUBLE_EQ(oneshot.compact_ms, 0.0);
+  EXPECT_DOUBLE_EQ(oneshot.plan_ms, oneshot.compact_ms);
+  EXPECT_FALSE(oneshot.setup_amortized);
+  // integrity_ms is 0 unless the suite runs under MPS_INTEGRITY_CHECK=1.
+  EXPECT_DOUBLE_EQ(oneshot.modeled_ms(),
+                   oneshot.reduce_ms + oneshot.update_ms + oneshot.integrity_ms);
 
   const auto plan = spmv_plan(dev, a);
   EXPECT_DOUBLE_EQ(plan.plan_ms(), plan.partition_ms() + plan.compact_ms());
-  EXPECT_DOUBLE_EQ(plan.plan_ms(), oneshot.plan_ms);
+  EXPECT_GT(plan.partition_ms(), 0.0);
   const auto exec = spmv_execute(dev, a, x, y, plan);
   EXPECT_DOUBLE_EQ(exec.plan_ms, plan.plan_ms());
-  // integrity_ms is 0 unless the suite runs under MPS_INTEGRITY_CHECK=1.
   EXPECT_DOUBLE_EQ(exec.modeled_ms(),
                    exec.reduce_ms + exec.update_ms + exec.integrity_ms);
-  EXPECT_DOUBLE_EQ(exec.reduce_ms + exec.update_ms,
-                   oneshot.reduce_ms + oneshot.update_ms);
+  // Same carry tail; the one-shot reduce share also pays the search.
+  EXPECT_EQ(exec.update_ms, oneshot.update_ms);
+  EXPECT_LT(exec.reduce_ms, oneshot.reduce_ms);
+
+  // Forced compaction: the compaction pass, then the fused launch.
+  SpmvConfig forced;
+  forced.force_compaction = true;
+  dev.clear_log();
+  std::vector<double> y_forced(500);
+  const auto compacted = spmv(dev, a, x, y_forced, forced);
+  EXPECT_EQ(y_forced, y);
+  EXPECT_TRUE(compacted.used_compaction);
+  EXPECT_GT(compacted.compact_ms, 0.0);
+  EXPECT_DOUBLE_EQ(compacted.plan_ms, compacted.compact_ms);
+  std::vector<std::string> names;
+  for (const auto& k : dev.log()) {
+    if (k.name.rfind("integrity.", 0) != 0) names.push_back(k.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"merge.spmv_compact",
+                                             "merge.spmv_reduce"}));
 }
 
 TEST(SpmvPlan, RejectsUnbuiltPlan) {
@@ -270,11 +297,31 @@ TEST(SpmvPlan, CompactionPathCarriesCompactedView) {
 // The fused cost is pinned to an independent rebuild of the two-launch
 // (reduce grid, then a one-CTA update) figure from the kernels' charges.
 
+/// Counters of `searches` binary searches over `n` segment offsets: each
+/// search is log2 + 1 single-lane steps, one sector gather per step.
+vgpu::CtaCounters search_counters(const vgpu::DeviceProperties& p,
+                                  std::size_t n, std::size_t searches) {
+  const std::size_t steps = static_cast<std::size_t>(log2_ceil(n)) + 1;
+  vgpu::CtaCounters c;
+  c.gather_bytes = searches * steps * p.gather_sector_bytes;
+  c.warp_iters = searches * steps;
+  return c;
+}
+
+/// Number of segment rows the kernel walks: A's nonempty rows.
+std::size_t segment_rows(const CsrD& a) {
+  std::size_t rows = 0;
+  for (index_t r = 0; r < a.num_rows; ++r) rows += a.row_length(r) > 0;
+  return rows;
+}
+
 /// Per-CTA cycles of the reduce grid (the charges in spmv_impl.hpp),
-/// each CTA paying `arrival` extra global bytes.
+/// each CTA paying `arrival` extra global bytes and, for one-shot,
+/// `searches` in-kernel fence searches.
 std::vector<double> reduce_grid_cycles(const vgpu::DeviceProperties& p,
                                        const CsrD& a, const SpmvConfig& cfg,
-                                       std::size_t arrival) {
+                                       std::size_t arrival,
+                                       std::size_t searches = 0) {
   // Segment offsets: nonempty rows only (identical to A's offsets when
   // there are no empty rows).
   std::vector<index_t> off{0};
@@ -316,6 +363,7 @@ std::vector<double> reduce_grid_cycles(const vgpu::DeviceProperties& p,
     c.shared_ops = (3 * count + w - 1) / w;
     c.warp_iters = (2 * count + w - 1) / w;
     c.syncs = 2;
+    c += search_counters(p, rows, searches);
     cycles.push_back(c.cycles(p));
   }
   return cycles;
@@ -389,25 +437,43 @@ void expect_fused_spmv_cost(const CsrD& a) {
                      p.cycles_to_ms(k.device_cycles));
     EXPECT_EQ(y, ref);
 
-    // One-shot: the plan-build launches, then the same fused launch.
+    // One-shot: the same fused launch (after the compaction pass when A
+    // has empty rows), with each CTA paying its two fence searches.
     dev.clear_log();
     std::vector<double> y1(static_cast<std::size_t>(a.num_rows), -3.0);
     const auto one = spmv(dev, a, x, y1, cfg);
     const auto one_launches = kernel_launches(dev);
-    ASSERT_EQ(one_launches.size(), a.has_empty_rows() ? 3u : 2u);
-    double setup = 0.0;
-    for (std::size_t i = 0; i + 1 < one_launches.size(); ++i) {
-      EXPECT_NE(one_launches[i].name, "merge.spmv_reduce");
-      setup += one_launches[i].device_cycles;
+    ASSERT_EQ(one_launches.size(), a.has_empty_rows() ? 2u : 1u);
+    if (a.has_empty_rows()) {
+      EXPECT_EQ(one_launches.front().name, "merge.spmv_compact");
+      EXPECT_EQ(one.compact_ms, one_launches.front().modeled_ms);
+    } else {
+      EXPECT_EQ(one.compact_ms, 0.0);
     }
-    EXPECT_EQ(one_launches.back().device_cycles, k.device_cycles);
-    const double one_ms =
-        one.partition_ms + one.compact_ms + one.reduce_ms + one.update_ms;
-    EXPECT_NEAR(one_ms,
-                p.cycles_to_ms(setup + reduce_unfused + update_unfused -
-                               floor + arrivals),
-                1e-12 * one_ms);
+    const vgpu::KernelStats k1 = one_launches.back();
+    EXPECT_EQ(k1.name, "merge.spmv_reduce");
+    EXPECT_EQ(k1.num_ctas, k.num_ctas);
+    vgpu::CtaCounters expect = k.totals;
+    expect += search_counters(p, segment_rows(a),
+                              2 * static_cast<std::size_t>(plan.num_ctas()));
+    EXPECT_EQ(k1.totals.global_bytes, expect.global_bytes);
+    EXPECT_EQ(k1.totals.gather_bytes, expect.gather_bytes);
+    EXPECT_EQ(k1.totals.shared_ops, expect.shared_ops);
+    EXPECT_EQ(k1.totals.warp_iters, expect.warp_iters);
+    EXPECT_EQ(k1.totals.syncs, expect.syncs);
+    EXPECT_EQ(k1.totals.flops, expect.flops);
+    EXPECT_EQ(k1.tail_cycles, k.tail_cycles);
+    EXPECT_EQ(k1.device_cycles,
+              vgpu::schedule_cycles(p, reduce_grid_cycles(
+                                           p, a, cfg, sizeof(std::uint32_t), 2)) +
+                  update_cycles(p, plan.num_ctas()));
+    EXPECT_EQ(one.partition_ms, 0.0);
+    EXPECT_EQ(one.plan_ms, one.compact_ms);
+    EXPECT_EQ(one.update_ms, k1.tail_ms);
+    EXPECT_DOUBLE_EQ(one.reduce_ms + one.update_ms, k1.modeled_ms);
+    EXPECT_LT(exec.kernel_ms(), one.kernel_ms());
     EXPECT_EQ(y1, ref);
+    EXPECT_EQ(y1, y);
   }
 }
 
