@@ -60,7 +60,7 @@ ChunkedSpgemmStats spgemm_chunked(vgpu::Device& device, const CsrD& a,
                                      static_cast<double>(free_bytes));
 
   // Built locally and assigned to `c` only on success (strong guarantee).
-  CsrD out(a.num_rows, b.num_cols);
+  CsrD out(0, b.num_cols);
 
   std::size_t r0 = 0;
   while (r0 < num_rows) {
@@ -77,15 +77,8 @@ ChunkedSpgemmStats spgemm_chunked(vgpu::Device& device, const CsrD& a,
       ++r1;
     }
 
-    // Slice rows [r0, r1) of A: rebased offsets, shared column/value data.
-    CsrD sub(static_cast<index_t>(r1 - r0), a.num_cols);
-    const index_t k0 = a.row_offsets[r0];
-    const index_t k1 = a.row_offsets[r1];
-    for (std::size_t r = r0; r <= r1; ++r) {
-      sub.row_offsets[r - r0] = a.row_offsets[r] - k0;
-    }
-    sub.col.assign(a.col.begin() + k0, a.col.begin() + k1);
-    sub.val.assign(a.val.begin() + k0, a.val.begin() + k1);
+    const CsrD sub = sparse::row_slice(a, static_cast<index_t>(r0),
+                                       static_cast<index_t>(r1));
 
     SpgemmConfig chunk_cfg = cfg.flat;
     chunk_cfg.product_origin = P[r0];
@@ -100,12 +93,7 @@ ChunkedSpgemmStats spgemm_chunked(vgpu::Device& device, const CsrD& a,
     stats.phases.other_ms += sub_stats.phases.other_ms;
 
     // Stitch: chunk-local rows r - r0 land at global rows r.
-    const index_t base = static_cast<index_t>(out.col.size());
-    for (std::size_t r = r0; r < r1; ++r) {
-      out.row_offsets[r + 1] = base + c_sub.row_offsets[r - r0 + 1];
-    }
-    out.col.insert(out.col.end(), c_sub.col.begin(), c_sub.col.end());
-    out.val.insert(out.val.end(), c_sub.val.begin(), c_sub.val.end());
+    sparse::append_rows(out, c_sub);
 
     ++stats.num_chunks;
     r0 = r1;

@@ -1,6 +1,7 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "core/spadd.hpp"
@@ -41,6 +42,9 @@ MatrixHandle pattern_fingerprint(const sparse::CsrD& a) {
 }
 
 namespace {
+
+/// Share of plan_cache_bytes the plan cache keeps while degraded.
+constexpr double kDegradeCacheFrac = 0.25;
 
 /// Dispatch builds a plan only for shards that own rows and nonzeros;
 /// the rest run one-shot (shard::spmv_tuned's null-entry fallback).
@@ -84,10 +88,6 @@ EngineConfig resolve_config(EngineConfig cfg) {
   if (cfg.max_failovers < 0) {
     cfg.max_failovers = static_cast<int>(
         util::env_int_checked("MPS_SERVE_MAX_FAILOVERS", 8, 0, 1 << 20));
-  }
-  if (cfg.degrade_cache_frac < 0.0) {
-    cfg.degrade_cache_frac =
-        util::env_double_checked("MPS_SERVE_DEGRADE_CACHE_FRAC", 0.25);
   }
   if (cfg.degrade_recovery < 0) {
     cfg.degrade_recovery = static_cast<int>(
@@ -737,21 +737,6 @@ std::uint64_t Engine::matrix_version(MatrixHandle h) const {
   return it == versions_.end() ? 0 : it->second;
 }
 
-void Engine::shed_low_priority_locked(const SubmitOptions& opts) {
-  if (opts.priority != Priority::kLow || shed_threshold_ == 0 ||
-      queue_.size() < shed_threshold_) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    ++shed_;
-  }
-  serve_metrics().shed.add();
-  throw LoadShedError("serve: low-priority request shed (queue depth " +
-                      std::to_string(queue_.size()) + " >= watermark " +
-                      std::to_string(shed_threshold_) + ")");
-}
-
 /// Waits for queue space per `opts`/`blocking`; returns false when the
 /// request must be rejected (queue full).  Throws ShutdownError once
 /// admission is closed.  Called with queue_mutex_ held.
@@ -779,49 +764,44 @@ bool Engine::admit_locked(std::unique_lock<std::mutex>& lock,
   return true;
 }
 
-std::future<SpmvResult> Engine::admit_spmv(MatrixHandle h,
-                                           std::vector<double> x,
-                                           const SubmitOptions& opts,
-                                           bool blocking, bool* admitted) {
-  auto a = lookup(h);  // throws for unknown handles, before queueing
-  if (x.size() != static_cast<std::size_t>(a->num_cols)) {
-    throw InvalidInputError("serve: x has " + std::to_string(x.size()) +
-                            " entries, matrix has " +
-                            std::to_string(a->num_cols) + " columns");
-  }
+bool Engine::enqueue(std::unique_ptr<Request> req, const SubmitOptions& opts,
+                     bool blocking) {
   // Fail fast while the handle's circuit is open: no queueing, no device
   // time, a synchronous CircuitOpenError at the submit call.
   try {
-    breaker_.admit(h, modeled_now_ms());
+    breaker_.admit(req->handle_a, modeled_now_ms());
   } catch (const CircuitOpenError&) {
     serve_metrics().breaker_fail_fast.add();
     throw;
   }
-  auto req = std::make_unique<Request>();
-  req->kind = Request::Kind::kSpmv;
-  req->handle_a = h;
-  req->a = std::move(a);
-  req->x = std::move(x);
   req->submitted = clock::now();
-  req->salt = h ^ (admit_seq_.fetch_add(1, std::memory_order_relaxed) *
-                   0x9E3779B97F4A7C15ull);
+  req->salt =
+      req->handle_a ^ (admit_seq_.fetch_add(1, std::memory_order_relaxed) *
+                       0x9E3779B97F4A7C15ull);
   req->open_span();
-  auto timeout = opts.request_timeout.count() != 0 ? opts.request_timeout
-                                                   : cfg_.default_timeout;
+  const auto timeout = opts.request_timeout.count() != 0 ? opts.request_timeout
+                                                         : cfg_.default_timeout;
   if (timeout.count() > 0) req->expires = req->submitted + timeout;
-  auto future = req->spmv_promise.get_future();
-
   {
     std::unique_lock<std::mutex> lock(queue_mutex_);
-    shed_low_priority_locked(opts);  // throws LoadShedError past watermark
+    if (opts.priority == Priority::kLow && shed_threshold_ > 0 &&
+        queue_.size() >= shed_threshold_) {
+      {
+        std::lock_guard<std::mutex> slock(stats_mutex_);
+        ++shed_;
+      }
+      serve_metrics().shed.add();
+      throw LoadShedError("serve: low-priority request shed (queue depth " +
+                          std::to_string(queue_.size()) + " >= watermark " +
+                          std::to_string(shed_threshold_) + ")");
+    }
     if (!admit_locked(lock, opts, blocking)) {
       {
         std::lock_guard<std::mutex> slock(stats_mutex_);
         ++rejected_full_;
       }
       serve_metrics().rejected_full.add();
-      *admitted = false;
-      if (!blocking) return future;  // caller discards; nullopt instead
+      if (!blocking) return false;
       throw QueueFullError("serve: submission queue full (capacity " +
                            std::to_string(cfg_.queue_capacity) + ")");
     }
@@ -833,26 +813,39 @@ std::future<SpmvResult> Engine::admit_spmv(MatrixHandle h,
     peak_queue_depth_ = std::max(peak_queue_depth_, queue_.size());
   }
   queue_cv_.notify_one();
-  *admitted = true;
+  return true;
+}
+
+std::optional<std::future<SpmvResult>> Engine::admit_spmv(
+    MatrixHandle h, std::vector<double> x, const SubmitOptions& opts,
+    bool blocking) {
+  auto a = lookup(h);  // throws for unknown handles, before queueing
+  if (x.size() != static_cast<std::size_t>(a->num_cols)) {
+    throw InvalidInputError("serve: x has " + std::to_string(x.size()) +
+                            " entries, matrix has " +
+                            std::to_string(a->num_cols) + " columns");
+  }
+  auto req = std::make_unique<Request>();
+  req->kind = Request::Kind::kSpmv;
+  req->handle_a = h;
+  req->a = std::move(a);
+  req->x = std::move(x);
+  auto future = req->spmv_promise.get_future();
+  if (!enqueue(std::move(req), opts, blocking)) return std::nullopt;
   return future;
 }
 
 std::future<SpmvResult> Engine::submit_spmv(MatrixHandle h,
                                             std::vector<double> x,
                                             const SubmitOptions& opts) {
-  bool admitted = false;
-  auto future = admit_spmv(h, std::move(x), opts, /*blocking=*/true, &admitted);
-  return future;  // !admitted cases threw
+  // Blocking admission throws rather than refusing.
+  return *admit_spmv(h, std::move(x), opts, /*blocking=*/true);
 }
 
 std::optional<std::future<SpmvResult>> Engine::try_submit_spmv(
     MatrixHandle h, std::vector<double> x, const SubmitOptions& opts) {
-  bool admitted = false;
   try {
-    auto future =
-        admit_spmv(h, std::move(x), opts, /*blocking=*/false, &admitted);
-    if (!admitted) return std::nullopt;
-    return future;
+    return admit_spmv(h, std::move(x), opts, /*blocking=*/false);
   } catch (const ShutdownError&) {
     return std::nullopt;
   }
@@ -870,43 +863,13 @@ std::future<MatrixResult> Engine::admit_matrix_op(bool gemm, MatrixHandle a,
   } else if (ma->num_rows != mb->num_rows || ma->num_cols != mb->num_cols) {
     throw InvalidInputError("serve: spadd operands differ in shape");
   }
-  try {
-    breaker_.admit(a, modeled_now_ms());
-  } catch (const CircuitOpenError&) {
-    serve_metrics().breaker_fail_fast.add();
-    throw;
-  }
   auto req = std::make_unique<Request>();
   req->kind = gemm ? Request::Kind::kSpgemm : Request::Kind::kSpadd;
   req->handle_a = a;
   req->a = std::move(ma);
   req->b = std::move(mb);
-  req->submitted = clock::now();
-  req->salt = a ^ (admit_seq_.fetch_add(1, std::memory_order_relaxed) *
-                   0x9E3779B97F4A7C15ull);
-  req->open_span();
-  auto timeout = opts.request_timeout.count() != 0 ? opts.request_timeout
-                                                   : cfg_.default_timeout;
-  if (timeout.count() > 0) req->expires = req->submitted + timeout;
   auto future = req->matrix_promise.get_future();
-  {
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    shed_low_priority_locked(opts);
-    if (!admit_locked(lock, opts, /*blocking=*/true)) {
-      serve_metrics().rejected_full.add();
-      std::lock_guard<std::mutex> slock(stats_mutex_);
-      ++rejected_full_;
-      throw QueueFullError("serve: submission queue full (capacity " +
-                           std::to_string(cfg_.queue_capacity) + ")");
-    }
-    queue_.push_back(std::move(req));
-    serve_metrics().accepted.add();
-    serve_metrics().peak_queue.update_max(static_cast<double>(queue_.size()));
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    ++accepted_;
-    peak_queue_depth_ = std::max(peak_queue_depth_, queue_.size());
-  }
-  queue_cv_.notify_one();
+  enqueue(std::move(req), opts, /*blocking=*/true);
   return future;
 }
 
@@ -988,19 +951,10 @@ void Engine::dispatcher_loop() {
 
     // Counters are bumped BEFORE the promises settle: a client that
     // just observed its future must not race ahead of stats().
-    const auto settle_shutdown = [&](std::vector<std::unique_ptr<Request>>& rs) {
-      {
-        std::lock_guard<std::mutex> slock(stats_mutex_);
-        rejected_shutdown_ += static_cast<long long>(rs.size());
-      }
-      serve_metrics().rejected_shutdown.add(static_cast<long long>(rs.size()));
-      for (auto& r : rs) {
-        r->finish_span("shutdown");
-        r->fail(std::make_exception_ptr(
-            ShutdownError("serve: engine shut down before the request ran")));
-      }
-    };
-    if (!rejected.empty()) settle_shutdown(rejected);
+    if (!rejected.empty()) {
+      settle_shutdown(rejected,
+                      "serve: engine shut down before the request ran");
+    }
     if (!expired.empty()) {
       {
         std::lock_guard<std::mutex> slock(stats_mutex_);
@@ -1046,60 +1000,51 @@ void Engine::dispatch_batch(std::shared_ptr<Batch> batch) {
     // Unreachable in normal operation (the pool is shut down only after
     // the dispatcher exits), but if it happens the requests are settled
     // with a typed error, not dropped.
-    {
-      std::lock_guard<std::mutex> slock(stats_mutex_);
-      rejected_shutdown_ += static_cast<long long>(n);
-    }
-    serve_metrics().rejected_shutdown.add(static_cast<long long>(n));
-    for (auto& r : batch->reqs) {
-      r->finish_span("shutdown");
-      r->fail(std::make_exception_ptr(
-          ShutdownError("serve: worker pool rejected the dispatch")));
-    }
+    settle_shutdown(batch->reqs, "serve: worker pool rejected the dispatch");
     finish();
+  }
+}
+
+void Engine::settle_shutdown(std::vector<std::unique_ptr<Request>>& reqs,
+                             const char* why) {
+  {
+    std::lock_guard<std::mutex> slock(stats_mutex_);
+    rejected_shutdown_ += static_cast<long long>(reqs.size());
+  }
+  serve_metrics().rejected_shutdown.add(static_cast<long long>(reqs.size()));
+  for (auto& r : reqs) {
+    r->finish_span("shutdown");
+    r->fail(std::make_exception_ptr(ShutdownError(why)));
   }
 }
 
 // ---------------------------------------------------------------------------
 // Execution
 
-double Engine::prepare_retry(Request& req, int attempt) {
-  // Runs inside a catch handler: `throw;` re-raises the fault that
-  // brought us here once the budget is spent.
-  if (attempt + 1 >= cfg_.retry.max_attempts) throw;
-  if (req.expired(clock::now())) {
-    // Deadline-aware retry: nobody is waiting for this answer anymore.
-    throw RequestTimeoutError(
-        "serve: request deadline expired before retry attempt " +
-        std::to_string(attempt + 1));
-  }
-  serve_metrics().retries.add();
-  {
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    ++retries_;
-  }
-  return cfg_.retry.backoff_ms(attempt + 1, req.salt);
-}
-
-double Engine::prepare_batch_retry(Batch& batch, int attempt) {
-  if (attempt + 1 >= cfg_.retry.max_attempts) throw;
-  // Requests that expired during the failed attempt settle with a
-  // timeout now; the survivors get the retry (the batch block is
-  // reassembled from whoever is left).
+bool Engine::prune_expired(Batch& batch, const std::string& why) {
   const auto now = clock::now();
   std::size_t kept = 0;
   for (auto& r : batch.reqs) {
     if (r->expired(now)) {
-      fail_request(*r, std::make_exception_ptr(RequestTimeoutError(
-                           "serve: request deadline expired before retry "
-                           "attempt " +
-                           std::to_string(attempt + 1))));
+      fail_request(*r, std::make_exception_ptr(RequestTimeoutError(why)));
     } else {
       batch.reqs[kept++] = std::move(r);
     }
   }
   batch.reqs.resize(kept);
-  if (batch.reqs.empty()) {
+  return kept > 0;
+}
+
+double Engine::prepare_retry(Batch& batch, int attempt) {
+  // Runs inside a catch handler: `throw;` re-raises the fault that
+  // brought us here once the budget is spent.
+  if (attempt + 1 >= cfg_.retry.max_attempts) throw;
+  // Deadline-aware retry: requests that expired during the failed
+  // attempt settle with a timeout now, since nobody is waiting for their
+  // answer; the survivors get the retry.
+  if (!prune_expired(batch,
+                     "serve: request deadline expired before retry attempt " +
+                         std::to_string(attempt + 1))) {
     throw RequestTimeoutError(
         "serve: every request of the batch expired before the retry");
   }
@@ -1109,6 +1054,40 @@ double Engine::prepare_batch_retry(Batch& batch, int attempt) {
     ++retries_;
   }
   return cfg_.retry.backoff_ms(attempt + 1, batch.reqs.front()->salt);
+}
+
+double Engine::run_attempts(Batch& batch, const std::function<void()>& stage,
+                            const std::function<double()>& body,
+                            const std::function<void()>& drop_plans) {
+  double backoff_ms = 0.0;
+  for (int attempt = 0;; ++attempt) {
+    if (stage) stage();
+    telemetry::ScopedSpan exec_span("serve.execute");
+    const auto retry = [&](const char* status) {
+      exec_span.end(status);
+      backoff_ms += prepare_retry(batch, attempt);
+    };
+    try {
+      const double modeled = body();
+      exec_span.end();
+      // Backoff is charged in modeled time — the client's bill includes
+      // the waiting the policy imposed, not just the kernels.
+      charge_modeled(modeled + backoff_ms);
+      note_success(batch.reqs.front()->handle_a);
+      return modeled + backoff_ms;
+    } catch (const IntegrityError&) {
+      if (drop_plans) drop_plans();
+      retry("integrity");
+    } catch (const PlanMismatchError&) {
+      // A stale entry (e.g. values re-registered between lookup and
+      // execute) — drop it and rebuild.
+      if (drop_plans) drop_plans();
+      retry("plan_mismatch");
+    } catch (const vgpu::DeviceOomError&) {
+      note_memory_pressure();
+      retry("oom");
+    }
+  }
 }
 
 void Engine::fail_request(Request& r, const std::exception_ptr& e) {
@@ -1187,7 +1166,7 @@ void Engine::note_memory_pressure() {
   if (degraded_.compare_exchange_strong(expected, true)) {
     telemetry::ScopedSpan span("serve.degraded_enter");
     plan_cache_.set_capacity(static_cast<std::size_t>(
-        static_cast<double>(cfg_.plan_cache_bytes) * cfg_.degrade_cache_frac));
+        static_cast<double>(cfg_.plan_cache_bytes) * kDegradeCacheFrac));
     serve_metrics().degraded_entered.add();
     serve_metrics().degraded.set(1.0);
     std::lock_guard<std::mutex> slock(stats_mutex_);
@@ -1440,36 +1419,21 @@ void Engine::execute_batch(Batch& batch, Lease& lease) {
   // Deadlines are re-checked at the last moment before execution: a
   // request can expire between dispatch and here, and the contract is
   // that an expired request never runs.
-  {
-    const auto now = clock::now();
-    std::size_t kept = 0;
-    for (auto& r : batch.reqs) {
-      if (r->expired(now)) {
-        fail_request(*r, std::make_exception_ptr(RequestTimeoutError(
-                             "serve: request timed out before execution "
-                             "began")));
-      } else {
-        batch.reqs[kept++] = std::move(r);
-      }
-    }
-    batch.reqs.resize(kept);
-  }
-  if (batch.reqs.empty()) return;
-
-  if (batch.reqs.front()->kind != Request::Kind::kSpmv) {
-    execute_matrix_op(*batch.reqs.front(), lease);
+  if (!prune_expired(batch,
+                     "serve: request timed out before execution began")) {
     return;
   }
-  // Unsharded dispatch runs on the lease's single slot; sharded dispatch
-  // (lease.sharded != null) fans out in src/shard/exec.cpp.
-  vgpu::Device& device =
-      *lease.devices[static_cast<std::size_t>(lease.ordinals.front())];
+  // Everything below reads the head through these copies: a retry may
+  // prune any request, the head included.
+  const Request::Kind kind = batch.reqs.front()->kind;
+  const MatrixHandle handle = batch.reqs.front()->handle_a;
+  const std::shared_ptr<const sparse::CsrD> a_ref = batch.reqs.front()->a;
+  const std::shared_ptr<const sparse::CsrD> b_ref = batch.reqs.front()->b;
+  const sparse::CsrD& a = *a_ref;
   // Run the batch under the head request's span: nested host-phase spans
   // and every kernel this worker launches inherit its trace id (the
-  // correlation the Perfetto export surfaces).  The context is copied up
-  // front — retries may prune the head request itself.
+  // correlation the Perfetto export surfaces).
   telemetry::ContextScope trace_scope(batch.reqs.front()->span_ctx);
-  const MatrixHandle handle = batch.reqs.front()->handle_a;
   // Roofline attribution: kernels launched below are billed to this
   // tenant/phase (shard exec refines shard + device).  Guarded so the
   // profiler-off path stays one relaxed atomic load.
@@ -1477,160 +1441,139 @@ void Engine::execute_batch(Batch& batch, Lease& lease) {
   if (telemetry::profiler().enabled()) {
     telemetry::ProfAttr attr;
     attr.tenant = handle;
-    attr.phase = "serve.spmv";
+    attr.phase = kind == Request::Kind::kSpmv    ? "serve.spmv"
+                 : kind == Request::Kind::kSpadd ? "serve.spadd"
+                                                 : "serve.spgemm";
     prof_scope.emplace(attr);
   }
-  const std::shared_ptr<const sparse::CsrD> a_ref = batch.reqs.front()->a;
-  const sparse::CsrD& a = *a_ref;
+  // Unsharded work runs on the lease's single slot; sharded work
+  // (lease.sharded, or a matrix op leasing the whole fleet) fans out in
+  // src/shard/exec.cpp with bitwise-identical results.
+  vgpu::Device& device =
+      *lease.devices[static_cast<std::size_t>(lease.ordinals.front())];
   const auto rows = static_cast<std::size_t>(a.num_rows);
   const auto cols = static_cast<std::size_t>(a.num_cols);
+  const auto latency_ms = [](const Request& r, clock::time_point now) {
+    return std::chrono::duration<double, std::milli>(now - r.submitted).count();
+  };
 
   std::size_t settled = 0;  ///< requests already counted as completed
   try {
-    if (batch.reqs.size() == 1) {
+    if (kind != Request::Kind::kSpmv) {
+      MatrixResult result;
+      result.modeled_ms = run_attempts(batch, nullptr, [&] {
+        result.c = sparse::CsrD{};  // a failed attempt may leave partial rows
+        if (lease.ordinals.size() > 1) {
+          // The op's output rows are partitioned across the whole fleet
+          // by placement weight.
+          return kind == Request::Kind::kSpadd
+                     ? shard::spadd(a, *b_ref, lease.devices, lease.ordinals,
+                                    lease.weights, result.c)
+                           .modeled_ms
+                     : shard::spgemm(a, *b_ref, lease.devices, lease.ordinals,
+                                     lease.weights, result.c)
+                           .modeled_ms;
+        }
+        return kind == Request::Kind::kSpadd
+                   ? core::merge::spadd_csr(device, a, *b_ref, result.c)
+                         .modeled_ms
+                   : core::merge::spgemm(device, a, *b_ref, result.c)
+                         .modeled_ms();
+      }, nullptr);
+      Request& req = *batch.reqs.front();
+      settle_metrics(handle, latency_ms(req, clock::now()), true);
+      req.finish_span("ok");
+      req.matrix_promise.set_value(std::move(result));
+    } else if (batch.reqs.size() == 1) {
       // Unbatched path: plan-cache hit amortizes the partition (and,
       // with autotuning on, the trial protocol).  Tuned execution is
       // bitwise-identical to the merge path — every candidate shares
       // the canonical accumulation order — so flipping MPS_AUTOTUNE can
       // change modeled cost only, never a result.  In degraded mode the
-      // cache is bypassed entirely: one-shot spmv builds a transient
-      // plan and frees it, trading amortization for a minimal resident
-      // footprint (results stay bitwise-identical by construction).
-      Request& head = *batch.reqs.front();
-      std::vector<double> y(rows);
-      double modeled = 0.0;
-      double backoff_ms = 0.0;
-      bool hit = false;
-      // Rebuild from clean state: every placement's keys in the sharded
-      // case, since which shard tripped is not recorded.
-      const auto drop_and_retry = [&](int attempt) {
+      // cache is bypassed entirely: one-shot spmv runs plan-less,
+      // trading amortization for a minimal resident footprint (results
+      // stay bitwise-identical by construction).
+      SpmvResult result;
+      result.y.resize(rows);
+      const double total = run_attempts(batch, nullptr, [&] {
+        const std::vector<double>& x = batch.reqs.front()->x;
+        const bool degraded = degraded_.load(std::memory_order_relaxed);
+        result.plan_cache_hit = false;
+        if (lease.sharded) {
+          // Per-shard plans under shard_plan_key share the one LRU
+          // budget; the request counts as a cache hit only when EVERY
+          // shard hit.
+          const shard::ShardedMatrix& sm = *lease.sharded;
+          if (degraded) {
+            return shard::spmv(sm, lease.devices, x, result.y).modeled_ms;
+          }
+          const auto plans = shard_plans(handle, sm, lease.devices,
+                                         lease.replica, &result.plan_cache_hit);
+          return shard::spmv_tuned(sm, lease.devices, plans, x, result.y)
+              .modeled_ms;
+        }
+        if (degraded) {
+          return core::merge::spmv(device, a, x, result.y).modeled_ms();
+        }
+        auto plan = plan_cache_.get_or_build(device, a, handle,
+                                             &result.plan_cache_hit);
+        return plan->execute(device, a, x, result.y).modeled_ms();
+      }, [&] {
+        // Rebuild from clean state: every placement's keys in the sharded
+        // case, since which shard tripped is not recorded.
         if (lease.sharded) {
           invalidate_shard_plans(handle);
         } else {
           plan_cache_.invalidate(handle);
         }
-        backoff_ms += prepare_retry(head, attempt);
-      };
-      telemetry::ScopedSpan exec_span("serve.execute");
-      for (int attempt = 0;; ++attempt) {
-        try {
-          if (lease.sharded) {
-            // Sharded dispatch: per-shard plans under shard_plan_key
-            // share the one LRU budget; the request counts as a cache
-            // hit only when EVERY shard hit.  Results are
-            // bitwise-identical to the single-device paths below
-            // (docs/sharding.md; tests/shard_test.cpp).
-            const shard::ShardedMatrix& sm = *lease.sharded;
-            if (degraded_.load(std::memory_order_relaxed)) {
-              modeled = shard::spmv(sm, lease.devices, head.x, y).modeled_ms;
-              hit = false;
-            } else {
-              const auto plans =
-                  shard_plans(handle, sm, lease.devices, lease.replica, &hit);
-              modeled = shard::spmv_tuned(sm, lease.devices, plans, head.x, y)
-                            .modeled_ms;
-            }
-          } else if (degraded_.load(std::memory_order_relaxed)) {
-            modeled = core::merge::spmv(device, a, head.x, y).modeled_ms();
-            hit = false;
-          } else {
-            auto plan = plan_cache_.get_or_build(device, a, handle, &hit);
-            modeled = plan->execute(device, a, head.x, y).modeled_ms();
-          }
-          break;
-        } catch (const IntegrityError&) {
-          drop_and_retry(attempt);
-        } catch (const PlanMismatchError&) {
-          // A stale entry (e.g. values re-registered between lookup and
-          // execute) — drop it and rebuild.
-          drop_and_retry(attempt);
-        } catch (const vgpu::DeviceOomError&) {
-          note_memory_pressure();
-          backoff_ms += prepare_retry(head, attempt);
+      });
+      result.modeled_ms = total;
+      Request& req = *batch.reqs.front();
+      settle_metrics(handle, latency_ms(req, clock::now()), true);
+      req.finish_span("ok");
+      req.spmv_promise.set_value(std::move(result));
+    } else {
+      // Batched path: interleave the n request vectors into a row-major
+      // X (cols x n) and run ONE spmm.  Column j of Y is bitwise-identical
+      // to spmv of request j: spmm shares spmv's tile geometry and
+      // accumulation order (tests/serve_test.cpp asserts it).  The block
+      // is (re)assembled per attempt because a retry may have pruned
+      // expired requests from the batch.
+      std::vector<double> x_block;
+      std::vector<double> y_block;
+      const double total = run_attempts(batch, [&] {
+        const std::size_t n = batch.reqs.size();
+        telemetry::ScopedSpan assemble_span("serve.batch_assemble");
+        x_block.assign(cols * n, 0.0);
+        for (std::size_t j = 0; j < n; ++j) {
+          const std::vector<double>& x = batch.reqs[j]->x;
+          for (std::size_t c = 0; c < cols; ++c) x_block[c * n + j] = x[c];
         }
-      }
-      exec_span.end();
-      charge_modeled(modeled + backoff_ms);
-      SpmvResult result;
-      result.y = std::move(y);
-      // Backoff is charged in modeled time — the client's bill includes
-      // the waiting the policy imposed, not just the kernels.
-      result.modeled_ms = modeled + backoff_ms;
-      result.batch_size = 1;
-      result.plan_cache_hit = hit;
-      note_success(handle);
-      settle_metrics(
-          handle,
-          std::chrono::duration<double, std::milli>(clock::now() - head.submitted)
-              .count(),
-          true);
-      head.finish_span("ok");
-      head.spmv_promise.set_value(std::move(result));
-      return;
-    }
-
-    // Batched path: interleave the n request vectors into a row-major
-    // X (cols x n) and run ONE spmm.  Column j of Y is bitwise-identical
-    // to spmv of request j: spmm shares spmv's tile geometry and
-    // accumulation order (tests/serve_test.cpp asserts it).  The block
-    // is (re)assembled per attempt because a retry may have pruned
-    // expired requests from the batch.
-    std::vector<double> y_block;
-    double modeled = 0.0;
-    double backoff_ms = 0.0;
-    for (int attempt = 0;; ++attempt) {
+        assemble_span.end();
+        y_block.assign(rows * n, 0.0);
+      }, [&] {
+        const auto n = static_cast<index_t>(batch.reqs.size());
+        return lease.sharded ? shard::spmm(*lease.sharded, lease.devices,
+                                           x_block, n, y_block)
+                                   .modeled_ms
+                             : core::merge::spmm(device, a, x_block, n, y_block)
+                                   .modeled_ms;
+      }, nullptr);
+      telemetry::ScopedSpan scatter_span("serve.batch_scatter");
       const std::size_t n = batch.reqs.size();
-      telemetry::ScopedSpan assemble_span("serve.batch_assemble");
-      std::vector<double> x_block(cols * n);
+      const auto now = clock::now();
       for (std::size_t j = 0; j < n; ++j) {
-        const std::vector<double>& x = batch.reqs[j]->x;
-        for (std::size_t c = 0; c < cols; ++c) x_block[c * n + j] = x[c];
+        Request& r = *batch.reqs[j];
+        SpmvResult result;
+        result.y.resize(rows);
+        for (std::size_t i = 0; i < rows; ++i) result.y[i] = y_block[i * n + j];
+        result.modeled_ms = total / static_cast<double>(n);
+        result.batch_size = static_cast<int>(n);
+        settle_metrics(handle, latency_ms(r, now), true);
+        r.finish_span("ok");
+        r.spmv_promise.set_value(std::move(result));
+        ++settled;
       }
-      assemble_span.end();
-      y_block.assign(rows * n, 0.0);
-      telemetry::ScopedSpan exec_span("serve.execute");
-      try {
-        if (lease.sharded) {
-          // Sharded spmm: same column-j == spmv-of-request-j bitwise
-          // contract — each shard runs the spmm kernel on its local rows.
-          modeled = shard::spmm(*lease.sharded, lease.devices, x_block,
-                                static_cast<index_t>(n), y_block)
-                        .modeled_ms;
-        } else {
-          modeled = core::merge::spmm(device, a, x_block,
-                                      static_cast<index_t>(n), y_block)
-                        .modeled_ms;
-        }
-        exec_span.end();
-        break;
-      } catch (const vgpu::DeviceOomError&) {
-        exec_span.end("oom");
-        note_memory_pressure();
-        backoff_ms += prepare_batch_retry(batch, attempt);
-      } catch (const IntegrityError&) {
-        exec_span.end("integrity");
-        backoff_ms += prepare_batch_retry(batch, attempt);
-      }
-    }
-    telemetry::ScopedSpan scatter_span("serve.batch_scatter");
-    const std::size_t n = batch.reqs.size();
-    charge_modeled(modeled + backoff_ms);
-    note_success(handle);
-    const auto now = clock::now();
-    for (std::size_t j = 0; j < n; ++j) {
-      Request& r = *batch.reqs[j];
-      SpmvResult result;
-      result.y.resize(rows);
-      for (std::size_t i = 0; i < rows; ++i) result.y[i] = y_block[i * n + j];
-      result.modeled_ms = (modeled + backoff_ms) / static_cast<double>(n);
-      result.batch_size = static_cast<int>(n);
-      settle_metrics(
-          handle,
-          std::chrono::duration<double, std::milli>(now - r.submitted).count(),
-          true);
-      r.finish_span("ok");
-      r.spmv_promise.set_value(std::move(result));
-      ++settled;
     }
   } catch (const vgpu::DeviceLostError&) {
     // Failover territory: nothing in the batch has settled (losses fire
@@ -1646,77 +1589,6 @@ void Engine::execute_batch(Batch& batch, Lease& lease) {
     for (std::size_t j = settled; j < batch.reqs.size(); ++j) {
       fail_request(*batch.reqs[j], error);
     }
-  }
-}
-
-void Engine::execute_matrix_op(Request& req, Lease& lease) {
-  telemetry::ContextScope trace_scope(req.span_ctx);
-  std::optional<telemetry::ProfAttrScope> prof_scope;
-  if (telemetry::profiler().enabled()) {
-    telemetry::ProfAttr attr;
-    attr.tenant = req.handle_a;
-    attr.phase =
-        req.kind == Request::Kind::kSpadd ? "serve.spadd" : "serve.spgemm";
-    prof_scope.emplace(attr);
-  }
-  try {
-    MatrixResult result;
-    double backoff_ms = 0.0;
-    telemetry::ScopedSpan exec_span("serve.execute");
-    for (int attempt = 0;; ++attempt) {
-      try {
-        result.c = sparse::CsrD{};  // a failed attempt may leave partial rows
-        if (lease.ordinals.size() > 1) {
-          // Sharded mode: the op's output rows are partitioned across the
-          // whole fleet by placement weight (src/shard/exec.cpp), results
-          // bitwise-identical to the single-device kernels below.
-          shard::ExecStats st;
-          if (req.kind == Request::Kind::kSpadd) {
-            st = shard::spadd(*req.a, *req.b, lease.devices, lease.ordinals,
-                              lease.weights, result.c);
-          } else {
-            st = shard::spgemm(*req.a, *req.b, lease.devices, lease.ordinals,
-                               lease.weights, result.c);
-          }
-          result.modeled_ms = st.modeled_ms;
-        } else {
-          vgpu::Device& device =
-              *lease.devices[static_cast<std::size_t>(lease.ordinals.front())];
-          if (req.kind == Request::Kind::kSpadd) {
-            result.modeled_ms =
-                core::merge::spadd_csr(device, *req.a, *req.b, result.c)
-                    .modeled_ms;
-          } else {
-            result.modeled_ms =
-                core::merge::spgemm(device, *req.a, *req.b, result.c)
-                    .modeled_ms();
-          }
-        }
-        break;
-      } catch (const vgpu::DeviceOomError&) {
-        note_memory_pressure();
-        backoff_ms += prepare_retry(req, attempt);
-      } catch (const IntegrityError&) {
-        backoff_ms += prepare_retry(req, attempt);
-      }
-    }
-    exec_span.end();
-    result.modeled_ms += backoff_ms;
-    charge_modeled(result.modeled_ms);
-    note_success(req.handle_a);
-    settle_metrics(
-        req.handle_a,
-        std::chrono::duration<double, std::milli>(clock::now() - req.submitted)
-            .count(),
-        true);
-    req.finish_span("ok");
-    req.matrix_promise.set_value(std::move(result));
-  } catch (const vgpu::DeviceLostError&) {
-    throw;  // nothing settled yet — safe to fail the device over and requeue
-  } catch (...) {
-    auto error = std::current_exception();
-    note_execution_failure(req.handle_a, error);
-    fail_request(req, error);
   }
 }
 

@@ -36,7 +36,11 @@
 //     exponential backoff with deterministic jitter charged into the
 //     request's MODELED latency, and the request deadline re-checked
 //     before every attempt (an expired request settles with
-//     RequestTimeoutError instead of burning budget);
+//     RequestTimeoutError instead of burning budget).  Every request
+//     shape — a lone SpMV, a coalesced batch, an SpAdd/SpGEMM — runs
+//     the same attempt loop; a lone request is a batch of one, and a
+//     batch retries as a unit with its head's jitter salt, its backoff
+//     split evenly over the requests like its kernel time;
 //   * worker supervision — a DeviceLostError (chaos-injected device
 //     loss, vgpu/chaos.hpp) quarantines the worker's Device, provisions
 //     a fresh one in its slot, drops cached plans (they re-resident
@@ -51,9 +55,10 @@
 //   * graceful degradation — requests carry a Priority class; once the
 //     queue crosses the shed watermark, kLow submissions are refused
 //     with LoadShedError.  Memory pressure (any DeviceOomError) enters a
-//     degraded mode that shrinks the plan-cache budget and serves
-//     unbatched SpMV plan-less (bitwise-identical — only the amortization
-//     is lost) until `degrade_recovery` consecutive successes restore it;
+//     degraded mode that shrinks the plan-cache budget to a quarter and
+//     serves unbatched SpMV plan-less (bitwise-identical — only the
+//     amortization is lost) until `degrade_recovery` consecutive
+//     successes restore it;
 //   * graceful shutdown — shutdown(kDrain) completes everything already
 //     admitted; shutdown(kReject) fails queued-but-unstarted requests
 //     with ShutdownError.  Either way every admitted request's future is
@@ -88,12 +93,14 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -191,9 +198,6 @@ struct EngineConfig {
   /// Device-loss failovers tolerated per batch before it settles with
   /// the loss error; < 0 resolves MPS_SERVE_MAX_FAILOVERS (default 8).
   int max_failovers = -1;
-  /// Degraded-mode plan-cache budget as a fraction of plan_cache_bytes;
-  /// < 0 resolves MPS_SERVE_DEGRADE_CACHE_FRAC (default 0.25).
-  double degrade_cache_frac = -1.0;
   /// Consecutive successes that exit degraded mode; < 0 resolves
   /// MPS_SERVE_DEGRADE_RECOVERY (default 64), 0 disables degraded mode.
   int degrade_recovery = -1;
@@ -513,6 +517,10 @@ class Engine {
 
   void dispatcher_loop();
   void dispatch_batch(std::shared_ptr<Batch> batch);
+  /// Settles `reqs` with ShutdownError(`why`); the rejected_shutdown
+  /// counters move before any promise settles.
+  void settle_shutdown(std::vector<std::unique_ptr<Request>>& reqs,
+                       const char* why);
   /// Lease the batch's device set, run it, and on DeviceLostError /
   /// ShardLostError quarantine + re-provision the lost slot and requeue
   /// the batch (up to cfg_.max_failovers, then settle with the loss
@@ -523,12 +531,12 @@ class Engine {
   /// atomically — all-or-nothing, so overlapping leases cannot deadlock.
   Lease acquire_lease(Batch& batch);
   void release_lease(const Lease& lease);
-  /// Runs the batch on the leased devices; DeviceLostError propagates to
-  /// the failover loop (structurally, a loss can only fire before any
-  /// request of the batch has settled — launches and reserves all
-  /// precede the first set_value).
+  /// Runs the batch on the leased devices: a lone SpMV, a coalesced SpMV
+  /// batch (one spmm) or an SpAdd/SpGEMM, each through run_attempts.
+  /// DeviceLostError propagates to the failover loop (structurally, a
+  /// loss can only fire before any request of the batch has settled —
+  /// launches and reserves all precede the first set_value).
   void execute_batch(Batch& batch, Lease& lease);
-  void execute_matrix_op(Request& req, Lease& lease);
   void handle_device_loss(std::size_t device_index);
   /// Shard + place a registered matrix (no-op when the fleet or matrix
   /// is too small); rebuilds deterministically on re-registration.
@@ -559,14 +567,25 @@ class Engine {
   /// registry_mutex_/shard_mutex_ are never touched (the durable-crash
   /// points fire while the crashing thread holds them).
   void write_bundle_state(std::ostream& out) const;
-  /// Called from a retry catch handler after `attempt` (0-based) failed:
-  /// rethrows when the budget is spent, settles the deadline re-check
-  /// (RequestTimeoutError), counts the retry, and returns the modeled
-  /// backoff to charge.
-  double prepare_retry(Request& req, int attempt);
-  /// Batched variant: additionally prunes requests that expired between
-  /// attempts (they settle with RequestTimeoutError; survivors retry).
-  double prepare_batch_retry(Batch& batch, int attempt);
+  /// The one attempt loop for every request shape.  Each attempt runs
+  /// `stage` (host-side input assembly; may be empty), then `body` under
+  /// a "serve.execute" span; `body` returns the attempt's modeled ms.
+  /// IntegrityError and PlanMismatchError call `drop_plans` (may be
+  /// empty) and retry, DeviceOomError notes memory pressure and retries.
+  /// On success the kernels plus the summed backoff are charged to the
+  /// modeled clock and returned; anything else propagates.
+  double run_attempts(Batch& batch, const std::function<void()>& stage,
+                      const std::function<double()>& body,
+                      const std::function<void()>& drop_plans);
+  /// Called from a retry catch handler after `attempt` (0-based) failed;
+  /// a lone request is a batch of one.  Rethrows when the budget is
+  /// spent, settles requests that expired during the attempt with
+  /// RequestTimeoutError (throwing one when none is left), counts the
+  /// retry, and returns the modeled backoff to charge (the head's salt).
+  double prepare_retry(Batch& batch, int attempt);
+  /// Settles every expired request of `batch` with RequestTimeoutError
+  /// (`why`) and drops it; returns whether any request is left.
+  bool prune_expired(Batch& batch, const std::string& why);
   /// Typed failure settle: timeouts count as timed_out (span status
   /// "timeout"), everything else as failed.
   void fail_request(Request& r, const std::exception_ptr& e);
@@ -588,17 +607,24 @@ class Engine {
                modeled_clock_us_.load(std::memory_order_relaxed)) /
            1000.0;
   }
-  std::future<SpmvResult> admit_spmv(MatrixHandle h, std::vector<double> x,
-                                     const SubmitOptions& opts, bool blocking,
-                                     bool* admitted);
+  /// The one enqueue step behind every submit: breaker fast-fail,
+  /// request stamping (salt, span, deadline), kLow shedding past the
+  /// watermark, queue-full accounting and the push.  Returns false when
+  /// a non-blocking admission found the queue full; a blocking one
+  /// throws QueueFullError instead.
+  bool enqueue(std::unique_ptr<Request> req, const SubmitOptions& opts,
+               bool blocking);
+  /// Validates and enqueues an SpMV; nullopt when a non-blocking
+  /// admission found the queue full.
+  std::optional<std::future<SpmvResult>> admit_spmv(MatrixHandle h,
+                                                    std::vector<double> x,
+                                                    const SubmitOptions& opts,
+                                                    bool blocking);
   std::future<MatrixResult> admit_matrix_op(bool gemm, MatrixHandle a,
                                             MatrixHandle b,
                                             const SubmitOptions& opts);
   bool admit_locked(std::unique_lock<std::mutex>& lock,
                     const SubmitOptions& opts, bool blocking);
-  /// Throws LoadShedError for kLow requests once queue depth reaches the
-  /// shed watermark.  Called with queue_mutex_ held.
-  void shed_low_priority_locked(const SubmitOptions& opts);
 
   std::shared_ptr<const sparse::CsrD> lookup(MatrixHandle h) const;
 

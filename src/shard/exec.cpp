@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "core/spadd.hpp"
@@ -31,111 +32,135 @@ vgpu::Device& device_for(std::span<vgpu::Device* const> devices, int ordinal) {
   return *devices[static_cast<std::size_t>(ordinal)];
 }
 
-[[noreturn]] void rethrow_as_shard_loss(const vgpu::DeviceLostError& e,
-                                        int ordinal) {
-  throw ShardLostError(std::string("shard on device ") +
-                           std::to_string(ordinal) + ": " + e.what(),
-                       ordinal);
-}
+/// Per-device busy time plus the halo and kernel sums of one call.
+struct Tally {
+  std::vector<double> busy;  ///< indexed by fleet ordinal
+  double halo_ms = 0.0;
+  double sum_ms = 0.0;
+};
 
 /// Fold per-device busy times into the fleet-concurrent stats.
-ExecStats finish(const std::vector<double>& busy, double halo_ms,
-                 double sum_ms, int shards) {
+ExecStats finish(const Tally& t, int shards) {
   ExecStats st;
-  st.modeled_ms = busy.empty() ? 0.0 : *std::max_element(busy.begin(), busy.end());
-  st.halo_ms = halo_ms;
-  st.sum_ms = sum_ms;
+  st.modeled_ms =
+      t.busy.empty() ? 0.0 : *std::max_element(t.busy.begin(), t.busy.end());
+  st.halo_ms = t.halo_ms;
+  st.sum_ms = t.sum_ms;
   st.shards = shards;
   return st;
 }
 
-/// Shared scatter/compute/gather skeleton for the SpMV-shaped entry
-/// points.  `kernel(i, device, shard, sub_x, y_sub)` returns modeled ms.
-template <typename Kernel>
-ExecStats run_rowwise(const ShardedMatrix& sm,
-                      std::span<vgpu::Device* const> devices,
-                      std::span<const double> x, std::span<double> y,
-                      index_t vec_stride, Kernel&& kernel) {
-  MPS_CHECK(x.size() == static_cast<std::size_t>(sm.num_cols()) *
-                            static_cast<std::size_t>(vec_stride));
-  MPS_CHECK(y.size() == static_cast<std::size_t>(sm.num_rows()) *
-                            static_cast<std::size_t>(vec_stride));
-  std::vector<double> busy(devices.size(), 0.0);
-  double halo_ms = 0.0;
-  double sum_ms = 0.0;
-  // Roofline attribution: per-shard samples feed the imbalance detector
-  // after the loop.  Everything profiler-related is guarded on enabled()
-  // so the disabled path stays one relaxed atomic load.
+/// The per-slice loop every entry point runs.  Slice i runs on fleet
+/// slot `place(i)`, or is skipped when that is negative (a slice with no
+/// launch; `place` may write its output directly).  `stage(i, dev)`
+/// gathers or slices the inputs and returns the modeled halo charge;
+/// `kernel(i, dev)` launches under the slice's span and profiler
+/// attribution and returns its modeled ms.  A device loss inside the
+/// kernel surfaces as ShardLostError naming the slot.
+template <typename Place, typename Stage, typename Kernel>
+Tally run_slices(std::span<vgpu::Device* const> devices, std::size_t count,
+                 const char* phase, Place&& place, Stage&& stage,
+                 Kernel&& kernel) {
+  Tally t;
+  t.busy.assign(devices.size(), 0.0);
+  // Per-slice samples feed the profiler's imbalance detector after the
+  // loop.  Everything profiler-related is guarded on enabled() so the
+  // disabled path stays one relaxed atomic load.
   const bool prof = telemetry::profiler().enabled();
   std::vector<telemetry::ShardSample> samples;
-  std::vector<double> sub_x;
-  for (std::size_t i = 0; i < sm.shards().size(); ++i) {
-    const Shard& s = sm.shards()[i];
-    const index_t rows = s.row_end - s.row_begin;
-    if (rows == 0) continue;
-    std::span<double> y_sub =
-        y.subspan(static_cast<std::size_t>(s.row_begin) *
-                      static_cast<std::size_t>(vec_stride),
-                  static_cast<std::size_t>(rows) *
-                      static_cast<std::size_t>(vec_stride));
-    if (s.local.nnz() == 0) {
-      // The merge kernel writes +0.0 for every empty row; skip the
-      // launch and write them directly (bitwise the same).
-      std::fill(y_sub.begin(), y_sub.end(), 0.0);
-      continue;
-    }
-    vgpu::Device& dev = device_for(devices, s.device);
-    // Halo exchange: gather exactly the x entries this shard touches.
-    sub_x.resize(s.xmap.size() * static_cast<std::size_t>(vec_stride));
-    for (std::size_t l = 0; l < s.xmap.size(); ++l) {
-      for (index_t j = 0; j < vec_stride; ++j) {
-        sub_x[l * static_cast<std::size_t>(vec_stride) +
-              static_cast<std::size_t>(j)] =
-            x[static_cast<std::size_t>(s.xmap[l]) *
-                  static_cast<std::size_t>(vec_stride) +
-              static_cast<std::size_t>(j)];
-      }
-    }
-    const double h = transfer_ms(
-        dev.props(), static_cast<double>(sub_x.size()) * sizeof(double));
+  for (std::size_t i = 0; i < count; ++i) {
+    const int ordinal = place(i);
+    if (ordinal < 0) continue;
+    vgpu::Device& dev = device_for(devices, ordinal);
+    const double halo_ms = stage(i, dev);
     double kernel_ms = 0.0;
     try {
-      telemetry::ScopedSpan span("shard.spmv");
+      telemetry::ScopedSpan span(phase);
+      std::optional<telemetry::ProfAttrScope> scope;
       if (prof) {
         telemetry::ProfAttr attr = telemetry::current_prof_attr();
         attr.shard = static_cast<int>(i);
-        attr.device = s.device;
-        attr.phase = "shard.spmv";
-        telemetry::ProfAttrScope scope(attr);
-        kernel_ms = kernel(i, dev, s, std::span<const double>(sub_x), y_sub);
-      } else {
-        kernel_ms = kernel(i, dev, s, std::span<const double>(sub_x), y_sub);
+        attr.device = ordinal;
+        attr.phase = phase;
+        scope.emplace(attr);
       }
+      kernel_ms = kernel(i, dev);
     } catch (const vgpu::DeviceLostError& e) {
-      rethrow_as_shard_loss(e, s.device);
+      throw ShardLostError(std::string("shard on device ") +
+                               std::to_string(ordinal) + ": " + e.what(),
+                           ordinal);
     }
-    busy[static_cast<std::size_t>(s.device)] += h + kernel_ms;
-    halo_ms += h;
-    sum_ms += kernel_ms;
-    if (prof) samples.push_back({i, s.device, h + kernel_ms});
+    t.busy[static_cast<std::size_t>(ordinal)] += halo_ms + kernel_ms;
+    t.halo_ms += halo_ms;
+    t.sum_ms += kernel_ms;
+    if (prof) samples.push_back({i, ordinal, halo_ms + kernel_ms});
   }
   if (prof && !samples.empty()) {
     telemetry::profiler().note_shard_batch(
         telemetry::current_prof_attr().tenant, samples);
   }
+  return t;
+}
+
+/// Scatter/compute/gather for the SpMV-shaped entry points: each shard
+/// gathers its halo of x and writes its own rows of y.
+/// `kernel(i, device, shard, sub_x, y_sub)` returns modeled ms.
+template <typename Kernel>
+ExecStats run_rowwise(const ShardedMatrix& sm,
+                      std::span<vgpu::Device* const> devices,
+                      std::span<const double> x, std::span<double> y,
+                      index_t vec_stride, Kernel&& kernel) {
+  const auto stride = static_cast<std::size_t>(vec_stride);
+  MPS_CHECK(x.size() == static_cast<std::size_t>(sm.num_cols()) * stride);
+  MPS_CHECK(y.size() == static_cast<std::size_t>(sm.num_rows()) * stride);
+  const auto rows_of = [&](const Shard& s) {
+    return y.subspan(static_cast<std::size_t>(s.row_begin) * stride,
+                     static_cast<std::size_t>(s.row_end - s.row_begin) *
+                         stride);
+  };
+  std::vector<double> sub_x;
+  Tally t = run_slices(
+      devices, sm.shards().size(), "shard.spmv",
+      [&](std::size_t i) {
+        const Shard& s = sm.shards()[i];
+        if (s.row_end == s.row_begin) return -1;
+        if (s.local.nnz() == 0) {
+          // The merge kernel writes +0.0 for every empty row; skip the
+          // launch and write them directly (bitwise the same).
+          const std::span<double> y_sub = rows_of(s);
+          std::fill(y_sub.begin(), y_sub.end(), 0.0);
+          return -1;
+        }
+        return s.device;
+      },
+      [&](std::size_t i, vgpu::Device& dev) {
+        // Halo exchange: gather exactly the x entries this shard touches.
+        const Shard& s = sm.shards()[i];
+        sub_x.resize(s.xmap.size() * stride);
+        for (std::size_t l = 0; l < s.xmap.size(); ++l) {
+          for (std::size_t j = 0; j < stride; ++j) {
+            sub_x[l * stride + j] =
+                x[static_cast<std::size_t>(s.xmap[l]) * stride + j];
+          }
+        }
+        return transfer_ms(dev.props(),
+                           static_cast<double>(sub_x.size()) * sizeof(double));
+      },
+      [&](std::size_t i, vgpu::Device& dev) {
+        const Shard& s = sm.shards()[i];
+        return kernel(i, dev, s, std::span<const double>(sub_x), rows_of(s));
+      });
   // 2D-split dense rows: per-segment partials on each segment's device,
   // reduced in fixed segment order (deterministic, not bitwise).
   for (const DenseRow& dr : sm.dense_rows()) {
     double total = 0.0;
-    for (index_t j = 0; j < vec_stride; ++j) {
+    for (std::size_t j = 0; j < stride; ++j) {
       total = 0.0;
       for (const DenseRowSegment& seg : dr.segments) {
         double partial = 0.0;
         for (std::size_t k = 0; k < seg.col.size(); ++k) {
-          partial += seg.val[k] *
-                     x[static_cast<std::size_t>(seg.col[k]) *
-                           static_cast<std::size_t>(vec_stride) +
-                       static_cast<std::size_t>(j)];
+          partial +=
+              seg.val[k] * x[static_cast<std::size_t>(seg.col[k]) * stride + j];
         }
         total += partial;
         if (j == 0) {
@@ -147,41 +172,67 @@ ExecStats run_rowwise(const ShardedMatrix& sm,
               (sizeof(index_t) +
                static_cast<double>(vec_stride) * 2.0 * sizeof(double));
           const double ms = transfer_ms(dev.props(), bytes);
-          busy[static_cast<std::size_t>(seg.device)] += ms;
-          sum_ms += ms;
+          t.busy[static_cast<std::size_t>(seg.device)] += ms;
+          t.sum_ms += ms;
         }
       }
-      y[static_cast<std::size_t>(dr.row) *
-            static_cast<std::size_t>(vec_stride) +
-        static_cast<std::size_t>(j)] = total;
+      y[static_cast<std::size_t>(dr.row) * stride + j] = total;
     }
   }
-  return finish(busy, halo_ms, sum_ms,
-                static_cast<int>(sm.shards().size()));
+  return finish(t, static_cast<int>(sm.shards().size()));
 }
 
-/// Concatenate `sub`'s rows onto `c` (columns already global).
-void append_rows(sparse::CsrD& c, const sparse::CsrD& sub) {
-  const index_t base = c.nnz();
-  for (index_t r = 0; r < sub.num_rows; ++r) {
-    c.row_offsets.push_back(base +
-                            sub.row_offsets[static_cast<std::size_t>(r) + 1]);
+/// Scatter/compute/stitch for the matrix-output entry points: A's rows
+/// are cut into one block per slot on `staircase` by `weights`, block i
+/// runs on devices[ordinals[i]] over A's row slice, and the per-block
+/// outputs concatenate row-wise into C.  `halo(dev)` is the block's
+/// modeled input transfer; `kernel(dev, block, sub_a, sub_c)` fills the
+/// block's output and returns its modeled ms.
+template <typename Halo, typename Kernel>
+ExecStats run_row_blocks(const sparse::CsrD& a, index_t out_cols,
+                         std::span<const index_t> staircase,
+                         std::span<vgpu::Device* const> devices,
+                         std::span<const int> ordinals,
+                         std::span<const double> weights, const char* phase,
+                         Halo&& halo, Kernel&& kernel, sparse::CsrD& c) {
+  MPS_CHECK(!weights.empty() && weights.size() == ordinals.size());
+  const auto blocks = partition_rows(staircase, weights);
+  sparse::CsrD out(0, out_cols);
+  sparse::CsrD sub_a;
+  const Tally t = run_slices(
+      devices, blocks.size(), phase,
+      [&](std::size_t i) {
+        return blocks[i].row_end == blocks[i].row_begin ? -1 : ordinals[i];
+      },
+      [&](std::size_t i, vgpu::Device& dev) {
+        const double h = halo(dev);
+        sub_a = sparse::row_slice(a, blocks[i].row_begin, blocks[i].row_end);
+        return h;
+      },
+      [&](std::size_t i, vgpu::Device& dev) {
+        sparse::CsrD sub_c;
+        const double ms = kernel(dev, blocks[i], sub_a, sub_c);
+        sparse::append_rows(out, sub_c);
+        return ms;
+      });
+  // Pad trailing empty blocks' rows (blocks cover all rows by
+  // construction, so out.num_rows == a.num_rows already unless the
+  // matrix itself has zero rows).
+  while (out.num_rows < a.num_rows) {
+    out.row_offsets.push_back(out.nnz());
+    ++out.num_rows;
   }
-  c.num_rows += sub.num_rows;
-  c.col.insert(c.col.end(), sub.col.begin(), sub.col.end());
-  c.val.insert(c.val.end(), sub.val.begin(), sub.val.end());
+  c = std::move(out);
+  return finish(t, static_cast<int>(blocks.size()));
 }
 
 }  // namespace
 
 ExecStats spmv(const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
                std::span<const double> x, std::span<double> y) {
-  return run_rowwise(sm, devices, x, y, 1,
-                     [](std::size_t, vgpu::Device& dev, const Shard& s,
-                        std::span<const double> sub_x, std::span<double> y_sub) {
-                       return core::merge::spmv(dev, s.local, sub_x, y_sub)
-                           .modeled_ms();
-                     });
+  const std::vector<std::shared_ptr<const autotune::TunedPlan>> no_plans(
+      sm.shards().size());
+  return spmv_tuned(sm, devices, no_plans, x, y);
 }
 
 ExecStats spmv_tuned(
@@ -220,62 +271,21 @@ ExecStats spadd(const sparse::CsrD& a, const sparse::CsrD& b,
                 std::span<const int> ordinals, std::span<const double> weights,
                 sparse::CsrD& c) {
   MPS_CHECK(a.num_rows == b.num_rows && a.num_cols == b.num_cols);
-  MPS_CHECK(!weights.empty() && weights.size() == ordinals.size());
   // Combined staircase: a row heavy in either input still balances.
   std::vector<index_t> combined(static_cast<std::size_t>(a.num_rows) + 1);
   for (std::size_t r = 0; r < combined.size(); ++r) {
     combined[r] = a.row_offsets[r] + b.row_offsets[r];
   }
-  const auto blocks = partition_rows(combined, weights);
-
-  sparse::CsrD out(0, a.num_cols);
-  std::vector<double> busy(devices.size(), 0.0);
-  double sum_ms = 0.0;
-  const bool prof = telemetry::profiler().enabled();
-  std::vector<telemetry::ShardSample> samples;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const RowBlock& blk = blocks[i];
-    if (blk.row_end == blk.row_begin) {
-      continue;
-    }
-    vgpu::Device& dev = device_for(devices, ordinals[i]);
-    const sparse::CsrD sub_a = sparse::row_slice(a, blk.row_begin, blk.row_end);
-    const sparse::CsrD sub_b = sparse::row_slice(b, blk.row_begin, blk.row_end);
-    sparse::CsrD sub_c;
-    double ms = 0.0;
-    try {
-      telemetry::ScopedSpan span("shard.spadd");
-      if (prof) {
-        telemetry::ProfAttr attr = telemetry::current_prof_attr();
-        attr.shard = static_cast<int>(i);
-        attr.device = ordinals[i];
-        attr.phase = "shard.spadd";
-        telemetry::ProfAttrScope scope(attr);
-        ms = core::merge::spadd_csr(dev, sub_a, sub_b, sub_c).modeled_ms;
-      } else {
-        ms = core::merge::spadd_csr(dev, sub_a, sub_b, sub_c).modeled_ms;
-      }
-    } catch (const vgpu::DeviceLostError& e) {
-      rethrow_as_shard_loss(e, ordinals[i]);
-    }
-    append_rows(out, sub_c);
-    busy[static_cast<std::size_t>(ordinals[i])] += ms;
-    sum_ms += ms;
-    if (prof) samples.push_back({i, ordinals[i], ms});
-  }
-  if (prof && !samples.empty()) {
-    telemetry::profiler().note_shard_batch(
-        telemetry::current_prof_attr().tenant, samples);
-  }
-  // Pad trailing empty blocks' rows (blocks cover all rows by
-  // construction, so out.num_rows == a.num_rows already unless the
-  // matrix itself has zero rows).
-  while (out.num_rows < a.num_rows) {
-    out.row_offsets.push_back(out.nnz());
-    ++out.num_rows;
-  }
-  c = std::move(out);
-  return finish(busy, 0.0, sum_ms, static_cast<int>(blocks.size()));
+  return run_row_blocks(
+      a, a.num_cols, combined, devices, ordinals, weights, "shard.spadd",
+      [](vgpu::Device&) { return 0.0; },
+      [&](vgpu::Device& dev, const RowBlock& blk, const sparse::CsrD& sub_a,
+          sparse::CsrD& sub_c) {
+        const sparse::CsrD sub_b =
+            sparse::row_slice(b, blk.row_begin, blk.row_end);
+        return core::merge::spadd_csr(dev, sub_a, sub_b, sub_c).modeled_ms;
+      },
+      c);
 }
 
 ExecStats spgemm(const sparse::CsrD& a, const sparse::CsrD& b,
@@ -283,7 +293,6 @@ ExecStats spgemm(const sparse::CsrD& a, const sparse::CsrD& b,
                  std::span<const int> ordinals, std::span<const double> weights,
                  sparse::CsrD& c) {
   MPS_CHECK(a.num_cols == b.num_rows);
-  MPS_CHECK(!weights.empty() && weights.size() == ordinals.size());
   // Intermediate-product staircase: P[r] = products emitted before row r.
   std::vector<long long> prods(static_cast<std::size_t>(a.num_rows) + 1, 0);
   for (index_t r = 0; r < a.num_rows; ++r) {
@@ -302,69 +311,26 @@ ExecStats spgemm(const sparse::CsrD& a, const sparse::CsrD& b,
   for (std::size_t r = 0; r < prods.size(); ++r) {
     pi[r] = static_cast<index_t>(prods[r]);
   }
-  const auto blocks = partition_rows(pi, weights);
-
-  sparse::CsrD out(0, b.num_cols);
-  std::vector<double> busy(devices.size(), 0.0);
-  double halo_ms = 0.0;
-  double sum_ms = 0.0;
-  const bool prof = telemetry::profiler().enabled();
-  std::vector<telemetry::ShardSample> samples;
   bool first_active = true;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const RowBlock& blk = blocks[i];
-    if (blk.row_end == blk.row_begin) {
-      continue;
-    }
-    vgpu::Device& dev = device_for(devices, ordinals[i]);
-    // Every shard past the first needs its own replica of B — the
-    // dominant halo cost of sharded SpGEMM.
-    double shard_halo = 0.0;
-    if (!first_active) {
-      const double h =
-          transfer_ms(dev.props(), static_cast<double>(b.device_bytes()));
-      busy[static_cast<std::size_t>(ordinals[i])] += h;
-      halo_ms += h;
-      shard_halo = h;
-    }
-    first_active = false;
-    const sparse::CsrD sub_a = sparse::row_slice(a, blk.row_begin, blk.row_end);
-    core::merge::SpgemmConfig cfg;
-    cfg.product_origin = static_cast<std::uint64_t>(
-        prods[static_cast<std::size_t>(blk.row_begin)]);
-    sparse::CsrD sub_c;
-    double ms = 0.0;
-    try {
-      telemetry::ScopedSpan span("shard.spgemm");
-      if (prof) {
-        telemetry::ProfAttr attr = telemetry::current_prof_attr();
-        attr.shard = static_cast<int>(i);
-        attr.device = ordinals[i];
-        attr.phase = "shard.spgemm";
-        telemetry::ProfAttrScope scope(attr);
-        ms = core::merge::spgemm(dev, sub_a, b, sub_c, cfg).modeled_ms();
-      } else {
-        ms = core::merge::spgemm(dev, sub_a, b, sub_c, cfg).modeled_ms();
-      }
-    } catch (const vgpu::DeviceLostError& e) {
-      rethrow_as_shard_loss(e, ordinals[i]);
-    }
-    append_rows(out, sub_c);
-    busy[static_cast<std::size_t>(ordinals[i])] += ms;
-    sum_ms += ms;
-    if (prof) samples.push_back({i, ordinals[i], shard_halo + ms});
-  }
-  if (prof && !samples.empty()) {
-    telemetry::profiler().note_shard_batch(
-        telemetry::current_prof_attr().tenant, samples);
-  }
-  while (out.num_rows < a.num_rows) {
-    out.row_offsets.push_back(out.nnz());
-    ++out.num_rows;
-  }
-  c = std::move(out);
-  ExecStats st = finish(busy, halo_ms, sum_ms, static_cast<int>(blocks.size()));
-  return st;
+  return run_row_blocks(
+      a, b.num_cols, pi, devices, ordinals, weights, "shard.spgemm",
+      [&](vgpu::Device& dev) {
+        // Every block past the first needs its own replica of B — the
+        // dominant halo cost of sharded SpGEMM.
+        if (first_active) {
+          first_active = false;
+          return 0.0;
+        }
+        return transfer_ms(dev.props(), static_cast<double>(b.device_bytes()));
+      },
+      [&](vgpu::Device& dev, const RowBlock& blk, const sparse::CsrD& sub_a,
+          sparse::CsrD& sub_c) {
+        core::merge::SpgemmConfig cfg;
+        cfg.product_origin = static_cast<std::uint64_t>(
+            prods[static_cast<std::size_t>(blk.row_begin)]);
+        return core::merge::spgemm(dev, sub_a, b, sub_c, cfg).modeled_ms();
+      },
+      c);
 }
 
 }  // namespace mps::shard

@@ -60,10 +60,10 @@ struct ExecStats {
   int shards = 0;
 };
 
-/// y = A x across the fleet.  Bitwise identical to single-device merge
-/// SpMV for the 1D row shards; 2D-split dense rows (if any) reduce in
-/// fixed segment order (deterministic, not bitwise — see
-/// sharded_matrix.hpp).
+/// y = A x across the fleet: spmv_tuned with no plans, so every shard
+/// runs one-shot merge.  Bitwise identical to single-device merge SpMV
+/// for the 1D row shards; 2D-split dense rows (if any) reduce in fixed
+/// segment order (deterministic, not bitwise — see sharded_matrix.hpp).
 ExecStats spmv(const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
                std::span<const double> x, std::span<double> y);
 

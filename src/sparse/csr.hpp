@@ -93,4 +93,19 @@ CsrMatrix<V> row_slice(const CsrMatrix<V>& a, index_t row_begin,
   return sub;
 }
 
+/// Append `sub`'s rows to `c`; columns are already global.  The inverse
+/// of row_slice: per-slice outputs stitched in slice order rebuild the
+/// full result.
+template <typename V>
+void append_rows(CsrMatrix<V>& c, const CsrMatrix<V>& sub) {
+  const index_t base = c.nnz();
+  for (index_t r = 0; r < sub.num_rows; ++r) {
+    c.row_offsets.push_back(base +
+                            sub.row_offsets[static_cast<std::size_t>(r) + 1]);
+  }
+  c.num_rows += sub.num_rows;
+  c.col.insert(c.col.end(), sub.col.begin(), sub.col.end());
+  c.val.insert(c.val.end(), sub.val.begin(), sub.val.end());
+}
+
 }  // namespace mps::sparse

@@ -79,8 +79,8 @@ class CleanFaultEnv {
         "MPS_SERVE_RETRIES",       "MPS_SERVE_BACKOFF_MS",
         "MPS_SERVE_BACKOFF_MAX_MS", "MPS_SERVE_BREAKER_THRESHOLD",
         "MPS_SERVE_BREAKER_COOLDOWN_MS", "MPS_SERVE_SHED_WATERMARK",
-        "MPS_SERVE_MAX_FAILOVERS", "MPS_SERVE_DEGRADE_CACHE_FRAC",
-        "MPS_SERVE_DEGRADE_RECOVERY", "MPS_AUTOTUNE",
+        "MPS_SERVE_MAX_FAILOVERS", "MPS_SERVE_DEGRADE_RECOVERY",
+        "MPS_AUTOTUNE",
         "MPS_SERVE_DEVICES",       "MPS_SERVE_DEVICE_SPEC",
         "MPS_SHARD_MAX",           "MPS_SHARD_MIN_NNZ",
         "MPS_SHARD_PLACEMENT",     "MPS_SHARD_REPLICATE_HOT",
@@ -124,7 +124,6 @@ EngineConfig test_config(unsigned threads, int batch_window,
   cfg.breaker.cooldown_ms = 250.0;
   cfg.shed_watermark = 0.0;           // off unless the test arms it
   cfg.max_failovers = 8;
-  cfg.degrade_cache_frac = 0.25;
   cfg.degrade_recovery = 0;           // off unless the test arms it
   cfg.chaos_enabled = 0;
   return cfg;
@@ -293,36 +292,89 @@ TEST(ServeChaos, RetryBudgetBoundsTransientFaults) {
 }
 
 TEST(ServeChaos, BackoffIsChargedIntoModeledTimeExactly) {
+  // Every request shape retries: a lone SpMV, a coalesced SpMV batch (one
+  // spmm whose modeled time, surcharge included, splits evenly over its
+  // requests) and an SpAdd.
   CleanFaultEnv env;
   const auto a = make_matrix(8);
-  auto cfg = test_config(1, 1);
-  cfg.retry.max_attempts = 4;
-  cfg.retry.backoff_base_ms = 0.5;
-  cfg.retry.backoff_multiplier = 2.0;
-  cfg.retry.backoff_max_ms = 8.0;
-  cfg.retry.jitter_frac = 0.25;
+  const auto b = make_matrix(18);
+  enum class Shape { kLone, kBatch, kSpadd };
+  for (const Shape shape : {Shape::kLone, Shape::kBatch, Shape::kSpadd}) {
+    SCOPED_TRACE(shape == Shape::kLone    ? "lone spmv"
+                 : shape == Shape::kBatch ? "coalesced spmv batch"
+                                          : "spadd");
+    // A power-of-two batch keeps the per-request split exact, so the
+    // expectation below can undo it bit for bit.
+    const std::size_t n = shape == Shape::kBatch ? 4 : 1;
+    auto cfg = test_config(1, static_cast<int>(n));
+    cfg.retry.max_attempts = 4;
+    cfg.retry.backoff_base_ms = 0.5;
+    cfg.retry.backoff_multiplier = 2.0;
+    cfg.retry.backoff_max_ms = 8.0;
+    cfg.retry.jitter_frac = 0.25;
+    cfg.start_paused = true;  // the batch forms before anything runs
 
-  auto ref_cfg = cfg;  // fault-free twin
-  Engine ref(ref_cfg);
-  const MatrixHandle h = ref.register_matrix(a);
-  const SpmvResult r_ref = ref.submit_spmv(h, random_x(a, 4)).get();
-  ref.shutdown();
+    struct Run {
+      MatrixHandle h = 0;
+      std::vector<std::vector<double>> y;  // SpMV answers
+      CsrD c;                              // SpAdd answer
+      std::vector<double> modeled_ms;      // one per request
+      long long retries = 0;
+    };
+    const auto run = [&](const EngineConfig& run_cfg) {
+      Run out;
+      Engine engine(run_cfg);
+      out.h = engine.register_matrix(a);
+      if (shape == Shape::kSpadd) {
+        auto f = engine.submit_spadd(out.h, engine.register_matrix(b));
+        engine.resume();
+        MatrixResult r = f.get();
+        out.c = std::move(r.c);
+        out.modeled_ms.push_back(r.modeled_ms);
+      } else {
+        std::vector<std::future<SpmvResult>> futures;
+        for (std::size_t j = 0; j < n; ++j) {
+          futures.push_back(engine.submit_spmv(out.h, random_x(a, 4 + j)));
+        }
+        engine.resume();
+        for (auto& f : futures) {
+          SpmvResult r = f.get();
+          EXPECT_EQ(r.batch_size, static_cast<int>(n));
+          out.y.push_back(std::move(r.y));
+          out.modeled_ms.push_back(r.modeled_ms);
+        }
+      }
+      engine.shutdown();
+      out.retries = engine.stats().retries;
+      return out;
+    };
 
-  cfg.chaos = vgpu::ChaosSchedule::parse("oom@alloc=1");
-  cfg.chaos_enabled = 1;
-  Engine engine(cfg);
-  ASSERT_EQ(engine.register_matrix(a), h) << "handles are content-addressed";
-  const SpmvResult r = engine.submit_spmv(h, random_x(a, 4)).get();
-  engine.shutdown();
+    const Run ref = run(cfg);  // fault-free twin
+    cfg.chaos = vgpu::ChaosSchedule::parse("oom@alloc=1");
+    cfg.chaos_enabled = 1;
+    const Run got = run(cfg);
 
-  EXPECT_EQ(r.y, r_ref.y);
-  // The first admitted request's jitter salt is its handle (admit_seq 0),
-  // so the exact modeled surcharge is reproducible from the policy alone.
-  const double expected_backoff = cfg.retry.backoff_ms(1, h);
-  EXPECT_GT(expected_backoff, 0.0);
-  EXPECT_EQ(r.modeled_ms, r_ref.modeled_ms + expected_backoff)
-      << "backoff must be charged into modeled time, bit for bit";
-  EXPECT_EQ(engine.stats().retries, 1);
+    ASSERT_EQ(got.h, ref.h) << "handles are content-addressed";
+    EXPECT_EQ(got.y, ref.y);
+    EXPECT_EQ(got.c.row_offsets, ref.c.row_offsets);
+    EXPECT_EQ(got.c.col, ref.c.col);
+    EXPECT_EQ(got.c.val, ref.c.val);
+    EXPECT_EQ(ref.retries, 0);
+    EXPECT_EQ(got.retries, 1);
+    // The first admitted request's jitter salt is its handle (admit_seq
+    // 0), and a batch backs off with its head's salt, so the exact
+    // modeled surcharge is reproducible from the policy alone.
+    const double expected_backoff = cfg.retry.backoff_ms(1, ref.h);
+    EXPECT_GT(expected_backoff, 0.0);
+    ASSERT_EQ(got.modeled_ms.size(), n);
+    ASSERT_EQ(ref.modeled_ms.size(), n);
+    const double dn = static_cast<double>(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(got.modeled_ms[j],
+                (ref.modeled_ms[j] * dn + expected_backoff) / dn)
+          << "backoff must be charged into modeled time, bit for bit";
+    }
+  }
 }
 
 TEST(ServeChaos, DeadlineIsRecheckedBeforeEachRetry) {
@@ -516,7 +568,7 @@ TEST(ServeChaos, MemoryPressureEntersDegradedMode) {
   EXPECT_TRUE(s.degraded);
   EXPECT_EQ(s.degraded_entered, 1);
   EXPECT_EQ(s.plan_cache.capacity_bytes, (64u << 20) / 4)
-      << "degraded mode shrinks the plan cache to degrade_cache_frac";
+      << "degraded mode shrinks the plan cache to a quarter of its budget";
   engine.shutdown();
 }
 

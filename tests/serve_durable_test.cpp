@@ -131,7 +131,6 @@ EngineConfig test_config(const std::string& durable_dir = "") {
   cfg.breaker.cooldown_ms = 250.0;
   cfg.shed_watermark = 0.0;
   cfg.max_failovers = 8;
-  cfg.degrade_cache_frac = 0.25;
   cfg.degrade_recovery = 0;
   cfg.chaos_enabled = 0;
   cfg.durable_snapshot_every = 0;  // snapshots only where the test asks

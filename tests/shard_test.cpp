@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "autotune/autotune.hpp"
+#include "baselines/seq.hpp"
 #include "core/spadd.hpp"
 #include "core/spgemm.hpp"
 #include "core/spmm.hpp"
@@ -528,6 +529,56 @@ TEST(EngineSharded, ServesBitwiseAnswersAndPerDeviceStats) {
   }
   EXPECT_GE(dispatched, 4);  // every request leases all shard devices
   EXPECT_EQ(shards, 2);
+}
+
+TEST(EngineSharded, HotMatrixGetsABitwiseReplica) {
+  // A replica needs a disjoint second placement of the primary's width,
+  // so a 2-wide matrix on a 4-slot fleet is the smallest case that builds
+  // one.  A lone tenant holds all of the sharded traffic, so it crosses
+  // the hot threshold once the warm-up floor (8 requests) is reached.
+  EnvVarGuard no_chaos("MPS_CHAOS_SCRIPT", nullptr);
+  auto a = make_regime_matrix(Regime::kUniform, 1);  // 4800 nnz
+  serve::EngineConfig cfg = sharded_config(4);
+  cfg.shard_min_nnz = 2048;  // 4800 nnz shards 2-wide
+  cfg.shard_replicate_hot = 0.5;
+  serve::Engine engine(cfg);
+  const auto h = engine.register_matrix(a);
+  ASSERT_EQ(engine.explain(h).shards, 2);
+  EXPECT_FALSE(engine.explain(h).replicated);
+
+  // Requests alternate between the placements by salt parity once the
+  // replica exists; every answer must equal the sequential reference.
+  const auto serve_and_check = [&](int requests) {
+    const auto x = oracle_x(a);
+    std::vector<double> y_ref(static_cast<std::size_t>(a.num_rows));
+    baselines::seq::spmv(a, x, y_ref);
+    for (int i = 0; i < requests; ++i) {
+      EXPECT_TRUE(bitwise_equal(engine.submit_spmv(h, x).get().y, y_ref))
+          << "request " << i;
+    }
+  };
+  serve_and_check(16);
+  {
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.replicated_matrices, 1);
+    EXPECT_TRUE(engine.explain(h).replicated);
+    ASSERT_EQ(stats.devices.size(), 4u);
+    for (const auto& d : stats.devices) {
+      EXPECT_GT(d.dispatched, 0) << "both placements must serve";
+      EXPECT_EQ(d.shards_hosted, 1);
+    }
+  }
+
+  // Re-registration (same pattern, new values) resets the replica; the
+  // handle's traffic history survives, so the next request rebuilds it
+  // from the new values.
+  for (double& v : a.val) v *= -0.5;
+  ASSERT_EQ(engine.register_matrix(a), h);
+  EXPECT_EQ(engine.stats().replicated_matrices, 0);
+  EXPECT_FALSE(engine.explain(h).replicated);
+  serve_and_check(8);
+  EXPECT_EQ(engine.stats().replicated_matrices, 1);
+  engine.shutdown();
 }
 
 TEST(EngineSharded, LegacyModeReportsOneSlotPerWorker) {
