@@ -13,9 +13,11 @@
 //   * answers are bitwise-identical at every fleet size (row-block
 //     sharding preserves each row's accumulation order exactly);
 //   * modeled scaling 1 -> 4 homogeneous devices is at least 3x;
-//   * on a heterogeneous "fast*2,slow*2" fleet, bandwidth-weighted
-//     placement beats uniform placement (the slow devices get
-//     proportionally fewer rows, so the fleet-concurrent makespan drops).
+//   * on a heterogeneous "fast*2,slow*2" fleet, cost-model placement
+//     beats uniform placement (shard/placement.hpp: each device's share
+//     is sized so launch floor plus bytes at its bandwidth finish
+//     together, so the slow devices get far fewer rows and the
+//     fleet-concurrent makespan drops).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -200,9 +202,9 @@ int main() {
   report.add_stat("scaling_1_to_4", scaling_4);
 
   // Heterogeneous fleet: 2 fast + 2 slow devices.  Weighted placement
-  // cuts the merge-path staircase proportionally to modeled bandwidth;
-  // uniform placement gives every device the same share, so the slow
-  // pair dominates the makespan.
+  // cuts the merge-path staircase by the launch-floor + bandwidth cost
+  // model (equal predicted finish times); uniform placement gives every
+  // device the same share, so the slow pair dominates the makespan.
   double hetero_modeled[2] = {0.0, 0.0};
   int idx = 0;
   for (const std::string placement : {"weighted", "uniform"}) {
@@ -221,7 +223,7 @@ int main() {
     ++idx;
   }
   require(hetero_modeled[0] < hetero_modeled[1],
-          "weighted placement does not beat uniform on the hetero fleet");
+          "cost-model placement does not beat uniform on the hetero fleet");
   report.add_stat("hetero_weighted_vs_uniform",
                   hetero_modeled[1] / hetero_modeled[0]);
 
@@ -229,7 +231,7 @@ int main() {
   report.write();
   std::puts("\nExpected shape: modeled cost falls near-linearly with fleet"
             " size (halo + launch overhead bound the tail), answers are"
-            " bitwise-identical in every row, and bandwidth-weighted"
-            " placement beats uniform on the mixed fleet.");
+            " bitwise-identical in every row, and cost-model placement"
+            " beats uniform on the mixed fleet.");
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 #include <utility>
 
 #include "core/spadd.hpp"
@@ -618,60 +619,91 @@ MatrixHandle Engine::register_matrix(const sparse::CsrD& a) {
 // ---------------------------------------------------------------------------
 // Sharding
 
-std::vector<double> Engine::placement_weights(
-    const std::vector<int>& ordinals) const {
-  std::vector<double> w(ordinals.size(), 1.0);
+shard::Placement Engine::place(const std::vector<int>& candidates,
+                               const shard::OpCost& cost, int width) const {
   if (cfg_.shard_placement == "weighted") {
-    for (std::size_t i = 0; i < ordinals.size(); ++i) {
-      w[i] = fleet_.weight(static_cast<std::size_t>(ordinals[i]));
+    std::vector<shard::Candidate> slots;
+    slots.reserve(candidates.size());
+    for (const int o : candidates) {
+      slots.push_back({o, fleet_.props(static_cast<std::size_t>(o))});
     }
+    return shard::place(slots, cost, width);
   }
-  return w;
+  shard::Placement p;
+  const std::size_t n =
+      std::min(candidates.size(), static_cast<std::size_t>(width));
+  p.ordinals.assign(candidates.begin(),
+                    candidates.begin() + static_cast<std::ptrdiff_t>(n));
+  p.weights.assign(n, 1.0);
+  return p;
 }
 
 void Engine::build_sharding(MatrixHandle h, const sparse::CsrD& a) {
   if (cfg_.devices <= 0) return;
   const int fleet = static_cast<int>(fleet_.size());
-  // Width: enough shards to give each one >= shard_min_nnz work, capped
-  // by the fleet, the knob, and the row count (a shard must own rows).
+  // Width cap: enough shards to give each one >= shard_min_nnz work,
+  // capped by the fleet, the knob, and the row count (a shard must own
+  // rows).
   long long width64 = std::max<long long>(1, a.nnz() / cfg_.shard_min_nnz);
   width64 = std::min<long long>(width64, std::min(fleet, cfg_.shard_max));
   width64 = std::min<long long>(width64, std::max<index_t>(1, a.num_rows));
   const int width = static_cast<int>(width64);
-  if (width <= 1) {
+  // Candidates ring the fleet from h % fleet, so independent tenants'
+  // primaries spread over equal slots instead of all stacking on slot 0
+  // (the solver's floor sort is stable).
+  const int start = static_cast<int>(h % static_cast<std::uint64_t>(fleet));
+  std::vector<int> ring(static_cast<std::size_t>(fleet));
+  for (int k = 0; k < fleet; ++k) {
+    ring[static_cast<std::size_t>(k)] = (start + k) % fleet;
+  }
+  const shard::OpCost cost = shard::spmv_cost(a);
+  shard::Placement primary;
+  if (width > 1) primary = place(ring, cost, width);
+  if (primary.ordinals.size() <= 1) {
+    // One slot serves it best: unsharded, on whichever slot is free.
     std::lock_guard<std::mutex> lock(shard_mutex_);
     shardings_.erase(h);
     return;
   }
-  // Deterministic placement: consecutive ordinals starting at h % fleet,
-  // so independent tenants' primaries spread over the fleet instead of
-  // all stacking on slot 0.
-  const int start = static_cast<int>(h % static_cast<std::uint64_t>(fleet));
-  std::vector<int> ordinals(static_cast<std::size_t>(width));
-  for (int k = 0; k < width; ++k) {
-    ordinals[static_cast<std::size_t>(k)] = (start + k) % fleet;
+  // The replica's placement: the same op on the slots the primary leaves
+  // free, kept only when it is predicted to finish no later than the
+  // primary (uniform placement: when it gets the primary's full width).
+  std::vector<int> rest;
+  for (const int o : ring) {
+    if (std::find(primary.ordinals.begin(), primary.ordinals.end(), o) ==
+        primary.ordinals.end()) {
+      rest.push_back(o);
+    }
   }
-  auto weights = placement_weights(ordinals);
+  shard::Placement replica;
+  if (!rest.empty()) {
+    replica = place(rest, cost, static_cast<int>(primary.ordinals.size()));
+    const bool pays = cfg_.shard_placement == "weighted"
+                          ? replica.finish_ns <= primary.finish_ns
+                          : replica.ordinals.size() == primary.ordinals.size();
+    if (!pays) replica = shard::Placement{};
+  }
   shard::ShardOptions opt;
   opt.split_2d_nnz = cfg_.shard_2d_nnz;
-  auto sm =
-      std::make_shared<const shard::ShardedMatrix>(a, ordinals, weights, opt);
+  auto sm = std::make_shared<const shard::ShardedMatrix>(
+      a, primary.ordinals, primary.weights, opt);
   std::lock_guard<std::mutex> lock(shard_mutex_);
   Sharding& s = shardings_[h];
   s.primary = std::move(sm);
-  s.primary_ordinals = std::move(ordinals);
+  s.primary_ordinals = std::move(primary.ordinals);
+  s.replica_placement = std::move(replica);
   // Hotness-derived state resets with the registration; the request
   // counter survives (the handle's traffic history is still real).
   s.replica.reset();
-  s.replica_ordinals.clear();
 }
 
 bool Engine::note_sharded_request(MatrixHandle, Sharding& s) {
   ++sharded_requests_total_;
   ++s.requests;
-  if (s.replica || cfg_.shard_replicate_hot <= 0.0) return false;
-  // A replica needs a disjoint second placement of the same width.
-  if (2 * s.primary_ordinals.size() > fleet_.size()) return false;
+  if (s.replica || s.replica_placement.ordinals.empty() ||
+      cfg_.shard_replicate_hot <= 0.0) {
+    return false;
+  }
   // Warm-up floor: one early request is 100% of nothing.
   if (sharded_requests_total_ < 8) return false;
   return static_cast<double>(s.requests) >=
@@ -1217,19 +1249,19 @@ Engine::Lease Engine::acquire_lease(Batch& batch) {
 
   if (sharded_mode && head.kind == Request::Kind::kSpmv) {
     bool build_replica = false;
-    std::vector<int> primary_ordinals;
+    shard::Placement replica_placement;
     {
       std::lock_guard<std::mutex> lock(shard_mutex_);
       const auto it = shardings_.find(head.handle_a);
       if (it != shardings_.end() && it->second.primary) {
         Sharding& s = it->second;
         build_replica = note_sharded_request(head.handle_a, s);
-        primary_ordinals = s.primary_ordinals;
+        if (build_replica) replica_placement = s.replica_placement;
         // Route across the two placements by salt parity: deterministic
         // per request, roughly half the traffic each.
         if (s.replica && (head.salt & 1u) != 0) {
           lease.sharded = s.replica;
-          lease.ordinals = s.replica_ordinals;
+          lease.ordinals = s.replica_placement.ordinals;
           lease.replica = true;
         } else {
           lease.sharded = s.primary;
@@ -1242,33 +1274,28 @@ Engine::Lease Engine::acquire_lease(Batch& batch) {
       // the lock order everywhere is registry before shard.  Losing an
       // install race is harmless — the first install wins.
       const auto a = lookup(head.handle_a);
-      const int width = static_cast<int>(primary_ordinals.size());
-      const int fleet = static_cast<int>(fleet_.size());
-      std::vector<int> ordinals(static_cast<std::size_t>(width));
-      for (int k = 0; k < width; ++k) {
-        ordinals[static_cast<std::size_t>(k)] =
-            (primary_ordinals.front() + width + k) % fleet;
-      }
-      const auto weights = placement_weights(ordinals);
       shard::ShardOptions opt;
       opt.split_2d_nnz = cfg_.shard_2d_nnz;
       auto replica = std::make_shared<const shard::ShardedMatrix>(
-          *a, ordinals, weights, opt);
+          *a, replica_placement.ordinals, replica_placement.weights, opt);
       std::lock_guard<std::mutex> lock(shard_mutex_);
       const auto it = shardings_.find(head.handle_a);
       if (it != shardings_.end() && it->second.primary && !it->second.replica) {
         it->second.replica = std::move(replica);
-        it->second.replica_ordinals = std::move(ordinals);
       }
     }
   } else if (sharded_mode && head.kind != Request::Kind::kSpmv) {
-    // Matrix ops span the whole fleet: shard::spadd/spgemm partition the
-    // output rows across every slot by placement weight.
-    lease.ordinals.resize(fleet_.size());
-    for (std::size_t i = 0; i < fleet_.size(); ++i) {
-      lease.ordinals[i] = static_cast<int>(i);
-    }
-    lease.weights = placement_weights(lease.ordinals);
+    // Matrix ops place over the whole fleet in slot order: shard::spadd /
+    // spgemm partition the output rows across the chosen slots by their
+    // placement weights, and one chosen slot runs the op unsharded.
+    std::vector<int> fleet(fleet_.size());
+    std::iota(fleet.begin(), fleet.end(), 0);
+    const shard::OpCost cost = head.kind == Request::Kind::kSpadd
+                                   ? shard::spadd_cost(*head.a, *head.b)
+                                   : shard::spgemm_cost(*head.a, *head.b);
+    shard::Placement p = place(fleet, cost, static_cast<int>(fleet.size()));
+    lease.ordinals = std::move(p.ordinals);
+    lease.weights = std::move(p.weights);
   }
 
   const std::size_t n_req = batch.reqs.size();

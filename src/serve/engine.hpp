@@ -68,13 +68,15 @@
 //     MPS_SERVE_DEVICE_SPEC) instead of one device per worker.  Each
 //     registered matrix large enough to shard (MPS_SHARD_MIN_NNZ) is
 //     partitioned into nnz-balanced row blocks on the merge-path
-//     staircase, placed on consecutive fleet ordinals starting at
-//     handle % fleet_size, and executed shard-per-device with a modeled
-//     halo exchange (src/shard, docs/sharding.md).  Results stay
-//     bitwise-identical to single-device execution; a handle that draws
-//     more than MPS_SHARD_REPLICATE_HOT of the sharded traffic gets a
-//     second replica placement and requests route across the two by
-//     salt parity.  Device loss quarantines only the lost slot — the
+//     staircase, placed by the cost model in shard/placement.hpp over
+//     the fleet ring starting at handle % fleet_size, and executed
+//     shard-per-device with a modeled halo exchange (src/shard,
+//     docs/sharding.md).  Results stay bitwise-identical to
+//     single-device execution; a handle that draws more than
+//     MPS_SHARD_REPLICATE_HOT of the sharded traffic gets a second
+//     replica placement on the slots its primary leaves free (when the
+//     model predicts it finishes as early) and requests route across
+//     the two by salt parity.  Device loss quarantines only the lost slot — the
 //     DeviceSet re-provisions it with identical properties, so the
 //     shard layout keyed on slot ordinals stays valid.
 //
@@ -110,6 +112,7 @@
 #include "serve/plan_cache.hpp"
 #include "serve/retry_policy.hpp"
 #include "serve/slo.hpp"
+#include "shard/placement.hpp"
 #include "shard/sharded_matrix.hpp"
 #include "vgpu/chaos.hpp"
 #include "sparse/csr.hpp"
@@ -242,9 +245,10 @@ struct EngineConfig {
   /// Min nnz per shard — smaller matrices serve unsharded; <= 0
   /// resolves MPS_SHARD_MIN_NNZ (default 2048).
   long long shard_min_nnz = 0;
-  /// Placement policy: "weighted" (diagonal spans proportional to each
-  /// device's modeled bandwidth) or "uniform"; empty resolves
-  /// MPS_SHARD_PLACEMENT (default "weighted").
+  /// Placement policy: "weighted" (the launch-floor + bandwidth cost
+  /// model of shard/placement.hpp picks each op's slots and diagonal
+  /// spans) or "uniform" (consecutive slots, equal spans); empty
+  /// resolves MPS_SHARD_PLACEMENT (default "weighted").
   std::string shard_placement;
   /// Traffic share past which a sharded handle gets a second replica
   /// placement; < 0 resolves MPS_SHARD_REPLICATE_HOT (default 0.5),
@@ -500,8 +504,11 @@ class Engine {
   struct Sharding {
     std::shared_ptr<const shard::ShardedMatrix> primary;
     std::vector<int> primary_ordinals;
+    /// Where a replica goes once the handle is hot, fixed with the
+    /// primary; no ordinals when no placement on the slots the primary
+    /// leaves free is predicted to finish as early as the primary.
+    shard::Placement replica_placement;
     std::shared_ptr<const shard::ShardedMatrix> replica;  ///< null until hot
-    std::vector<int> replica_ordinals;
     long long requests = 0;  ///< sharded SpMV traffic against this handle
   };
 
@@ -538,11 +545,16 @@ class Engine {
   /// launches and reserves all precede the first set_value).
   void execute_batch(Batch& batch, Lease& lease);
   void handle_device_loss(std::size_t device_index);
-  /// Shard + place a registered matrix (no-op when the fleet or matrix
-  /// is too small); rebuilds deterministically on re-registration.
+  /// Shard + place a registered matrix and plan its replica placement
+  /// (no-op when the fleet or matrix is too small, or the cost model
+  /// picks one slot); rebuilds deterministically on re-registration.
   void build_sharding(MatrixHandle h, const sparse::CsrD& a);
-  /// Placement weights for `ordinals` under cfg_.shard_placement.
-  std::vector<double> placement_weights(const std::vector<int>& ordinals) const;
+  /// Place an op of `cost` on at most `width` of `candidates` (fleet
+  /// ordinals in preference order): the cost-model solver under
+  /// "weighted" placement, the first `width` candidates at weight 1
+  /// under "uniform".
+  shard::Placement place(const std::vector<int>& candidates,
+                         const shard::OpCost& cost, int width) const;
   /// Hot-handle accounting (call with shard_mutex_ held): bump the
   /// handle's sharded-request counter and report whether it just crossed
   /// the replication threshold — the caller builds the replica OUTSIDE

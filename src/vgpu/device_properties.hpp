@@ -59,9 +59,9 @@ struct DeviceProperties {
   double cycles_to_ms(double cycles) const { return cycles / (clock_ghz * 1e6); }
 
   /// Whole-device global-memory bandwidth in bytes per modeled
-  /// nanosecond (num_sms x per-SM bytes/cycle x clock).  The memory-bound
-  /// SpMV throughput proxy the shard placement policy weights device
-  /// shares by (src/shard/partition.hpp, docs/sharding.md).
+  /// nanosecond (num_sms x per-SM bytes/cycle x clock).  The bandwidth
+  /// term of the shard placement cost model (src/shard/placement.hpp,
+  /// docs/sharding.md).
   double global_bytes_per_ns() const {
     return static_cast<double>(num_sms) * global_bytes_per_cycle_per_sm *
            clock_ghz;

@@ -53,7 +53,9 @@ TEST_P(DeviceMergeTest, PairsAreStable) {
     } else {
       EXPECT_EQ(kb[static_cast<std::size_t>(vout[i] - 100000)], kout[i]);
     }
-    if (i) EXPECT_LE(kout[i - 1], kout[i]);
+    if (i) {
+      EXPECT_LE(kout[i - 1], kout[i]);
+    }
   }
   // Stability within each source.
   for (std::size_t i = 1; i < kout.size(); ++i) {
@@ -83,7 +85,9 @@ TEST_P(MergeSortTest, SortsRandom) {
   std::sort(expect.begin(), expect.end());
   const auto stats = device_merge_sort<int>(dev, v);
   EXPECT_EQ(v, expect);
-  if (v.size() > 1408 * 2) EXPECT_GT(stats.rounds, 0);
+  if (v.size() > 1408 * 2) {
+    EXPECT_GT(stats.rounds, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MergeSortTest,

@@ -153,9 +153,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          Regime::kRectTall),
                        ::testing::Values(std::uint64_t{1}, std::uint64_t{2},
                                          std::uint64_t{3})),
-    [](const ::testing::TestParamInfo<std::tuple<Regime, std::uint64_t>>& info) {
-      return regime_name(std::get<0>(info.param)) +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<std::tuple<Regime, std::uint64_t>>& p) {
+      return regime_name(std::get<0>(p.param)) +
+             std::to_string(std::get<1>(p.param));
     });
 
 }  // namespace

@@ -104,8 +104,8 @@ TEST_P(MalformedMatrixMarket, RaisesParseErrorWithLine) {
 
 INSTANTIATE_TEST_SUITE_P(Table, MalformedMatrixMarket,
                          ::testing::ValuesIn(kMalformedInputs),
-                         [](const auto& info) {
-                           return std::string(info.param.name);
+                         [](const auto& p) {
+                           return std::string(p.param.name);
                          });
 
 TEST(MatrixMarketErrors, ParseErrorIsCatchableAsTaxonomyRoot) {

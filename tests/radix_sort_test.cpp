@@ -60,11 +60,15 @@ TEST(CtaRadixSort, PairsFollowKeys) {
     cta_radix_sort<std::uint32_t>(cta, keys, vals, 0, 6);
     for (std::size_t i = 0; i < keys.size(); ++i) {
       EXPECT_EQ(ref[vals[i]], keys[i]);  // value still labels its key
-      if (i) EXPECT_LE(keys[i - 1], keys[i]);
+      if (i) {
+        EXPECT_LE(keys[i - 1], keys[i]);
+      }
     }
     // Stability: equal keys keep ascending original indices.
     for (std::size_t i = 1; i < keys.size(); ++i) {
-      if (keys[i - 1] == keys[i]) EXPECT_LT(vals[i - 1], vals[i]);
+      if (keys[i - 1] == keys[i]) {
+        EXPECT_LT(vals[i - 1], vals[i]);
+      }
     }
   });
 }
@@ -196,7 +200,9 @@ TEST_P(DeviceSortTest, SortsPairs64Stable) {
     EXPECT_EQ(ref[payload[i]], keys[i]);
     if (i) {
       EXPECT_LE(keys[i - 1], keys[i]);
-      if (keys[i - 1] == keys[i]) EXPECT_LT(payload[i - 1], payload[i]);
+      if (keys[i - 1] == keys[i]) {
+        EXPECT_LT(payload[i - 1], payload[i]);
+      }
     }
   }
 }

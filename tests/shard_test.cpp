@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -26,6 +27,7 @@
 #include "serve/engine.hpp"
 #include "shard/exec.hpp"
 #include "shard/partition.hpp"
+#include "shard/placement.hpp"
 #include "shard/sharded_matrix.hpp"
 #include "sparse/compare.hpp"
 #include "sparse/convert.hpp"
@@ -195,6 +197,118 @@ TEST(DeviceSpec, StrictParsingNamesTheSource) {
               std::string::npos)
         << e.what();
   }
+}
+
+// ---------------------------------------------------------------------------
+// place(): the launch-floor + bandwidth cost model.
+
+/// Every slot of `spec` as a candidate, in ring order from `start`.
+std::vector<Candidate> ring_candidates(const std::string& spec, int n,
+                                       int start) {
+  const auto entries = vgpu::parse_device_spec(spec, n);
+  std::vector<Candidate> out;
+  for (int k = 0; k < n; ++k) {
+    const int o = (start + k) % n;
+    out.push_back({o, entries[static_cast<std::size_t>(o)].props});
+  }
+  return out;
+}
+
+TEST(Placement, IdenticalSlotsKeepBandwidthWeightsAndDropNothing) {
+  const auto a = make_regime_matrix(Regime::kUniform, 1);
+  for (const double bytes : {spmv_cost(a).bytes, 1e3, 1e10}) {
+    for (const int width : {2, 3, 4}) {
+      const auto cands = ring_candidates("titan", 4, 3);
+      const Placement p = place(cands, {bytes, 1}, width);
+      ASSERT_EQ(p.ordinals.size(), static_cast<std::size_t>(width));
+      for (int k = 0; k < width; ++k) {
+        EXPECT_EQ(p.ordinals[static_cast<std::size_t>(k)], (3 + k) % 4);
+        // Exactly the bandwidth weight: the same cuts bit for bit.
+        EXPECT_EQ(p.weights[static_cast<std::size_t>(k)],
+                  vgpu::throughput_weight(vgpu::gtx_titan()));
+      }
+    }
+  }
+}
+
+TEST(Placement, SmallWorkDropsTheSlowPair) {
+  // A serving-size SpMV: the slow parts' 7.3 us launch floor alone
+  // exceeds the fast pair's balanced finish time.
+  const auto a = make_regime_matrix(Regime::kUniform, 1);
+  for (int start = 0; start < 4; ++start) {
+    const Placement p =
+        place(ring_candidates("fast*2,slow*2", 4, start), spmv_cost(a), 4);
+    std::vector<int> chosen = p.ordinals;
+    std::sort(chosen.begin(), chosen.end());
+    EXPECT_EQ(chosen, (std::vector<int>{0, 1})) << "start " << start;
+    ASSERT_EQ(p.weights.size(), 2u);
+    EXPECT_EQ(p.weights[0], p.weights[1]);
+    EXPECT_LT(p.finish_ns, launch_floor_ns(vgpu::slow_profile()));
+  }
+}
+
+TEST(Placement, LargeWorkKeepsAllFourWithEqualFinishTimes) {
+  for (const int launches : {1, 5, 17}) {
+    const OpCost cost{2e9, launches};
+    const Placement p =
+        place(ring_candidates("fast*2,slow*2", 4, 2), cost, 4);
+    ASSERT_EQ(p.ordinals.size(), 4u);
+    const auto entries = vgpu::parse_device_spec("fast*2,slow*2", 4);
+    double total = 0.0;
+    for (const double w : p.weights) total += w;
+    for (std::size_t i = 0; i < p.ordinals.size(); ++i) {
+      const auto& props =
+          entries[static_cast<std::size_t>(p.ordinals[i])].props;
+      // Each slot's share of the bytes, run at its own bandwidth after
+      // its launch floors, ends at the predicted T.
+      const double t = launches * launch_floor_ns(props) +
+                       cost.bytes * p.weights[i] / total /
+                           props.global_bytes_per_ns();
+      EXPECT_NEAR(t, p.finish_ns, 1e-12 * p.finish_ns)
+          << "slot " << p.ordinals[i] << " L " << launches;
+    }
+  }
+}
+
+TEST(Placement, WidthCapHolds) {
+  const auto hetero = ring_candidates("fast*2,slow*2", 4, 0);
+  for (int width = 1; width <= 4; ++width) {
+    const Placement p = place(hetero, {2e9, 1}, width);
+    EXPECT_EQ(p.ordinals.size(), static_cast<std::size_t>(width));
+    // The floor sort fills the fast pair first.
+    EXPECT_EQ(p.ordinals.front(), 0);
+    for (const double w : p.weights) EXPECT_GT(w, 0.0);
+  }
+  EXPECT_EQ(place(ring_candidates("titan", 8, 5), {1e3, 1}, 3).ordinals,
+            (std::vector<int>{5, 6, 7}));
+}
+
+TEST(Placement, LaunchCountsMatchTheKernels) {
+  // The L the engine places SpAdd/SpGEMM with must be what one call
+  // actually launches (the SpGEMM global sort's pass count follows the
+  // key width, so the regimes cover several shapes).
+  for (const Regime r : kAllRegimes) {
+    const auto a = make_regime_matrix(r, 1);
+    const auto at = sparse::transpose(a);
+    vgpu::Device dev;
+    sparse::CsrD c;
+    core::merge::spadd_csr(dev, a, a, c);
+    EXPECT_EQ(static_cast<std::size_t>(spadd_cost(a, a).launches),
+              dev.log().size())
+        << regime_name(r);
+    dev.clear_log();
+    core::merge::spgemm(dev, a, at, c);
+    EXPECT_EQ(static_cast<std::size_t>(spgemm_cost(a, at).launches),
+              dev.log().size())
+        << regime_name(r);
+  }
+  // No products: the setup and its scan, then nothing.
+  const sparse::CsrD empty(5, 5);
+  vgpu::Device dev;
+  sparse::CsrD c;
+  core::merge::spgemm(dev, empty, empty, c);
+  EXPECT_EQ(static_cast<std::size_t>(spgemm_cost(empty, empty).launches),
+            dev.log().size());
 }
 
 // ---------------------------------------------------------------------------
@@ -579,6 +693,113 @@ TEST(EngineSharded, HotMatrixGetsABitwiseReplica) {
   serve_and_check(8);
   EXPECT_EQ(engine.stats().replicated_matrices, 1);
   engine.shutdown();
+}
+
+serve::EngineConfig hetero_config() {
+  serve::EngineConfig cfg = sharded_config(4);
+  cfg.device_spec = "fast*2,slow*2";
+  return cfg;
+}
+
+TEST(EngineSharded, HeteroFleetServesServingSizeMatricesOnTheFastPair) {
+  // The cost model's gain, pinned: a serving-size matrix (width cap 4)
+  // leaves the slow pair out, because their launch floor alone exceeds
+  // the fast pair's balanced finish time, and so finishes earlier than
+  // the bandwidth-weighted 4-wide layout it replaced.
+  EnvVarGuard no_chaos("MPS_CHAOS_SCRIPT", nullptr);
+  const auto a = make_regime_matrix(Regime::kUniform, 1);  // 4800 nnz
+  const auto b = make_regime_matrix(Regime::kUniform, 2);
+  const auto x = oracle_x(a);
+  std::vector<double> y_ref(static_cast<std::size_t>(a.num_rows));
+  baselines::seq::spmv(a, x, y_ref);
+
+  serve::EngineConfig cfg = hetero_config();
+  cfg.batch_window = 4;
+  serve::Engine engine(cfg);
+  const auto h = engine.register_matrix(a);
+  const auto hb = engine.register_matrix(b);
+  const serve::PlanExplain ex = engine.explain(h);
+  ASSERT_TRUE(ex.sharded);
+  std::vector<int> devices = ex.shard_devices;
+  std::sort(devices.begin(), devices.end());
+  EXPECT_EQ(devices, (std::vector<int>{0, 1}));
+
+  const serve::SpmvResult lone = engine.submit_spmv(h, x).get();
+  EXPECT_TRUE(bitwise_equal(lone.y, y_ref));
+
+  // A coalesced batch runs one sharded SpMM; every column is bitwise.
+  engine.pause();
+  std::vector<std::future<serve::SpmvResult>> futures;
+  for (int i = 0; i < 4; ++i) futures.push_back(engine.submit_spmv(h, x));
+  engine.resume();
+  for (auto& f : futures) {
+    const serve::SpmvResult r = f.get();
+    EXPECT_EQ(r.batch_size, 4);
+    EXPECT_TRUE(bitwise_equal(r.y, y_ref));
+  }
+
+  // Serving-size matrix ops lease the fast pair too.
+  vgpu::Device flat_dev;
+  sparse::CsrD add_ref;
+  sparse::CsrD gemm_ref;
+  core::merge::spadd_csr(flat_dev, a, b, add_ref);
+  core::merge::spgemm(flat_dev, a, b, gemm_ref);
+  EXPECT_TRUE(csr_bitwise_equal(engine.submit_spadd(h, hb).get().c, add_ref));
+  EXPECT_TRUE(
+      csr_bitwise_equal(engine.submit_spgemm(h, hb).get().c, gemm_ref));
+  engine.shutdown();
+  const auto stats = engine.stats();
+  ASSERT_EQ(stats.devices.size(), 4u);
+  EXPECT_GT(stats.devices[0].dispatched, 0);
+  EXPECT_GT(stats.devices[1].dispatched, 0);
+  EXPECT_EQ(stats.devices[2].dispatched, 0);
+  EXPECT_EQ(stats.devices[3].dispatched, 0);
+
+  // The layout it replaced: all four slots, cut by bandwidth alone, with
+  // the same per-shard plans the engine builds (autotune off).
+  vgpu::DeviceSet fleet(vgpu::parse_device_spec(cfg.device_spec, 4));
+  std::vector<vgpu::Device*> ptrs;
+  std::vector<double> weights;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    ptrs.push_back(&fleet.device(i));
+    weights.push_back(fleet.weight(i));
+  }
+  const ShardedMatrix wide(a, std::vector<int>{0, 1, 2, 3}, weights);
+  std::vector<std::shared_ptr<const autotune::TunedPlan>> plans;
+  for (const Shard& sh : wide.shards()) {
+    plans.push_back(std::make_shared<const autotune::TunedPlan>(
+        *ptrs[static_cast<std::size_t>(sh.device)], sh.local, 1));
+  }
+  std::vector<double> y(static_cast<std::size_t>(a.num_rows));
+  const double wide_ms = spmv_tuned(wide, ptrs, plans, x, y).modeled_ms;
+  EXPECT_TRUE(bitwise_equal(y, y_ref));
+  EXPECT_LT(lone.modeled_ms, wide_ms);
+}
+
+TEST(EngineSharded, HeteroFleetBuildsNoSlowReplica) {
+  // The only slots a fast-pair primary leaves free are the slow pair,
+  // whose predicted finish time is later than the primary's, so the hot
+  // tenant gets no replica and its traffic stays on the fast pair
+  // (HotMatrixGetsABitwiseReplica covers the titan fleet, where it does).
+  EnvVarGuard no_chaos("MPS_CHAOS_SCRIPT", nullptr);
+  const auto a = make_regime_matrix(Regime::kUniform, 1);  // 4800 nnz
+  serve::EngineConfig cfg = hetero_config();
+  cfg.shard_replicate_hot = 0.5;
+  serve::Engine engine(cfg);
+  const auto h = engine.register_matrix(a);
+  const auto x = oracle_x(a);
+  std::vector<double> y_ref(static_cast<std::size_t>(a.num_rows));
+  baselines::seq::spmv(a, x, y_ref);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_TRUE(bitwise_equal(engine.submit_spmv(h, x).get().y, y_ref))
+        << "request " << i;
+  }
+  engine.shutdown();
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.replicated_matrices, 0);
+  EXPECT_FALSE(engine.explain(h).replicated);
+  ASSERT_EQ(stats.devices.size(), 4u);
+  EXPECT_EQ(stats.devices[2].dispatched + stats.devices[3].dispatched, 0);
 }
 
 TEST(EngineSharded, LegacyModeReportsOneSlotPerWorker) {

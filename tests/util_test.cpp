@@ -128,7 +128,9 @@ TEST(Rng, SampleDistinctSorted) {
       ASSERT_EQ(s.size(), k);
       for (std::size_t i = 0; i < s.size(); ++i) {
         EXPECT_LT(s[i], n);
-        if (i) EXPECT_LT(s[i - 1], s[i]);
+        if (i) {
+          EXPECT_LT(s[i - 1], s[i]);
+        }
       }
     }
   }
