@@ -126,7 +126,7 @@ std::vector<SpgemmRow> run_spgemm_suite(
     const std::vector<workloads::SuiteEntry>& suite) {
   // Native-scale footprint per intermediate product (bytes): the merge
   // scheme stores a 16-bit permutation, head bits and the block-reduced
-  // tuple subset; batched ESC streams keys+values through the global sort.
+  // tuple subset; ESC (cusp-like) streams keys+values through the global sort.
   constexpr double kMergeBytesPerProduct = 4.5;
   constexpr double kEscBytesPerProduct = 8.0;
   constexpr double kDeviceBytes = 6.0 * 1024 * 1024 * 1024;

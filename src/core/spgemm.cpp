@@ -31,7 +31,7 @@ std::uint64_t pack_tuple(index_t row, index_t col, int col_bits) {
 /// For phase == 0 this is the plain [cta * tile, (cta+1) * tile) tiling.
 struct ProductTiling {
   std::size_t tile;
-  std::size_t phase;   ///< product_origin % tile
+  std::size_t phase;   ///< global origin % tile
   std::size_t n_prod;  ///< local product count
   int num_ctas() const {
     return static_cast<int>(ceil_div(n_prod + phase, tile));
@@ -85,10 +85,42 @@ void charge_expansion(vgpu::Cta& cta, std::size_t a_nnz, std::size_t count,
   cta.charge_alu_uniform(2 * count);
 }
 
+/// The numeric half of a one-shot multiply: runs `plan` into `c` and
+/// splits its time over Fig 11's two numeric phases using the kernel log
+/// (the last two launches are products + reduce).
+SpgemmStats finish_one_shot(vgpu::Device& device, const CsrD& a,
+                            const CsrD& b, const SpgemmPlan& plan,
+                            SpgemmStats stats, CsrD& c,
+                            const util::WallTimer& wall) {
+  if (stats.num_products == 0) {
+    c = CsrD(a.num_rows, b.num_cols);
+    stats.wall_ms = wall.milliseconds();
+    return stats;
+  }
+  const std::size_t log_before = device.log().size();
+  spgemm_numeric(device, a, b, plan, c);
+  for (std::size_t i = log_before; i < device.log().size(); ++i) {
+    const auto& k = device.log()[i];
+    if (k.name == "merge.spgemm_reduce") {
+      stats.phases.product_reduce_ms += k.modeled_ms;
+    } else {
+      stats.phases.product_compute_ms += k.modeled_ms;
+    }
+  }
+  stats.wall_ms = wall.milliseconds();
+  return stats;
+}
+
 }  // namespace
 
 SpgemmStats spgemm_symbolic(vgpu::Device& device, const CsrD& a, const CsrD& b,
-                            SpgemmPlan& out_plan, const SpgemmConfig& cfg) {
+                            SpgemmPlan& plan, const SpgemmConfig& cfg) {
+  return SpgemmPlan::build(device, a, b, plan, cfg, 0);
+}
+
+SpgemmStats SpgemmPlan::build(vgpu::Device& device, const CsrD& a,
+                              const CsrD& b, SpgemmPlan& out_plan,
+                              const SpgemmConfig& cfg, std::uint64_t origin) {
   MPS_CHECK(a.num_cols == b.num_rows);
   if (sparse::strict_validation()) {
     sparse::validate_csr(a, "spgemm: A");
@@ -112,7 +144,7 @@ SpgemmStats spgemm_symbolic(vgpu::Device& device, const CsrD& a, const CsrD& b,
                                     std::max<index_t>(a.num_rows, 1))));
   const int rank_bits = log2_ceil(tile);
   plan.col_bits_ = col_bits;
-  plan.phase_ = static_cast<std::size_t>(cfg.product_origin % tile);
+  plan.phase_ = static_cast<std::size_t>(origin % tile);
 
   // ======================= Setup =======================================
   // Row ids of A's nonzeros and the segmented product-offset scan S.
@@ -483,26 +515,39 @@ SpgemmStats spgemm(vgpu::Device& device, const CsrD& a, const CsrD& b, CsrD& c,
                    const SpgemmConfig& cfg) {
   util::WallTimer wall;
   SpgemmPlan plan;
-  SpgemmStats stats = spgemm_symbolic(device, a, b, plan, cfg);
-  if (stats.num_products == 0) {
-    c = CsrD(a.num_rows, b.num_cols);
-    stats.wall_ms = wall.milliseconds();
-    return stats;
-  }
-  // Split the numeric time across the two Fig 11 phases using the kernel
-  // log (the last two launches are products + reduce).
-  const std::size_t log_before = device.log().size();
-  spgemm_numeric(device, a, b, plan, c);
-  for (std::size_t i = log_before; i < device.log().size(); ++i) {
-    const auto& k = device.log()[i];
-    if (k.name == "merge.spgemm_reduce") {
-      stats.phases.product_reduce_ms += k.modeled_ms;
-    } else {
-      stats.phases.product_compute_ms += k.modeled_ms;
+  const SpgemmStats stats = spgemm_symbolic(device, a, b, plan, cfg);
+  return finish_one_shot(device, a, b, plan, stats, c, wall);
+}
+
+std::vector<std::uint64_t> spgemm_row_prefix(const CsrD& a, const CsrD& b) {
+  MPS_CHECK(a.num_cols == b.num_rows);
+  const auto num_rows = static_cast<std::size_t>(a.num_rows);
+  std::vector<std::uint64_t> prefix(num_rows + 1, 0);
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    std::uint64_t row_products = 0;
+    for (index_t k = a.row_offsets[r]; k < a.row_offsets[r + 1]; ++k) {
+      row_products += static_cast<std::uint64_t>(
+          b.row_length(a.col[static_cast<std::size_t>(k)]));
     }
+    prefix[r + 1] = prefix[r] + row_products;
   }
-  stats.wall_ms = wall.milliseconds();
-  return stats;
+  return prefix;
+}
+
+SpgemmStats spgemm_row_block(vgpu::Device& device, const CsrD& a,
+                             const CsrD& b,
+                             std::span<const std::uint64_t> row_prefix,
+                             index_t row_begin, index_t row_end, CsrD& c_block,
+                             const SpgemmConfig& cfg) {
+  MPS_CHECK(row_prefix.size() == static_cast<std::size_t>(a.num_rows) + 1);
+  MPS_CHECK(0 <= row_begin && row_begin <= row_end && row_end <= a.num_rows);
+  util::WallTimer wall;
+  const CsrD block = sparse::row_slice(a, row_begin, row_end);
+  SpgemmPlan plan;
+  const SpgemmStats stats =
+      SpgemmPlan::build(device, block, b, plan, cfg,
+                        row_prefix[static_cast<std::size_t>(row_begin)]);
+  return finish_one_shot(device, block, b, plan, stats, c_block, wall);
 }
 
 }  // namespace mps::core::merge

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -40,13 +41,6 @@ struct SpgemmConfig {
   bool force_pair_sort = false;
   /// Disable bit-limiting: always sort full 32-bit columns (ablation).
   bool force_full_bits = false;
-  /// Global product index of this instance's first product.  The CTA
-  /// tiling is aligned so boundaries fall at multiples of tile() in the
-  /// *global* product stream; spgemm_chunked passes each chunk's product
-  /// prefix here so per-tuple partial-sum grouping — and therefore every
-  /// floating-point sum — matches the flat path bit for bit.  Leave 0
-  /// for standalone use.
-  std::uint64_t product_origin = 0;
   int tile() const { return block_threads * items_per_thread; }
 };
 
@@ -81,6 +75,31 @@ SpgemmStats spgemm(vgpu::Device& device, const sparse::CsrD& a,
                    const sparse::CsrD& b, sparse::CsrD& c,
                    const SpgemmConfig& cfg = {});
 
+// Row blocks: the one rule that makes a row-split SpGEMM (spgemm_chunked,
+// shard::spgemm) bitwise identical to flat.  A block of whole rows of A
+// owns every product of its output rows, so no sum crosses a block.  Its
+// products are tiled as if they sat at their *global* position in the
+// flat product stream — CTA boundaries at multiples of tile() counted
+// from product 0 of the whole A — so each output tuple's products group
+// into the same per-CTA partial sums, added in the same order, as flat's.
+
+/// Per-row product prefix of A x B: entry r is the global index of row
+/// r's first intermediate product (a.num_rows + 1 entries; the last is
+/// the total product count).
+std::vector<std::uint64_t> spgemm_row_prefix(const sparse::CsrD& a,
+                                             const sparse::CsrD& b);
+
+/// Rows [row_begin, row_end) of C = A x B into `c_block` (row_end -
+/// row_begin rows, B's columns), tiled at the block's global product
+/// origin row_prefix[row_begin] (`row_prefix` from spgemm_row_prefix).
+/// Bitwise equal to those rows of spgemm(a, b); same strong guarantee.
+SpgemmStats spgemm_row_block(vgpu::Device& device, const sparse::CsrD& a,
+                             const sparse::CsrD& b,
+                             std::span<const std::uint64_t> row_prefix,
+                             index_t row_begin, index_t row_end,
+                             sparse::CsrD& c_block,
+                             const SpgemmConfig& cfg = {});
+
 /// Reusable symbolic state: everything that depends only on the sparsity
 /// patterns of A and B.  Amortizes the setup/block-sort/global-sort work
 /// across repeated multiplications with identical structure (the AMG and
@@ -100,6 +119,17 @@ class SpgemmPlan {
   index_t output_nnz() const { return pattern_.nnz(); }
 
  private:
+  /// The symbolic phase with CTA tiles aligned to global product `origin`
+  /// (0 for a whole matrix; a row block's prefix for spgemm_row_block).
+  static SpgemmStats build(vgpu::Device& device, const sparse::CsrD& a,
+                           const sparse::CsrD& b, SpgemmPlan& out_plan,
+                           const SpgemmConfig& cfg, std::uint64_t origin);
+
+  friend SpgemmStats spgemm_row_block(vgpu::Device&, const sparse::CsrD&,
+                                      const sparse::CsrD&,
+                                      std::span<const std::uint64_t>, index_t,
+                                      index_t, sparse::CsrD&,
+                                      const SpgemmConfig&);
   friend SpgemmStats spgemm_symbolic(vgpu::Device&, const sparse::CsrD&,
                                      const sparse::CsrD&, SpgemmPlan&,
                                      const SpgemmConfig&);
@@ -111,7 +141,7 @@ class SpgemmPlan {
   long long num_products_ = -1;
   int col_bits_ = 0;
   int num_ctas_ = 0;
-  std::size_t phase_ = 0;  ///< product_origin % tile: first CTA's shortfall
+  std::size_t phase_ = 0;  ///< origin % tile: first CTA's shortfall
   std::vector<std::uint64_t> prod_offsets_;   ///< S: per-A-nonzero scan
   std::vector<index_t> a_rows_;               ///< row id per A nonzero
   std::vector<std::uint16_t> perm16_;         ///< per-product local permutation

@@ -1,9 +1,10 @@
 #include "core/spgemm_adaptive.hpp"
 
+#include <algorithm>
+
 #include "baselines/rowwise.hpp"
 #include "baselines/seq.hpp"
 #include "util/timer.hpp"
-#include "vgpu/memory_model.hpp"
 
 namespace mps::core::merge {
 
@@ -14,33 +15,15 @@ AdaptiveStats spgemm_adaptive(vgpu::Device& device, const CsrD& a, const CsrD& b
   util::WallTimer wall;
   AdaptiveStats stats;
   stats.num_products = baselines::seq::spgemm_num_products(a, b);
-  const auto n_prod = static_cast<std::size_t>(stats.num_products);
-
-  // Footprint of the flat path's temporaries (see spgemm.cpp): perm16 +
-  // head bits + S + the unique-tuple arrays (bounded by n_prod) + the
-  // global sort's ping-pong buffer.
-  const std::size_t flat_bytes =
-      n_prod * (sizeof(std::uint16_t) + 2) +
-      static_cast<std::size_t>(a.nnz() + 1) * sizeof(std::uint64_t) +
-      n_prod / 4 * (sizeof(std::uint64_t) + sizeof(double));
-  const std::size_t free_bytes =
-      device.memory().capacity() - device.memory().in_use();
 
   const double rows = std::max<double>(1.0, static_cast<double>(a.num_rows));
-  const double products_per_row = static_cast<double>(n_prod) / rows;
+  const double products_per_row = static_cast<double>(stats.num_products) / rows;
   const double density =
       products_per_row / std::max<double>(1.0, static_cast<double>(b.num_cols));
 
-  if (flat_bytes >
-      static_cast<std::size_t>(cfg.memory_fraction * static_cast<double>(free_bytes))) {
-    stats.used_segmented = true;
-    stats.reason = "memory";
-  } else if (density > cfg.density_threshold) {
+  if (density > cfg.density_threshold) {
     stats.used_segmented = true;
     stats.reason = "dense-like";
-  }
-
-  if (stats.used_segmented) {
     const auto op = baselines::rowwise::spgemm(device, a, b, c);
     stats.modeled_ms = op.modeled_ms;
   } else {
@@ -48,11 +31,10 @@ AdaptiveStats spgemm_adaptive(vgpu::Device& device, const CsrD& a, const CsrD& b
       stats.flat_stats = spgemm(device, a, b, c, cfg.flat);
       stats.modeled_ms = stats.flat_stats.modeled_ms();
     } catch (const vgpu::DeviceOomError&) {
-      // The prediction was optimistic; flat unwound cleanly (accounting
-      // restored, c untouched), so retry with the bounded-footprint
-      // chunked pipeline — bitwise identical to what flat would have
-      // produced.
-      ChunkedConfig chunk_cfg = cfg.chunked;
+      // Flat unwound cleanly (accounting restored, c untouched), so retry
+      // with the bounded-footprint chunked pipeline — bitwise identical
+      // to what flat would have produced.
+      ChunkedConfig chunk_cfg;
       chunk_cfg.flat = cfg.flat;
       stats.used_chunked = true;
       stats.reason = "oom-retry";

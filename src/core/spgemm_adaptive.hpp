@@ -3,20 +3,16 @@
 //
 // Sort-based SpGEMM pays for its obliviousness when the intermediate is
 // huge relative to the output (Dense: near-zero duplicates per CTA, so
-// the global pass sorts almost everything) or simply does not fit in
-// device memory.  The adaptive driver estimates, from the setup scan
-// alone (no extra passes):
+// the global pass sorts almost everything).  spgemm_adaptive has
+// three tiers:
 //
-//   * the intermediate's device footprint, and
-//   * the expansion ratio num_products / |A| together with the mean
-//     products-per-output-row density,
-//
-// and switches to the segmented row-wise scheme when the flat path would
-// overflow memory or the density heuristic marks the instance dense-like.
-// When the estimate is wrong in the optimistic direction — the flat path
-// runs and still hits DeviceOomError — the driver retries with the
-// bounded-footprint chunked pipeline (reason "oom-retry"), which is
-// bitwise identical to flat.
+//   * dense-like — the expansion's mean products per output row, from the
+//     setup scan alone, exceeds density_threshold of the output row
+//     width: the segmented row-wise scheme (reason "dense-like");
+//   * otherwise the flat merge pipeline (reason "flat");
+//   * when flat throws DeviceOomError, real or injected: the bounded-
+//     footprint chunked pipeline at its default budget (reason
+//     "oom-retry"), bitwise identical to what flat would have produced.
 
 #include "core/spgemm.hpp"
 #include "core/spgemm_chunked.hpp"
@@ -30,18 +26,12 @@ struct AdaptiveConfig {
   /// Use the segmented path when estimated products-per-row exceeds this
   /// fraction of the output row width (dense-like detection).
   double density_threshold = 0.5;
-  /// Use the segmented path when the flat path's temporaries would exceed
-  /// this fraction of free device memory.
-  double memory_fraction = 0.9;
-  /// Chunk sizing for the oom-retry tier (its `flat` member is ignored;
-  /// the adaptive `flat` config is forwarded).
-  ChunkedConfig chunked;
 };
 
 struct AdaptiveStats {
   bool used_segmented = false;
   bool used_chunked = false;
-  /// "flat" | "dense-like" | "memory" | "oom-retry"
+  /// "flat" | "dense-like" | "oom-retry"
   const char* reason = "flat";
   long long num_products = 0;
   double modeled_ms = 0.0;
@@ -51,8 +41,8 @@ struct AdaptiveStats {
 };
 
 /// C = A x B, choosing between the merge (flat), segmented row-wise, and
-/// chunked merge schemes per instance.  Never throws DeviceOomError for
-/// lack of temporary space — that is the point.
+/// chunked merge schemes per instance.  Throws DeviceOomError only when
+/// chunked does too: one row of A alone overflows the device.
 AdaptiveStats spgemm_adaptive(vgpu::Device& device, const sparse::CsrD& a,
                               const sparse::CsrD& b, sparse::CsrD& c,
                               const AdaptiveConfig& cfg = {});

@@ -23,6 +23,11 @@ std::size_t chunk_footprint(std::uint64_t n_prod, std::uint64_t a_nnz) {
   return static_cast<std::size_t>(40 * n_prod + 16 * a_nnz + 4096);
 }
 
+/// Share of free device memory a chunk may claim when no budget is given.
+/// Below 1.0 leaves headroom because chunk_footprint is an estimate of
+/// the sort's transient allocations, not an exact charge.
+constexpr double kFreeMemoryFraction = 0.5;
+
 }  // namespace
 
 ChunkedSpgemmStats spgemm_chunked(vgpu::Device& device, const CsrD& a,
@@ -36,19 +41,9 @@ ChunkedSpgemmStats spgemm_chunked(vgpu::Device& device, const CsrD& a,
   util::WallTimer wall;
   ChunkedSpgemmStats stats;
 
-  // Per-row product prefix: P[r] = global product index of row r's first
-  // intermediate product.  This is both the chunking measure and each
-  // chunk's product_origin.
+  // The chunking measure and each chunk's tile origin (spgemm_row_block).
+  const std::vector<std::uint64_t> P = spgemm_row_prefix(a, b);
   const auto num_rows = static_cast<std::size_t>(a.num_rows);
-  std::vector<std::uint64_t> P(num_rows + 1, 0);
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    std::uint64_t row_products = 0;
-    for (index_t k = a.row_offsets[r]; k < a.row_offsets[r + 1]; ++k) {
-      row_products +=
-          static_cast<std::uint64_t>(b.row_length(a.col[static_cast<std::size_t>(k)]));
-    }
-    P[r + 1] = P[r] + row_products;
-  }
   stats.num_products = static_cast<long long>(P[num_rows]);
 
   const std::size_t free_bytes =
@@ -56,7 +51,7 @@ ChunkedSpgemmStats spgemm_chunked(vgpu::Device& device, const CsrD& a,
   stats.chunk_budget_bytes =
       cfg.chunk_bytes > 0
           ? cfg.chunk_bytes
-          : static_cast<std::size_t>(cfg.memory_fraction *
+          : static_cast<std::size_t>(kFreeMemoryFraction *
                                      static_cast<double>(free_bytes));
 
   // Built locally and assigned to `c` only on success (strong guarantee).
@@ -77,13 +72,10 @@ ChunkedSpgemmStats spgemm_chunked(vgpu::Device& device, const CsrD& a,
       ++r1;
     }
 
-    const CsrD sub = sparse::row_slice(a, static_cast<index_t>(r0),
-                                       static_cast<index_t>(r1));
-
-    SpgemmConfig chunk_cfg = cfg.flat;
-    chunk_cfg.product_origin = P[r0];
     CsrD c_sub;
-    const SpgemmStats sub_stats = spgemm(device, sub, b, c_sub, chunk_cfg);
+    const SpgemmStats sub_stats =
+        spgemm_row_block(device, a, b, P, static_cast<index_t>(r0),
+                         static_cast<index_t>(r1), c_sub, cfg.flat);
 
     stats.phases.setup_ms += sub_stats.phases.setup_ms;
     stats.phases.block_sort_ms += sub_stats.phases.block_sort_ms;

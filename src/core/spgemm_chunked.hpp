@@ -1,26 +1,26 @@
 #pragma once
-// Chunked merge-path SpGEMM: the OOM-graceful fallback for the paper's
-// Dense case, where the flat pipeline's intermediate product stream does
-// not fit in device memory.
+// Chunked merge-path SpGEMM: the one bounded-memory SpGEMM, and the
+// fallback for the paper's Dense case, where the flat pipeline's
+// intermediate product stream does not fit in device memory.
 //
 // A is split into contiguous whole-row chunks sized so each chunk's
-// device footprint stays under a configurable budget; the flat merge
-// pipeline runs per chunk and the per-chunk outputs are stitched into C.
+// device footprint stays under a budget; each chunk runs the flat merge
+// pipeline as a row block (spgemm_row_block) and the per-chunk outputs
+// are stitched into C.
 //
 // The stitched result is BITWISE identical to the flat path's:
 //
 //   * chunks are whole-row ranges, so every output tuple's intermediate
 //     products live entirely inside one chunk — no partial sum ever
 //     crosses a chunk boundary;
-//   * each chunk passes its global product prefix as
-//     SpgemmConfig::product_origin, aligning CTA tile boundaries to the
-//     *global* product stream; the per-tuple partial-sum grouping (which
-//     products each CTA reduces together) therefore matches flat
-//     exactly, and floating-point sums follow the identical association
-//     order.
+//   * each chunk is tiled at its global product prefix (the row-block
+//     rule in spgemm.hpp), so the per-tuple partial-sum grouping (which
+//     products each CTA reduces together) matches flat exactly, and
+//     floating-point sums follow the identical association order.
 //
-// Throws vgpu::DeviceOomError only when a single row's expansion alone
-// exceeds the budgetable memory (rows are the atomic unit).
+// Rows are the atomic unit: a chunk never splits one row of A.  When a
+// single row's expansion alone exceeds the memory available, the chunk
+// holding it throws vgpu::DeviceOomError.
 
 #include <cstddef>
 
@@ -32,13 +32,9 @@ namespace mps::core::merge {
 
 struct ChunkedConfig {
   SpgemmConfig flat;  ///< geometry forwarded to each chunk's pipeline
-  /// Absolute per-chunk device budget in bytes; 0 derives the budget
-  /// from free device memory via memory_fraction.
+  /// Absolute per-chunk device budget in bytes; 0 gives each chunk half
+  /// of the device's free memory.
   std::size_t chunk_bytes = 0;
-  /// Fraction of free device memory each chunk may claim (used when
-  /// chunk_bytes == 0).  Below 1.0 leaves headroom for the sort's
-  /// transient allocations being estimates, not exact charges.
-  double memory_fraction = 0.5;
 };
 
 struct ChunkedSpgemmStats {

@@ -184,10 +184,10 @@ ExecStats run_rowwise(const ShardedMatrix& sm,
 
 /// Scatter/compute/stitch for the matrix-output entry points: A's rows
 /// are cut into one block per slot on `staircase` by `weights`, block i
-/// runs on devices[ordinals[i]] over A's row slice, and the per-block
-/// outputs concatenate row-wise into C.  `halo(dev)` is the block's
-/// modeled input transfer; `kernel(dev, block, sub_a, sub_c)` fills the
-/// block's output and returns its modeled ms.
+/// runs on devices[ordinals[i]], and the per-block outputs concatenate
+/// row-wise into C.  `halo(dev)` is the block's modeled input transfer;
+/// `kernel(dev, block, sub_c)` fills the block's output rows and returns
+/// its modeled ms.
 template <typename Halo, typename Kernel>
 ExecStats run_row_blocks(const sparse::CsrD& a, index_t out_cols,
                          std::span<const index_t> staircase,
@@ -198,20 +198,15 @@ ExecStats run_row_blocks(const sparse::CsrD& a, index_t out_cols,
   MPS_CHECK(!weights.empty() && weights.size() == ordinals.size());
   const auto blocks = partition_rows(staircase, weights);
   sparse::CsrD out(0, out_cols);
-  sparse::CsrD sub_a;
   const Tally t = run_slices(
       devices, blocks.size(), phase,
       [&](std::size_t i) {
         return blocks[i].row_end == blocks[i].row_begin ? -1 : ordinals[i];
       },
-      [&](std::size_t i, vgpu::Device& dev) {
-        const double h = halo(dev);
-        sub_a = sparse::row_slice(a, blocks[i].row_begin, blocks[i].row_end);
-        return h;
-      },
+      [&](std::size_t, vgpu::Device& dev) { return halo(dev); },
       [&](std::size_t i, vgpu::Device& dev) {
         sparse::CsrD sub_c;
-        const double ms = kernel(dev, blocks[i], sub_a, sub_c);
+        const double ms = kernel(dev, blocks[i], sub_c);
         sparse::append_rows(out, sub_c);
         return ms;
       });
@@ -279,8 +274,9 @@ ExecStats spadd(const sparse::CsrD& a, const sparse::CsrD& b,
   return run_row_blocks(
       a, a.num_cols, combined, devices, ordinals, weights, "shard.spadd",
       [](vgpu::Device&) { return 0.0; },
-      [&](vgpu::Device& dev, const RowBlock& blk, const sparse::CsrD& sub_a,
-          sparse::CsrD& sub_c) {
+      [&](vgpu::Device& dev, const RowBlock& blk, sparse::CsrD& sub_c) {
+        const sparse::CsrD sub_a =
+            sparse::row_slice(a, blk.row_begin, blk.row_end);
         const sparse::CsrD sub_b =
             sparse::row_slice(b, blk.row_begin, blk.row_end);
         return core::merge::spadd_csr(dev, sub_a, sub_b, sub_c).modeled_ms;
@@ -293,27 +289,16 @@ ExecStats spgemm(const sparse::CsrD& a, const sparse::CsrD& b,
                  std::span<const int> ordinals, std::span<const double> weights,
                  sparse::CsrD& c) {
   MPS_CHECK(a.num_cols == b.num_rows);
-  // Intermediate-product staircase: P[r] = products emitted before row r.
-  std::vector<long long> prods(static_cast<std::size_t>(a.num_rows) + 1, 0);
-  for (index_t r = 0; r < a.num_rows; ++r) {
-    long long row_prods = 0;
-    for (index_t k = a.row_offsets[static_cast<std::size_t>(r)];
-         k < a.row_offsets[static_cast<std::size_t>(r) + 1]; ++k) {
-      row_prods += b.row_length(a.col[static_cast<std::size_t>(k)]);
-    }
-    prods[static_cast<std::size_t>(r) + 1] =
-        prods[static_cast<std::size_t>(r)] + row_prods;
-  }
-  MPS_CHECK_MSG(prods.back() <= static_cast<long long>(
-                                    std::numeric_limits<index_t>::max()),
+  // Cut on the intermediate-product staircase, the row-block prefix.
+  const std::vector<std::uint64_t> prefix =
+      core::merge::spgemm_row_prefix(a, b);
+  MPS_CHECK_MSG(prefix.back() <= static_cast<std::uint64_t>(
+                                     std::numeric_limits<index_t>::max()),
                 "sharded spgemm: product count exceeds index range");
-  std::vector<index_t> pi(prods.size());
-  for (std::size_t r = 0; r < prods.size(); ++r) {
-    pi[r] = static_cast<index_t>(prods[r]);
-  }
+  const std::vector<index_t> staircase(prefix.begin(), prefix.end());
   bool first_active = true;
   return run_row_blocks(
-      a, b.num_cols, pi, devices, ordinals, weights, "shard.spgemm",
+      a, b.num_cols, staircase, devices, ordinals, weights, "shard.spgemm",
       [&](vgpu::Device& dev) {
         // Every block past the first needs its own replica of B — the
         // dominant halo cost of sharded SpGEMM.
@@ -323,12 +308,10 @@ ExecStats spgemm(const sparse::CsrD& a, const sparse::CsrD& b,
         }
         return transfer_ms(dev.props(), static_cast<double>(b.device_bytes()));
       },
-      [&](vgpu::Device& dev, const RowBlock& blk, const sparse::CsrD& sub_a,
-          sparse::CsrD& sub_c) {
-        core::merge::SpgemmConfig cfg;
-        cfg.product_origin = static_cast<std::uint64_t>(
-            prods[static_cast<std::size_t>(blk.row_begin)]);
-        return core::merge::spgemm(dev, sub_a, b, sub_c, cfg).modeled_ms();
+      [&](vgpu::Device& dev, const RowBlock& blk, sparse::CsrD& sub_c) {
+        return core::merge::spgemm_row_block(dev, a, b, prefix, blk.row_begin,
+                                             blk.row_end, sub_c)
+            .modeled_ms();
       },
       c);
 }

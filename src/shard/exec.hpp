@@ -9,11 +9,11 @@
 // so the gather order cannot perturb the result.  SpMV/SpMM outputs are
 // bitwise identical to single-device execution (the monotone-remap
 // argument in sharded_matrix.hpp); SpAdd row-slices both inputs so each
-// output row is produced by exactly one device's kernel; SpGEMM passes
-// each slice's global product prefix as SpgemmConfig::product_origin —
-// the spgemm_chunked mechanism — so CTA tile boundaries, partial-sum
-// grouping, and therefore every floating-point sum match the flat path
-// bit for bit.
+// output row is produced by exactly one device's kernel; SpGEMM runs
+// each slice as a core row block (core::merge::spgemm_row_block, the
+// rule spgemm_chunked uses), tiled at the slice's global product prefix,
+// so CTA tile boundaries, partial-sum grouping, and therefore every
+// floating-point sum match the flat path bit for bit.
 //
 // Shards run sequentially on the calling thread (CTA-level parallelism
 // already fans out through the device's pool); ExecStats::modeled_ms
@@ -95,9 +95,9 @@ ExecStats spadd(const sparse::CsrD& a, const sparse::CsrD& b,
 
 /// C = A B, row-partitioned on the intermediate-product staircase.  Each
 /// slice multiplies against a full replica of B (replication for shards
-/// past the first is the modeled halo cost) with product_origin set to
-/// the slice's global product prefix, so the stitched C is bitwise
-/// identical to flat spgemm — the spgemm_chunked argument verbatim.
+/// past the first is the modeled halo cost) as a core row block
+/// (spgemm_row_block), so the stitched C is bitwise identical to flat
+/// spgemm — the spgemm_chunked argument verbatim.
 ExecStats spgemm(const sparse::CsrD& a, const sparse::CsrD& b,
                  std::span<vgpu::Device* const> devices,
                  std::span<const int> ordinals, std::span<const double> weights,

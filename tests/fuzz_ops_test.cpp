@@ -12,8 +12,9 @@
 #include "baselines/seq.hpp"
 #include "core/spadd.hpp"
 #include "core/spgemm.hpp"
-#include "core/spgemm_batched.hpp"
+#include "core/spgemm_chunked.hpp"
 #include "core/spmv.hpp"
+#include "oracle.hpp"
 #include "sparse/compare.hpp"
 #include "sparse/convert.hpp"
 #include "test_matrices.hpp"
@@ -129,20 +130,29 @@ TEST_P(FuzzTest, AllSpgemmSchemesAgree) {
   ASSERT_EQ(a.num_cols, b.num_rows);
   const auto ref = baselines::seq::spgemm(a, b);
 
-  CsrD c;
-  core::merge::spgemm(dev_, a, b, c);
-  EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal)
+  CsrD flat;
+  core::merge::spgemm(dev_, a, b, flat);
+  EXPECT_TRUE(sparse::compare_csr(flat, ref, 1e-9, 1e-11).equal)
       << regime_name(regime) << " merge";
+  CsrD c;
   baselines::cusplike::spgemm(dev_, a, b, c);
   EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal)
       << regime_name(regime) << " cusp";
   baselines::rowwise::spgemm(dev_, a, b, c);
   EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal)
       << regime_name(regime) << " rowwise";
-  core::merge::spgemm_batched(dev_, a, b, c,
-                              baselines::seq::spgemm_num_products(a, b) / 3 + 1);
-  EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal)
-      << regime_name(regime) << " batched";
+
+  // Chunked at a third of its own whole-matrix footprint estimate (40 B
+  // per product + 16 B per nonzero, over a 4 KiB floor) runs several
+  // chunks and must still reproduce flat merge bit for bit.
+  core::merge::ChunkedConfig chunked;
+  chunked.chunk_bytes = static_cast<std::size_t>(
+      (40 * baselines::seq::spgemm_num_products(a, b) + 16 * a.nnz()) / 3 +
+      4096);
+  const auto st = core::merge::spgemm_chunked(dev_, a, b, c, chunked);
+  EXPECT_GE(st.num_chunks, 2) << regime_name(regime) << " chunked";
+  EXPECT_TRUE(testing::bitwise_equal(c, flat))
+      << regime_name(regime) << " chunked";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -157,4 +157,20 @@ inline ::testing::AssertionResult bitwise_equal(
   return ::testing::AssertionSuccess();
 }
 
+/// Bitwise equality of two CSR matrices: same shape, row offsets and
+/// columns, and values equal bit for bit.
+inline ::testing::AssertionResult bitwise_equal(const sparse::CsrD& a,
+                                                const sparse::CsrD& b) {
+  if (a.num_rows != b.num_rows || a.num_cols != b.num_cols) {
+    return ::testing::AssertionFailure()
+           << "shape " << a.num_rows << "x" << a.num_cols << " vs "
+           << b.num_rows << "x" << b.num_cols;
+  }
+  if (a.row_offsets != b.row_offsets) {
+    return ::testing::AssertionFailure() << "row offsets differ";
+  }
+  if (a.col != b.col) return ::testing::AssertionFailure() << "columns differ";
+  return bitwise_equal(a.val, b.val);
+}
+
 }  // namespace mps::testing

@@ -401,36 +401,46 @@ TEST(ServeEngine, OverloadTimesOutQueuedRequestsInsteadOfBuffering) {
   // in flight, so a burst waits in the bounded queue where per-request
   // deadlines are enforced.  (Without capacity gating the dispatcher
   // would drain the queue straight into the pool's unbounded task
-  // deque, and queue-wait timeouts could never fire under load.)
+  // deque, and queue-wait timeouts could never fire under load.)  The
+  // burst queues while the engine is paused: a head with no deadline,
+  // then a tail whose 5 ms deadline has passed before resume().
   auto cfg = test_config(/*threads=*/1, /*batch_window=*/1, /*queue_cap=*/1024);
+  cfg.start_paused = true;
   Engine engine(cfg);
   util::Rng rng(137);
   const auto a = coo_to_csr(testing::random_coo(rng, 1500, 1500, 60000));
   const auto h = engine.register_matrix(a);
   const auto x = random_x(a, 7);
 
-  SubmitOptions opts;
-  opts.request_timeout = std::chrono::milliseconds(5);
-  constexpr int kRequests = 400;
+  constexpr int kHead = 40;
+  constexpr int kTail = 360;
+  SubmitOptions patient;
+  patient.request_timeout = std::chrono::milliseconds(-1);  // no deadline
+  SubmitOptions doomed;
+  doomed.request_timeout = std::chrono::milliseconds(5);
   std::vector<std::future<SpmvResult>> futures;
-  for (int i = 0; i < kRequests; ++i) {
-    futures.push_back(engine.submit_spmv(h, x, opts));
+  for (int i = 0; i < kHead + kTail; ++i) {
+    futures.push_back(engine.submit_spmv(h, x, i < kHead ? patient : doomed));
   }
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  engine.resume();
+
   long long ok = 0, late = 0;
-  for (auto& f : futures) {
+  for (int i = 0; i < kHead + kTail; ++i) {
     try {
-      f.get();
+      futures[static_cast<std::size_t>(i)].get();
+      EXPECT_LT(i, kHead) << "an expired request ran";
       ++ok;
     } catch (const RequestTimeoutError&) {
+      EXPECT_GE(i, kHead) << "a request with no deadline timed out";
       ++late;
     }
   }
-  EXPECT_GT(ok, 0);    // the head of the burst ran before its deadline
-  EXPECT_GT(late, 0);  // the tail expired while queued, never ran
+  EXPECT_EQ(ok, kHead);    // the head ran
+  EXPECT_EQ(late, kTail);  // the tail expired while queued, never ran
   const auto s = engine.stats();
-  EXPECT_EQ(s.timed_out, late);
-  EXPECT_EQ(s.completed, ok);
-  EXPECT_EQ(ok + late, static_cast<long long>(kRequests));
+  EXPECT_EQ(s.timed_out, kTail);
+  EXPECT_EQ(s.completed, kHead);
 }
 
 TEST(ServeEngine, RequestTimeoutFailsWithoutRunning) {

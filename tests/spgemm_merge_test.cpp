@@ -196,6 +196,9 @@ TEST(AdaptiveSpgemm, PicksFlatForSparse) {
   EXPECT_STREQ(stats.reason, "flat");
   const auto ref = baselines::seq::spgemm(a, a);
   EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal);
+  sparse::CsrD flat;
+  spgemm(dev, a, a, flat);
+  EXPECT_TRUE(testing::bitwise_equal(c, flat));
 }
 
 TEST(AdaptiveSpgemm, PicksSegmentedForDense) {
@@ -215,19 +218,30 @@ TEST(AdaptiveSpgemm, PicksSegmentedForDense) {
   EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal);
 }
 
-TEST(AdaptiveSpgemm, PicksSegmentedUnderMemoryPressure) {
+TEST(AdaptiveSpgemm, RetriesChunkedUnderMemoryPressure) {
+  // Not dense-like, but the flat intermediate overflows the device: the
+  // flat attempt throws and spgemm_adaptive retries chunked, which matches
+  // flat run on an unconstrained device bit for bit.
   vgpu::DeviceProperties tiny = vgpu::gtx_titan();
   tiny.global_mem_bytes = 1 << 18;
   vgpu::Device dev(tiny);
   dev.fault_injector().disarm();
   util::Rng rng(79);
-  const auto a = coo_to_csr(random_coo(rng, 300, 300, 9000));
+  const auto a = coo_to_csr(random_coo(rng, 600, 600, 6000));
   sparse::CsrD c;
+  EXPECT_THROW(spgemm(dev, a, a, c), vgpu::DeviceOomError);
   const auto stats = spgemm_adaptive(dev, a, a, c);
-  EXPECT_TRUE(stats.used_segmented);
-  EXPECT_STREQ(stats.reason, "memory");
-  const auto ref = baselines::seq::spgemm(a, a);
-  EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal);
+  EXPECT_FALSE(stats.used_segmented);
+  EXPECT_TRUE(stats.used_chunked);
+  EXPECT_STREQ(stats.reason, "oom-retry");
+  EXPECT_GT(stats.chunked_stats.num_chunks, 1);
+  EXPECT_EQ(dev.memory().in_use(), 0u);
+
+  vgpu::Device big;
+  big.fault_injector().disarm();
+  sparse::CsrD flat;
+  spgemm(big, a, a, flat);
+  EXPECT_TRUE(testing::bitwise_equal(c, flat));
 }
 
 }  // namespace
