@@ -61,29 +61,55 @@ INSTANTIATE_TEST_SUITE_P(Budgets, ChunkedSpgemmBudgetTest,
                                            std::size_t{512} << 10,
                                            std::size_t{1} << 30));
 
-TEST(ChunkedSpgemm, CompletesDenseBlocksWhereFlatOoms) {
-  // The paper's Dense failure mode: the flat intermediate dwarfs the
-  // device, yet every single row's expansion fits, so chunked completes
-  // and matches flat on an unconstrained device bit for bit.
-  struct Case {
-    index_t n;
-    std::size_t mem_bytes;
-  };
-  for (const Case cs : {Case{64, std::size_t{1} << 19},
-                        Case{96, std::size_t{1} << 20}}) {
-    SCOPED_TRACE("dense " + std::to_string(cs.n));
-    auto props = vgpu::gtx_titan();
-    props.global_mem_bytes = cs.mem_bytes;
-    vgpu::Device dev(props);
-    dev.fault_injector().disarm();
-    const auto a = workloads::dense_block(cs.n, cs.n, 5);
-    sparse::CsrD c;
-    EXPECT_THROW(core::merge::spgemm(dev, a, a, c), vgpu::DeviceOomError);
-    const auto stats = spgemm_chunked(dev, a, a, c);
-    EXPECT_GT(stats.num_chunks, 1);
-    EXPECT_EQ(dev.memory().in_use(), 0u);
-    EXPECT_TRUE(bitwise_equal(c, flat_product(a, a)));
-  }
+/// The paper's Dense failure mode: the flat intermediate of an n x n
+/// dense block dwarfs a device of `mem_bytes`, yet every single row's
+/// expansion fits, so chunked completes and matches flat on an
+/// unconstrained device bit for bit.
+void expect_dense_block_completes(index_t n, std::size_t mem_bytes) {
+  auto props = vgpu::gtx_titan();
+  props.global_mem_bytes = mem_bytes;
+  vgpu::Device dev(props);
+  dev.fault_injector().disarm();
+  const auto a = workloads::dense_block(n, n, 5);
+  sparse::CsrD c;
+  EXPECT_THROW(core::merge::spgemm(dev, a, a, c), vgpu::DeviceOomError);
+  const auto stats = spgemm_chunked(dev, a, a, c);
+  EXPECT_GT(stats.num_chunks, 1);
+  EXPECT_EQ(dev.memory().in_use(), 0u);
+  EXPECT_TRUE(bitwise_equal(c, flat_product(a, a)));
+}
+
+TEST(ChunkedSpgemm, CompletesWhereFlatOoms) {
+  expect_dense_block_completes(64, std::size_t{1} << 19);
+}
+
+TEST(ChunkedSpgemm, DenseBlockUnderMemoryPressure) {
+  expect_dense_block_completes(96, std::size_t{1} << 20);
+}
+
+TEST(ChunkedSpgemm, SingleChunkEqualsFlatCost) {
+  // One chunk is one flat run: every kernel phase is charged the same.
+  // (other_ms also carries the stitched-C check under
+  // MPS_INTEGRITY_CHECK, which flat does not run.)
+  vgpu::Device dev;
+  dev.fault_injector().disarm();
+  util::Rng rng(707);
+  const auto a = coo_to_csr(random_coo(rng, 400, 400, 4000));
+  sparse::CsrD flat, c;
+  const auto flat_stats = core::merge::spgemm(dev, a, a, flat);
+  ChunkedConfig cfg;
+  cfg.chunk_bytes = std::size_t{1} << 30;
+  const auto stats = spgemm_chunked(dev, a, a, c, cfg);
+  EXPECT_EQ(stats.num_chunks, 1);
+  EXPECT_EQ(stats.num_products, flat_stats.num_products);
+  EXPECT_EQ(stats.phases.setup_ms, flat_stats.phases.setup_ms);
+  EXPECT_EQ(stats.phases.block_sort_ms, flat_stats.phases.block_sort_ms);
+  EXPECT_EQ(stats.phases.global_sort_ms, flat_stats.phases.global_sort_ms);
+  EXPECT_EQ(stats.phases.product_compute_ms,
+            flat_stats.phases.product_compute_ms);
+  EXPECT_EQ(stats.phases.product_reduce_ms,
+            flat_stats.phases.product_reduce_ms);
+  EXPECT_TRUE(bitwise_equal(c, flat));
 }
 
 TEST(ChunkedSpgemm, EmptyAndRectangular) {
