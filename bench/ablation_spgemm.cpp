@@ -5,7 +5,6 @@
 //   (c') chunked (bounded-memory) SpGEMM against the monolithic run,
 //   (d) the adaptive (future-work) driver on a dense-like instance.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "analysis/experiment.hpp"
@@ -14,20 +13,12 @@
 #include "core/spgemm_adaptive.hpp"
 #include "core/spgemm_chunked.hpp"
 #include "sparse/convert.hpp"
+#include "suite_runners.hpp"
 #include "util/table.hpp"
 #include "workloads/generators.hpp"
 #include "workloads/suite.hpp"
 
-namespace {
-
-void require(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "BENCH VALIDATION FAILED: %s\n", what);
-    std::exit(2);
-  }
-}
-
-}  // namespace
+using mps::bench::require;
 
 int main() {
   using namespace mps;

@@ -21,22 +21,14 @@
 #include "baselines/seq.hpp"
 #include "core/spmv.hpp"
 #include "resilience/integrity.hpp"
+#include "suite_runners.hpp"
 #include "telemetry/profile.hpp"
 #include "telemetry/span.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "workloads/suite.hpp"
 
-namespace {
-
-void require(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "BENCH VALIDATION FAILED: %s\n", what);
-    std::exit(2);
-  }
-}
-
-}  // namespace
+using mps::bench::require;
 
 int main() {
   using namespace mps;

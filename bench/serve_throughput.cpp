@@ -14,12 +14,15 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <span>
 #include <vector>
 
 #include "analysis/bench_json.hpp"
 #include "analysis/experiment.hpp"
+#include "resilience/integrity.hpp"
 #include "serve/engine.hpp"
 #include "serve/trace.hpp"
+#include "suite_runners.hpp"
 #include "telemetry/profile.hpp"
 #include "telemetry/span.hpp"
 #include "util/rng.hpp"
@@ -30,12 +33,7 @@ namespace {
 
 using namespace mps;
 
-void require(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "BENCH VALIDATION FAILED: %s\n", what);
-    std::exit(2);
-  }
-}
+using bench::require;
 
 std::vector<double> make_x(const sparse::CsrD& a, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -47,16 +45,7 @@ std::vector<double> make_x(const sparse::CsrD& a, std::uint64_t seed) {
 // FNV-1a over the result bits: cheap bitwise-equality witness across
 // configurations without storing every vector 16 times.
 std::uint64_t hash_bits(const std::vector<double>& y) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const double v : y) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int b = 0; b < 64; b += 8) {
-      h ^= (bits >> b) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
+  return resilience::checksum_span(std::span<const double>(y));
 }
 
 }  // namespace
@@ -186,8 +175,6 @@ int main() {
   // fast path in vgpu::Device::launch is one predicted branch; if the
   // fault-tolerance machinery (retry policy, breaker, supervision) ever
   // leaks modeled cost into the fault-free path, this trips.
-  ::unsetenv("MPS_CHAOS_SCRIPT");  // the contract assumes no real faults
-  ::unsetenv("MPS_CHAOS_SEED");
   double chaos_modeled[2] = {0.0, 0.0};
   std::vector<std::uint64_t> chaos_hashes[2];
   for (const int chaos_enabled : {0, 1}) {
@@ -228,10 +215,6 @@ int main() {
   // happen on the host wall clock, never on the modeled device timeline,
   // so running with a durable directory must give bitwise-identical
   // modeled time and answers to running with durability off entirely.
-  ::unsetenv("MPS_DURABLE_DIR");
-  ::unsetenv("MPS_DURABLE_SNAPSHOT_EVERY");
-  ::unsetenv("MPS_DURABLE_WARM");
-  ::unsetenv("MPS_DURABLE_FSYNC");
   char durable_dir[] = "/tmp/mps_serve_bench_durable.XXXXXX";
   require(::mkdtemp(durable_dir) != nullptr, "mkdtemp failed");
   double durable_modeled[2] = {0.0, 0.0};

@@ -21,17 +21,18 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <future>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/bench_json.hpp"
 #include "analysis/experiment.hpp"
+#include "resilience/integrity.hpp"
 #include "serve/engine.hpp"
 #include "serve/trace.hpp"
 #include "sparse/csr.hpp"
+#include "suite_runners.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -39,12 +40,7 @@ namespace {
 
 using namespace mps;
 
-void require(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "BENCH VALIDATION FAILED: %s\n", what);
-    std::exit(2);
-  }
-}
+using bench::require;
 
 std::vector<double> make_x(const sparse::CsrD& a, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -54,16 +50,7 @@ std::vector<double> make_x(const sparse::CsrD& a, std::uint64_t seed) {
 }
 
 std::uint64_t hash_bits(const std::vector<double>& y) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const double v : y) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int b = 0; b < 64; b += 8) {
-      h ^= (bits >> b) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
+  return resilience::checksum_span(std::span<const double>(y));
 }
 
 /// A large uniform-random square CSR tenant (~nnz_per_row per row).

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "autotune/autotune.hpp"
 #include "baselines/cusplike.hpp"
@@ -19,6 +20,13 @@ namespace mps::bench {
 using sparse::CooD;
 using sparse::CsrD;
 
+void require(bool ok, const std::string& what) {
+  if (!ok) {
+    std::fprintf(stderr, "BENCH VALIDATION FAILED: %s\n", what.c_str());
+    std::exit(2);
+  }
+}
+
 namespace {
 
 std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
@@ -26,13 +34,6 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   std::vector<double> x(n);
   for (auto& v : x) v = rng.uniform_double(-1.0, 1.0);
   return x;
-}
-
-void require(bool ok, const std::string& what) {
-  if (!ok) {
-    std::fprintf(stderr, "BENCH VALIDATION FAILED: %s\n", what.c_str());
-    std::exit(2);
-  }
 }
 
 double max_abs_diff(const std::vector<double>& a, const std::vector<double>& b) {

@@ -11,6 +11,10 @@
 
 namespace mps::bench {
 
+/// Bench self-validation: unless `ok`, print "BENCH VALIDATION FAILED:
+/// <what>" to stderr and exit(2).
+void require(bool ok, const std::string& what);
+
 struct SpmvRow {
   std::string name;
   long long nnz = 0;

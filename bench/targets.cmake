@@ -41,8 +41,7 @@ mps_add_bench(extended_suite)
 # explicit target like the microbenches.
 add_executable(serve_throughput ${CMAKE_SOURCE_DIR}/bench/serve_throughput.cpp)
 target_link_libraries(serve_throughput PRIVATE
-  mps_serve mps_workloads mps_analysis mps_sparse mps_vgpu mps_util
-  mps_warnings)
+  mps_benchlib mps_serve mps_warnings)
 set_target_properties(serve_throughput PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
@@ -50,7 +49,7 @@ set_target_properties(serve_throughput PROPERTIES
 # a heterogeneous weighted-vs-uniform placement leg (docs/sharding.md).
 add_executable(shard_scaling ${CMAKE_SOURCE_DIR}/bench/shard_scaling.cpp)
 target_link_libraries(shard_scaling PRIVATE
-  mps_serve mps_analysis mps_sparse mps_vgpu mps_util mps_warnings)
+  mps_benchlib mps_serve mps_warnings)
 set_target_properties(shard_scaling PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 

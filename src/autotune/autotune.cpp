@@ -16,24 +16,10 @@ namespace mps::autotune {
 
 namespace {
 
-std::uint64_t fnv64(std::uint64_t h, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::uint64_t pattern_fingerprint(const sparse::CsrD& a) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = fnv64(h, &a.num_rows, sizeof(a.num_rows));
-  h = fnv64(h, &a.num_cols, sizeof(a.num_cols));
-  if (!a.row_offsets.empty()) {
-    h = fnv64(h, a.row_offsets.data(),
-              a.row_offsets.size() * sizeof(index_t));
-  }
-  return h;
+  std::uint64_t h = resilience::checksum_bytes(&a.num_rows, sizeof(a.num_rows));
+  h = resilience::checksum_bytes(&a.num_cols, sizeof(a.num_cols), h);
+  return resilience::checksum_span(std::span<const index_t>(a.row_offsets), h);
 }
 
 /// Registry handles cached once; bumps after that are lock-free.

@@ -47,10 +47,13 @@ CompactView compact_offsets(const sparse::CsrMatrix<V>& a) {
   return v;
 }
 
-/// FNV-1a over the raw row offsets: the cheap O(num_rows) pattern
-/// checksum spmv_execute re-evaluates to reject a drifted matrix.
+/// FNV-1a over the row offsets, one step per 32-bit offset: the cheap
+/// O(num_rows) pattern checksum spmv_execute re-evaluates to reject a
+/// drifted matrix.  Word steps, not resilience::checksum_bytes' byte
+/// steps: this runs on every execute, and a byte-wise hash is four
+/// serial multiplies per row.
 inline std::uint64_t offsets_fingerprint(std::span<const index_t> offsets) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = resilience::kChecksumSeed;
   for (const index_t v : offsets) {
     h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(v));
     h *= 1099511628211ull;

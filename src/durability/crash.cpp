@@ -8,7 +8,6 @@
 #include <string>
 
 #include "telemetry/flight.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace mps::durability {
@@ -67,44 +66,37 @@ void arm_crash(CrashPoint point, long long n) {
   detail::crash_armed.store(true, std::memory_order_relaxed);
 }
 
-void arm_crash_from_env() {
-  const std::string spec = util::env_string("MPS_DURABLE_CRASH", "");
-  if (spec.empty()) return;
+CrashSpec parse_crash_spec(const std::string& spec, const std::string& source) {
   const auto colon = spec.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 == spec.size()) {
-    throw InvalidInputError("MPS_DURABLE_CRASH: expected \"<point>:<n>\", got \"" +
+    throw InvalidInputError(source + ": expected \"<point>:<n>\", got \"" +
                             spec + "\"");
   }
   const std::string name = spec.substr(0, colon);
-  CrashPoint point;
-  if (name == "wal-mid") {
-    point = CrashPoint::kWalMid;
-  } else if (name == "wal-post") {
-    point = CrashPoint::kWalPost;
-  } else if (name == "snapshot-mid") {
-    point = CrashPoint::kSnapshotMid;
-  } else if (name == "snapshot-post") {
-    point = CrashPoint::kSnapshotPost;
-  } else if (name == "post-ack") {
-    point = CrashPoint::kPostAck;
-  } else {
-    throw InvalidInputError("MPS_DURABLE_CRASH: unknown crash point \"" + name +
+  int p = 0;
+  while (p < detail::kNumPoints &&
+         name != detail::point_name(static_cast<CrashPoint>(p))) {
+    ++p;
+  }
+  if (p == detail::kNumPoints) {
+    throw InvalidInputError(source + ": unknown crash point \"" + name +
                             "\" (expected wal-mid, wal-post, snapshot-mid, "
                             "snapshot-post, or post-ack)");
   }
+  CrashSpec out;
+  out.point = static_cast<CrashPoint>(p);
   const std::string count = spec.substr(colon + 1);
-  long long n = 0;
   std::size_t used = 0;
   try {
-    n = std::stoll(count, &used);
+    out.n = std::stoll(count, &used);
   } catch (const std::exception&) {
-    throw InvalidInputError("MPS_DURABLE_CRASH: malformed count \"" + count + "\"");
+    throw InvalidInputError(source + ": malformed count \"" + count + "\"");
   }
-  if (used != count.size() || n < 1) {
-    throw InvalidInputError("MPS_DURABLE_CRASH: count must be a positive integer, got \"" +
+  if (used != count.size() || out.n < 1) {
+    throw InvalidInputError(source + ": count must be a positive integer, got \"" +
                             count + "\"");
   }
-  arm_crash(point, n);
+  return out;
 }
 
 }  // namespace mps::durability

@@ -5,9 +5,9 @@
 // crash would be most damaging: halfway through a WAL append (header +
 // partial payload already flushed), after a completed append, halfway
 // through writing a snapshot temp file, after the snapshot rename, and
-// after a registration has been acknowledged to the caller.  When armed —
-// programmatically via `arm_crash` or through MPS_DURABLE_CRASH
-// ("<point>:<n>", e.g. "wal-mid:3" → die on the 3rd wal-mid hit) — the
+// after a registration has been acknowledged to the caller.  When armed
+// with `arm_crash` — mps_serve's --crash-point "<point>:<n>" goes through
+// `parse_crash_spec`, e.g. "wal-mid:3" → die on the 3rd wal-mid hit — the
 // matching hit terminates the process with `_exit(kCrashExitCode)` so no
 // destructor, flush, or atexit handler can tidy up after us; recovery must
 // cope with exactly what the kernel left on disk.
@@ -15,6 +15,7 @@
 // Unarmed cost is one relaxed atomic load per call site.
 
 #include <atomic>
+#include <string>
 
 namespace mps::durability {
 
@@ -34,9 +35,17 @@ enum class CrashPoint {
 /// disarms every point.
 void arm_crash(CrashPoint point, long long n);
 
-/// Arm from MPS_DURABLE_CRASH ("<point>:<n>"); strict parse, unknown point
-/// names or malformed counts raise InvalidInputError.  Unset env is a no-op.
-void arm_crash_from_env();
+/// A parsed "<point>:<n>" crash spec.
+struct CrashSpec {
+  CrashPoint point = CrashPoint::kWalMid;
+  long long n = 0;
+};
+
+/// Strict parse of "<point>:<n>" with point one of wal-mid, wal-post,
+/// snapshot-mid, snapshot-post, post-ack and n a positive integer;
+/// anything else raises InvalidInputError naming `source`.
+CrashSpec parse_crash_spec(const std::string& spec,
+                           const std::string& source = "crash point");
 
 namespace detail {
 extern std::atomic<bool> crash_armed;

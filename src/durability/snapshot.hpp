@@ -47,9 +47,9 @@ struct MatrixRecord {
   std::shared_ptr<const sparse::CsrD> matrix;
 };
 
-/// A plan-cache entry that was warm at snapshot time.  MPS_DURABLE_WARM
-/// recovery rebuilds these eagerly so the first post-restart request
-/// pays no partition (or trial-protocol) cost.
+/// A plan-cache entry that was warm at snapshot time.  Warm recovery
+/// (EngineConfig::durable_warm) rebuilds these eagerly so the first
+/// post-restart request pays no partition (or trial-protocol) cost.
 struct WarmEntry {
   std::uint64_t handle = 0;
   bool tuned = false;

@@ -1,6 +1,7 @@
 #include "resilience/integrity.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "telemetry/metrics.hpp"
 #include "util/common.hpp"
@@ -8,8 +9,17 @@
 
 namespace mps::resilience {
 
+namespace {
+std::atomic<bool> integrity_default{false};
+}  // namespace
+
 bool integrity_checks_enabled() {
-  return util::env_int("MPS_INTEGRITY_CHECK", 0) != 0;
+  return util::env_int("MPS_INTEGRITY_CHECK",
+                       integrity_default.load(std::memory_order_relaxed)) != 0;
+}
+
+void set_integrity_checks_default(bool on) {
+  integrity_default.store(on, std::memory_order_relaxed);
 }
 
 Counters& counters() {

@@ -41,9 +41,16 @@
 
 namespace mps::resilience {
 
-/// True when MPS_INTEGRITY_CHECK is set to a nonzero value.  Read per
-/// call (kernel launches dwarf a getenv), so tests can toggle it.
+/// True when MPS_INTEGRITY_CHECK is set to a nonzero value, or — while
+/// it is unset — when set_integrity_checks_default(true) was called.
+/// Read per call (kernel launches dwarf a getenv), so tests can toggle it.
 bool integrity_checks_enabled();
+
+/// The value integrity_checks_enabled() takes while MPS_INTEGRITY_CHECK
+/// is unset (initially false).  mps_serve's chaos harness turns it on:
+/// bit-flip chaos relies on the guards to turn silent corruption into a
+/// retryable IntegrityError, unless the caller chose otherwise.
+void set_integrity_checks_default(bool on);
 
 /// Process-wide recovery/detection counters.  Monotone; benches report
 /// deltas across a run.

@@ -1,21 +1,6 @@
 #include "serve/circuit_breaker.hpp"
 
-#include "util/env.hpp"
-
 namespace mps::serve {
-
-CircuitBreakerConfig CircuitBreakerConfig::resolve(CircuitBreakerConfig c) {
-  // Strict parse (the MPS_SERVE_* contract, engine.cpp): garbage or
-  // negative thresholds raise InvalidInputError instead of clamping.
-  if (c.failure_threshold < 0) {
-    c.failure_threshold = static_cast<int>(
-        util::env_int_checked("MPS_SERVE_BREAKER_THRESHOLD", 5, 0, 1 << 30));
-  }
-  if (c.cooldown_ms < 0.0)
-    c.cooldown_ms =
-        util::env_double_checked("MPS_SERVE_BREAKER_COOLDOWN_MS", 250.0);
-  return c;
-}
 
 void CircuitBreaker::admit(std::uint64_t key, double now_ms) {
   if (!enabled()) return;

@@ -20,11 +20,8 @@
 // clock is the engine's modeled-time clock, keeping trip/ recovery
 // points replay-deterministic.
 //
-// Env knobs (lenient, like other MPS_SERVE_* tuning):
-//   MPS_SERVE_BREAKER_THRESHOLD   — consecutive failures to trip
-//                                   (default 5; 0 disables the breaker)
-//   MPS_SERVE_BREAKER_COOLDOWN_MS — modeled cooldown before the probe
-//                                   (default 250 ms)
+// Defaults: 5 consecutive failures trip the breaker, 250 ms modeled
+// cooldown before the probe.
 
 #include <cstdint>
 #include <mutex>
@@ -42,11 +39,8 @@ class CircuitOpenError : public mps::Error {
 };
 
 struct CircuitBreakerConfig {
-  int failure_threshold = -1;  ///< consecutive failures to trip; 0 disables
-  double cooldown_ms = -1.0;   ///< modeled ms open before the half-open probe
-
-  /// Fill defaulted (< 0) fields from the environment.
-  static CircuitBreakerConfig resolve(CircuitBreakerConfig c);
+  int failure_threshold = 5;  ///< consecutive failures to trip; 0 disables
+  double cooldown_ms = 250.0; ///< modeled ms open before the half-open probe
 };
 
 class CircuitBreaker {
@@ -60,8 +54,7 @@ class CircuitBreaker {
     long long reclosed = 0;   ///< successful probes (open→closed recoveries)
   };
 
-  explicit CircuitBreaker(CircuitBreakerConfig cfg = {})
-      : cfg_(CircuitBreakerConfig::resolve(cfg)) {}
+  explicit CircuitBreaker(CircuitBreakerConfig cfg = {}) : cfg_(cfg) {}
 
   bool enabled() const { return cfg_.failure_threshold > 0; }
 

@@ -1,6 +1,7 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <functional>
 #include <numeric>
 #include <utility>
@@ -12,7 +13,6 @@
 #include "telemetry/flight.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profile.hpp"
-#include "util/env.hpp"
 #include "vgpu/trace.hpp"
 
 namespace mps::serve {
@@ -53,122 +53,77 @@ bool needs_plan(const shard::Shard& sh) {
   return sh.row_end > sh.row_begin && sh.local.nnz() > 0;
 }
 
+[[noreturn]] void bad_field(const char* field, const std::string& why) {
+  throw InvalidInputError(std::string("EngineConfig::") + field + ": " + why);
+}
+
+void check_range(const char* field, long long v, long long lo, long long hi) {
+  if (v < lo || v > hi) {
+    bad_field(field, "must be in [" + std::to_string(lo) + ", " +
+                         std::to_string(hi) + "], got " + std::to_string(v));
+  }
+}
+
+/// `!(v >= lo)` so NaN fails too.
+void check_min(const char* field, double v, double lo) {
+  if (!(v >= lo)) {
+    bad_field(field, "must be >= " + std::to_string(lo) + ", got " +
+                         std::to_string(v));
+  }
+}
+
 EngineConfig resolve_config(EngineConfig cfg) {
-  // Every MPS_SERVE_* knob parses strictly (the MPS_FAULT_*/MPS_CHAOS_*
-  // pattern): a negative count or non-numeric garbage in a production
-  // environment is a deploy bug, and silently clamping it to a default
-  // hides the bug until it pages someone.  InvalidInputError names the
-  // offending variable.
-  if (cfg.threads == 0) {
-    cfg.threads = static_cast<unsigned>(
-        util::env_int_checked("MPS_SERVE_THREADS", 4, 1, 1024));
-  }
-  if (cfg.queue_capacity == 0) {
-    cfg.queue_capacity = static_cast<std::size_t>(
-        util::env_int_checked("MPS_SERVE_QUEUE_CAP", 1024, 1, 1ll << 30));
-  }
-  if (cfg.batch_window == 0) {
-    cfg.batch_window = static_cast<int>(
-        util::env_int_checked("MPS_SERVE_BATCH_WINDOW", 8, 1, 4096));
-  }
-  if (cfg.plan_cache_bytes == 0) {
-    cfg.plan_cache_bytes =
-        static_cast<std::size_t>(
-            util::env_int_checked("MPS_SERVE_PLAN_CACHE_MB", 64, 1, 1ll << 20)) *
-        (1u << 20);
-  }
+  // Every field is range-checked: mps_serve feeds them from flags, and a
+  // negative count or an unknown policy name is a deploy bug that
+  // silently clamping to a default would hide until it pages someone.
+  check_range("threads", cfg.threads, 1, 1024);
+  check_range("queue_capacity", static_cast<long long>(cfg.queue_capacity), 1,
+              1ll << 30);
+  check_range("batch_window", cfg.batch_window, 1, 4096);
+  if (cfg.plan_cache_bytes == 0) bad_field("plan_cache_bytes", "must be >= 1");
   if (cfg.autotune < 0) {
     cfg.autotune = autotune::enabled() ? 1 : 0;
   }
-  cfg.retry = RetryPolicy::resolve(cfg.retry);
-  cfg.breaker = CircuitBreakerConfig::resolve(cfg.breaker);
-  if (cfg.shed_watermark < 0.0) {
-    cfg.shed_watermark =
-        util::env_double_checked("MPS_SERVE_SHED_WATERMARK", 0.75);
-  }
-  if (cfg.max_failovers < 0) {
-    cfg.max_failovers = static_cast<int>(
-        util::env_int_checked("MPS_SERVE_MAX_FAILOVERS", 8, 0, 1 << 20));
-  }
-  if (cfg.degrade_recovery < 0) {
-    cfg.degrade_recovery = static_cast<int>(
-        util::env_int_checked("MPS_SERVE_DEGRADE_RECOVERY", 64, 0, 1 << 30));
-  }
-  // Durability: MPS_DURABLE_DIR arms the WAL + snapshot layer; like the
-  // chaos knobs, durable_enabled == 0 forces it off so the kill harness
-  // can run its non-durable reference leg in the same environment.
-  if (cfg.durable_enabled != 0 && cfg.durable_dir.empty()) {
-    cfg.durable_dir = util::env_string("MPS_DURABLE_DIR", "");
-  }
-  if (cfg.durable_enabled < 0) cfg.durable_enabled = cfg.durable_dir.empty() ? 0 : 1;
+  check_range("retry.max_attempts", cfg.retry.max_attempts, 1, INT_MAX);
+  check_min("retry.backoff_base_ms", cfg.retry.backoff_base_ms, 0.0);
+  check_min("retry.backoff_max_ms", cfg.retry.backoff_max_ms, 0.0);
+  check_range("breaker.failure_threshold", cfg.breaker.failure_threshold, 0,
+              1 << 30);
+  check_min("breaker.cooldown_ms", cfg.breaker.cooldown_ms, 0.0);
+  check_min("shed_watermark", cfg.shed_watermark, 0.0);
+  check_range("max_failovers", cfg.max_failovers, 0, 1 << 20);
+  check_range("degrade_recovery", cfg.degrade_recovery, 0, 1 << 30);
   if (cfg.durable_enabled > 0 && cfg.durable_dir.empty()) {
-    throw InvalidInputError(
-        "serve: durability enabled but no directory (set cfg.durable_dir or "
-        "MPS_DURABLE_DIR)");
+    bad_field("durable_dir", "durability enabled but no directory");
   }
-  if (cfg.durable_snapshot_every < 0) {
-    cfg.durable_snapshot_every =
-        util::env_int_checked("MPS_DURABLE_SNAPSHOT_EVERY", 64, 0, 1ll << 30);
-  }
-  if (cfg.durable_warm < 0) {
-    cfg.durable_warm =
-        static_cast<int>(util::env_int_checked("MPS_DURABLE_WARM", 0, 0, 1));
-  }
-  if (cfg.durable_fsync < 0) {
-    cfg.durable_fsync =
-        static_cast<int>(util::env_int_checked("MPS_DURABLE_FSYNC", 0, 0, 1));
-  }
-  // Sharded serving fleet (docs/sharding.md).  Same strict-parse rule as
-  // every other knob.
-  if (cfg.devices < 0) {
-    cfg.devices =
-        static_cast<int>(util::env_int_checked("MPS_SERVE_DEVICES", 0, 0, 256));
-  }
-  if (cfg.device_spec.empty()) {
-    cfg.device_spec = util::env_string("MPS_SERVE_DEVICE_SPEC", "");
-  }
-  if (cfg.shard_max <= 0) {
-    cfg.shard_max =
-        static_cast<int>(util::env_int_checked("MPS_SHARD_MAX", 8, 1, 256));
-  }
-  if (cfg.shard_min_nnz <= 0) {
-    cfg.shard_min_nnz =
-        util::env_int_checked("MPS_SHARD_MIN_NNZ", 2048, 1, 1ll << 40);
-  }
-  if (cfg.shard_placement.empty()) {
-    cfg.shard_placement = util::env_string("MPS_SHARD_PLACEMENT", "weighted");
-  }
+  check_range("durable_snapshot_every", cfg.durable_snapshot_every, 0,
+              1ll << 30);
+  check_range("durable_warm", cfg.durable_warm, 0, 1);
+  check_range("durable_fsync", cfg.durable_fsync, 0, 1);
+  check_range("devices", cfg.devices, 0, 256);
+  check_range("shard_max", cfg.shard_max, 1, 256);
+  check_range("shard_min_nnz", cfg.shard_min_nnz, 1, 1ll << 40);
   if (cfg.shard_placement != "weighted" && cfg.shard_placement != "uniform") {
-    throw InvalidInputError(
-        "MPS_SHARD_PLACEMENT: expected 'weighted' or 'uniform', got '" +
-        cfg.shard_placement + "'");
+    bad_field("shard_placement",
+              "expected 'weighted' or 'uniform', got '" + cfg.shard_placement +
+                  "'");
   }
-  if (cfg.shard_replicate_hot < 0.0) {
-    cfg.shard_replicate_hot =
-        util::env_double_checked("MPS_SHARD_REPLICATE_HOT", 0.5);
+  if (!(cfg.shard_replicate_hot >= 0.0 && cfg.shard_replicate_hot <= 1.0)) {
+    bad_field("shard_replicate_hot",
+              "traffic share must be in [0, 1], got " +
+                  std::to_string(cfg.shard_replicate_hot));
   }
-  if (cfg.shard_replicate_hot > 1.0) {
-    throw InvalidInputError(
-        "MPS_SHARD_REPLICATE_HOT: traffic share must be in [0, 1], got " +
-        std::to_string(cfg.shard_replicate_hot));
+  check_range("shard_2d_nnz", cfg.shard_2d_nnz, 0, 1ll << 40);
+  check_range("slo_enabled", cfg.slo_enabled, 0, 1);
+  check_min("slo.latency_ms", cfg.slo.latency_ms, 0.0);
+  if (!(cfg.slo.objective > 0.0 && cfg.slo.objective < 1.0)) {
+    bad_field("slo.objective",
+              "must be in (0, 1), got " + std::to_string(cfg.slo.objective));
   }
-  if (cfg.shard_2d_nnz < 0) {
-    cfg.shard_2d_nnz = util::env_int_checked("MPS_SHARD_2D_NNZ", 0, 0, 1ll << 40);
-  }
-  if (cfg.slo_enabled < 0) {
-    cfg.slo_enabled =
-        static_cast<int>(util::env_int_checked("MPS_SLO", 0, 0, 1));
-  }
-  // Chaos resolves AFTER threads and the fleet size: the seeded
-  // generator spreads events over the fleet's slot ordinals (the worker
-  // count in legacy mode).  chaos_enabled == 0 is the chaos harness's
-  // fault-free reference run — the env knobs are ignored so the same
-  // process can run both legs.
-  if (cfg.chaos_enabled != 0 && cfg.chaos.empty()) {
-    cfg.chaos = vgpu::ChaosSchedule::from_env(
-        cfg.devices > 0 ? cfg.devices : static_cast<int>(cfg.threads));
-  }
-  if (cfg.chaos_enabled < 0) cfg.chaos_enabled = cfg.chaos.empty() ? 0 : 1;
+  check_range("slo.short_window", cfg.slo.short_window, 1, 1 << 20);
+  check_range("slo.long_window", cfg.slo.long_window, cfg.slo.short_window,
+              1 << 24);
+  check_min("slo.burn_alert", cfg.slo.burn_alert, 0.0);
   return cfg;
 }
 
@@ -237,8 +192,6 @@ telemetry::Gauge& slo_gauge(std::uint64_t tenant, const char* what) {
 }
 
 }  // namespace
-
-EngineConfig EngineConfig::from_env() { return resolve_config(EngineConfig{}); }
 
 // ---------------------------------------------------------------------------
 // Request / batch plumbing
@@ -324,11 +277,11 @@ Engine::Engine(EngineConfig cfg)
       num_workers_(cfg_.threads),
       // Legacy mode (devices == 0) builds one titan slot per worker —
       // the exact pre-shard fleet.  Sharded mode sizes the fleet from
-      // MPS_SERVE_DEVICES and shapes it from MPS_SERVE_DEVICE_SPEC.
+      // `devices` and shapes it from `device_spec`.
       fleet_(vgpu::parse_device_spec(
           cfg_.device_spec,
           cfg_.devices > 0 ? cfg_.devices : static_cast<int>(cfg_.threads),
-          "MPS_SERVE_DEVICE_SPEC")),
+          "EngineConfig::device_spec")),
       // Autotune off is the one-candidate tune: merge default, no trial.
       plan_cache_(cfg_.plan_cache_bytes,
                   cfg_.autotune > 0 ? autotune::kAllCandidates : 1),
@@ -351,7 +304,7 @@ Engine::Engine(EngineConfig cfg)
     }
   }
   if (cfg_.slo_enabled > 0) {
-    slo_ = std::make_unique<SloTracker>(SloConfig::from_env());
+    slo_ = std::make_unique<SloTracker>(cfg_.slo);
   }
   // Recovery runs before the dispatcher exists: the registry fills (and
   // warm plans rebuild) while construction is still single-threaded, so
@@ -553,7 +506,7 @@ void Engine::shutdown(ShutdownMode mode) {
   // none — would be rejected deterministically).
   pool_.shutdown();
   // Graceful exit leaves a fresh snapshot and an empty WAL tail: the
-  // next boot recovers without replay, and MPS_DURABLE_WARM gets the
+  // next boot recovers without replay, and `durable_warm` gets the
   // final warm-set metadata.
   if (store_) store_->snapshot_now();
 }

@@ -63,17 +63,17 @@
 //     admitted; shutdown(kReject) fails queued-but-unstarted requests
 //     with ShutdownError.  Either way every admitted request's future is
 //     settled — value or typed error, never abandoned;
-//   * multi-device sharding — with MPS_SERVE_DEVICES > 0 the engine
+//   * multi-device sharding — with `devices` > 0 the engine
 //     runs a vgpu::DeviceSet fleet (possibly heterogeneous,
-//     MPS_SERVE_DEVICE_SPEC) instead of one device per worker.  Each
-//     registered matrix large enough to shard (MPS_SHARD_MIN_NNZ) is
+//     `device_spec`) instead of one device per worker.  Each
+//     registered matrix large enough to shard (`shard_min_nnz`) is
 //     partitioned into nnz-balanced row blocks on the merge-path
 //     staircase, placed by the cost model in shard/placement.hpp over
 //     the fleet ring starting at handle % fleet_size, and executed
 //     shard-per-device with a modeled halo exchange (src/shard,
 //     docs/sharding.md).  Results stay bitwise-identical to
 //     single-device execution; a handle that draws more than
-//     MPS_SHARD_REPLICATE_HOT of the sharded traffic gets a second
+//     `shard_replicate_hot` of the sharded traffic gets a second
 //     replica placement on the slots its primary leaves free (when the
 //     model predicts it finishes as early) and requests route across
 //     the two by salt parity.  Device loss quarantines only the lost slot — the
@@ -163,22 +163,20 @@ class LoadShedError : public Error {
 /// queue capacity, which still applies to everyone).
 enum class Priority { kHigh, kNormal, kLow };
 
-/// Engine knobs.  Zero-valued fields resolve from the environment
-/// (docs/serving.md):
-///   MPS_SERVE_THREADS       — worker threads (default 4)
-///   MPS_SERVE_QUEUE_CAP     — submission-queue capacity (default 1024)
-///   MPS_SERVE_BATCH_WINDOW  — max same-matrix SpMV requests coalesced
-///                             into one spmm dispatch (default 8;
-///                             1 disables batching)
-///   MPS_SERVE_PLAN_CACHE_MB — plan-cache capacity in MiB (default 64)
-///   MPS_AUTOTUNE            — unbatched SpMV plans tune over every
-///                             format/kernel candidate (default 0: the
-///                             merge default only; docs/autotuning.md)
+/// Engine configuration (docs/serving.md has the field table).  This
+/// struct is the engine's only configuration surface: every field holds
+/// a plain value, the engine reads no environment variable of its own,
+/// and construction range-checks every field — a value outside its
+/// documented range raises InvalidInputError naming the field (mps_serve
+/// feeds these from command-line flags).
 struct EngineConfig {
-  unsigned threads = 0;
-  std::size_t queue_capacity = 0;
-  int batch_window = 0;
-  std::size_t plan_cache_bytes = 0;
+  unsigned threads = 4;               ///< worker threads, [1, 1024]
+  std::size_t queue_capacity = 1024;  ///< submission-queue capacity, >= 1
+  /// Max same-matrix SpMV requests coalesced into one spmm dispatch,
+  /// [1, 4096]; 1 disables batching.
+  int batch_window = 8;
+  /// Plan-cache capacity in bytes, >= 1.
+  std::size_t plan_cache_bytes = std::size_t{64} << 20;
   /// < 0: resolve from MPS_AUTOTUNE; 0: one-candidate plans (merge
   /// default, no trial); > 0: plans tune over every candidate (batched
   /// dispatch always uses the merge spmm).
@@ -189,83 +187,68 @@ struct EngineConfig {
   /// queue states, then resume()).
   bool start_paused = false;
 
-  /// Retry budget + backoff for transient execution faults; defaulted
-  /// fields resolve from MPS_SERVE_RETRIES / MPS_SERVE_BACKOFF_*.
+  /// Retry budget + backoff for transient execution faults.
   RetryPolicy retry;
-  /// Per-matrix circuit breaker; defaults resolve from
-  /// MPS_SERVE_BREAKER_THRESHOLD / MPS_SERVE_BREAKER_COOLDOWN_MS.
+  /// Per-matrix circuit breaker.
   CircuitBreakerConfig breaker;
-  /// Queue-depth fraction past which kLow submissions shed; < 0 resolves
-  /// from MPS_SERVE_SHED_WATERMARK (default 0.75), 0 disables shedding.
-  double shed_watermark = -1.0;
+  /// Queue-depth fraction past which kLow submissions shed, >= 0;
+  /// 0 disables shedding.
+  double shed_watermark = 0.75;
   /// Device-loss failovers tolerated per batch before it settles with
-  /// the loss error; < 0 resolves MPS_SERVE_MAX_FAILOVERS (default 8).
-  int max_failovers = -1;
-  /// Consecutive successes that exit degraded mode; < 0 resolves
-  /// MPS_SERVE_DEGRADE_RECOVERY (default 64), 0 disables degraded mode.
-  int degrade_recovery = -1;
-  /// Chaos fault schedule armed on the worker devices at construction
-  /// (vgpu/chaos.hpp).  `chaos_enabled`: < 0 = arm `chaos` if non-empty,
-  /// else whatever MPS_CHAOS_SCRIPT / MPS_CHAOS_SEED provide; 0 = force
-  /// off (the chaos harness's fault-free reference run); > 0 = arm.
+  /// the loss error, [0, 2^20].
+  int max_failovers = 8;
+  /// Consecutive successes that exit degraded mode, [0, 2^30]; 0
+  /// disables degraded mode.
+  int degrade_recovery = 64;
+  /// Chaos fault schedule armed on the fleet devices at construction
+  /// (vgpu/chaos.hpp; build one with ChaosSchedule::parse or ::seeded).
+  /// `chaos_enabled` = 0 leaves it unarmed — the chaos harness's
+  /// fault-free reference leg.
   vgpu::ChaosSchedule chaos;
-  int chaos_enabled = -1;
+  int chaos_enabled = 1;
 
-  /// Crash-consistent durability (docs/robustness.md).  Empty resolves
-  /// from MPS_DURABLE_DIR; with a directory set, every registration is
-  /// WAL-appended before it is acknowledged, the background snapshotter
-  /// runs, and construction recovers whatever state the directory holds.
+  /// Crash-consistent durability (docs/robustness.md).  With
+  /// `durable_enabled` = 1 (which requires `durable_dir`) every
+  /// registration is WAL-appended before it is acknowledged, the
+  /// background snapshotter runs, and construction recovers whatever
+  /// state the directory holds.
   std::string durable_dir;
-  /// `durable_enabled`: < 0 = on iff `durable_dir` (or MPS_DURABLE_DIR)
-  /// is non-empty; 0 = force off (env ignored — the harness's
-  /// non-durable reference leg); > 0 = on, requiring a directory.
-  int durable_enabled = -1;
-  /// WAL appends between background snapshots; < 0 resolves
-  /// MPS_DURABLE_SNAPSHOT_EVERY (default 64), 0 disables the snapshotter
-  /// (shutdown still writes a final snapshot).
-  long long durable_snapshot_every = -1;
-  /// Eagerly rebuild the snapshot's warm plan-cache entries during
-  /// recovery; < 0 resolves MPS_DURABLE_WARM (default 0 = lazy).
-  int durable_warm = -1;
-  /// fsync the WAL after every append; < 0 resolves MPS_DURABLE_FSYNC
-  /// (default 0 — process-death durability needs no fsync).
-  int durable_fsync = -1;
+  int durable_enabled = 0;
+  /// WAL appends between background snapshots, [0, 2^30]; 0 disables
+  /// the snapshotter (shutdown still writes a final snapshot).
+  long long durable_snapshot_every = 64;
+  /// 1: eagerly rebuild the snapshot's warm plan-cache entries during
+  /// recovery (default 0 = lazy).
+  int durable_warm = 0;
+  /// 1: fsync the WAL after every append (default 0 — process-death
+  /// durability needs no fsync).
+  int durable_fsync = 0;
 
-  /// Multi-device sharding (docs/sharding.md).  All knobs parse
-  /// strictly — garbage raises InvalidInputError naming the variable.
-  /// Fleet size; < 0 resolves MPS_SERVE_DEVICES (default 0 = legacy
-  /// single-device-per-worker mode, byte-identical to pre-shard
-  /// behavior).
-  int devices = -1;
-  /// Fleet heterogeneity spec ("fast*2,slow*2"); empty resolves
-  /// MPS_SERVE_DEVICE_SPEC (default empty = all titan).
+  /// Multi-device sharding (docs/sharding.md).
+  /// Fleet size, [0, 256]; 0 = legacy single-device-per-worker mode.
+  int devices = 0;
+  /// Fleet heterogeneity spec ("fast*2,slow*2"); empty = all titan.
   std::string device_spec;
-  /// Max shards per matrix; <= 0 resolves MPS_SHARD_MAX (default 8).
-  int shard_max = 0;
-  /// Min nnz per shard — smaller matrices serve unsharded; <= 0
-  /// resolves MPS_SHARD_MIN_NNZ (default 2048).
-  long long shard_min_nnz = 0;
+  /// Max shards per matrix, [1, 256].
+  int shard_max = 8;
+  /// Min nnz per shard — smaller matrices serve unsharded; [1, 2^40].
+  long long shard_min_nnz = 2048;
   /// Placement policy: "weighted" (the launch-floor + bandwidth cost
   /// model of shard/placement.hpp picks each op's slots and diagonal
-  /// spans) or "uniform" (consecutive slots, equal spans); empty
-  /// resolves MPS_SHARD_PLACEMENT (default "weighted").
-  std::string shard_placement;
+  /// spans) or "uniform" (consecutive slots, equal spans).
+  std::string shard_placement = "weighted";
   /// Traffic share past which a sharded handle gets a second replica
-  /// placement; < 0 resolves MPS_SHARD_REPLICATE_HOT (default 0.5),
-  /// 0 disables replication.
-  double shard_replicate_hot = -1.0;
-  /// Rows with >= this many nonzeros split 2D across the fleet;
-  /// < 0 resolves MPS_SHARD_2D_NNZ (default 0 = off — 2D partials are
-  /// deterministic but not bitwise, see docs/sharding.md).
-  long long shard_2d_nnz = -1;
-  /// Per-tenant SLO tracking (docs/observability.md): every settled
-  /// request is scored against the MPS_SLO_* objectives and burn rates
-  /// are accounted per handle.  < 0 resolves MPS_SLO (default 0 = off —
-  /// settle paths pay nothing).
-  int slo_enabled = -1;
-
-  /// Fill zero-valued fields from the environment knobs above.
-  static EngineConfig from_env();
+  /// placement, [0, 1]; 0 disables replication.
+  double shard_replicate_hot = 0.5;
+  /// Rows with >= this many nonzeros split 2D across the fleet,
+  /// [0, 2^40]; 0 = off (2D partials are deterministic but not bitwise,
+  /// see docs/sharding.md).
+  long long shard_2d_nnz = 0;
+  /// Per-tenant SLO tracking (docs/observability.md): 1 scores every
+  /// settled request against `slo` and accounts burn rates per handle
+  /// (default 0 = off — settle paths pay nothing).
+  int slo_enabled = 0;
+  SloConfig slo;
 };
 
 /// Handle to a registered matrix: a fingerprint of the full sparsity
@@ -359,7 +342,7 @@ struct EngineStats {
     long long snapshots = 0;
     durability::RecoveryInfo recovery;
   } durability;
-  /// Per-tenant SLO state (empty / enabled == false without MPS_SLO).
+  /// Per-tenant SLO state (empty / enabled == false unless slo_enabled).
   struct SloStats {
     bool enabled = false;
     double latency_ms = 0.0;   ///< good/bad threshold
@@ -403,7 +386,7 @@ struct PlanExplain {
 
 class Engine {
  public:
-  explicit Engine(EngineConfig cfg = EngineConfig::from_env());
+  explicit Engine(EngineConfig cfg = {});
   /// Drains (kDrain) and stops.
   ~Engine();
 
@@ -416,7 +399,7 @@ class Engine {
   /// registrations keep appending to the same log.  Raises RecoveryError
   /// when the directory's state is damaged beyond a torn final record.
   static std::unique_ptr<Engine> recover(const std::string& dir,
-                                         EngineConfig cfg = EngineConfig::from_env());
+                                         EngineConfig cfg = {});
 
   /// Register a matrix for serving; see MatrixHandle for keying rules.
   /// The matrix is copied into the engine (requests may outlive the

@@ -82,7 +82,7 @@ class PlanCache {
   void set_capacity(std::size_t capacity_bytes);
 
   /// Keys of every resident entry in LRU order, most recent first.  The
-  /// durability snapshot persists these so MPS_DURABLE_WARM recovery can
+  /// durability snapshot persists these so warm recovery (durable_warm) can
   /// rebuild the warm set eagerly (plans are deterministic rebuilds; only
   /// *which* entries were warm is worth writing to disk).
   std::vector<std::uint64_t> warm_entries() const;

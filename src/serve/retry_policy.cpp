@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace mps::serve {
@@ -25,22 +24,6 @@ double RetryPolicy::backoff_ms(int retry_index, std::uint64_t salt) const {
     b *= 1.0 + jitter_frac * (2.0 * u - 1.0);
   }
   return b;
-}
-
-RetryPolicy RetryPolicy::resolve(RetryPolicy p) {
-  // Strict parse (the MPS_SERVE_* contract, engine.cpp): garbage or
-  // negative budgets raise InvalidInputError instead of clamping.
-  if (p.max_attempts <= 0) {
-    const long long retries =
-        util::env_int_checked("MPS_SERVE_RETRIES", 1, 0, 1000);
-    p.max_attempts = static_cast<int>(retries) + 1;
-  }
-  if (p.backoff_base_ms < 0.0)
-    p.backoff_base_ms = util::env_double_checked("MPS_SERVE_BACKOFF_MS", 0.5);
-  if (p.backoff_max_ms < 0.0)
-    p.backoff_max_ms =
-        util::env_double_checked("MPS_SERVE_BACKOFF_MAX_MS", 8.0);
-  return p;
 }
 
 }  // namespace mps::serve

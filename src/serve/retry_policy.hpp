@@ -14,27 +14,23 @@
 // every retry attempt and settles with RequestTimeoutError instead of
 // burning budget on a request nobody is waiting for.
 //
-// Env knobs (lenient parsing, like the other MPS_SERVE_* tuning knobs):
-//   MPS_SERVE_RETRIES        — retries after the first attempt (default 1,
-//                              preserving the engine's original
-//                              retry-once semantics; 0 disables retry)
-//   MPS_SERVE_BACKOFF_MS     — base modeled backoff before retry 1
-//                              (default 0.5 ms)
-//   MPS_SERVE_BACKOFF_MAX_MS — backoff growth cap (default 8 ms)
+// Defaults: one retry after the first attempt (max_attempts 2), 0.5 ms
+// base backoff doubling up to 8 ms.  Engine construction range-checks
+// every field (serve::EngineConfig).
 
 #include <cstdint>
 
 namespace mps::serve {
 
 struct RetryPolicy {
-  /// Total attempts per request (first try + retries).  0 = resolve from
-  /// MPS_SERVE_RETRIES (+1).
-  int max_attempts = 0;
-  /// Modeled backoff before the first retry; < 0 = resolve from env.
-  double backoff_base_ms = -1.0;
+  /// Total attempts per request (first try + retries), >= 1; 1 disables
+  /// retry.
+  int max_attempts = 2;
+  /// Modeled backoff before the first retry, >= 0.
+  double backoff_base_ms = 0.5;
   double backoff_multiplier = 2.0;
-  /// Cap on the exponential growth; < 0 = resolve from env.
-  double backoff_max_ms = -1.0;
+  /// Cap on the exponential growth, >= 0 (0 = uncapped).
+  double backoff_max_ms = 8.0;
   /// Jitter amplitude as a fraction of the computed backoff: the jittered
   /// value lies in [b*(1-f), b*(1+f)).  Deterministic per (salt, retry).
   double jitter_frac = 0.25;
@@ -44,9 +40,6 @@ struct RetryPolicy {
   /// stable per-request identifier so concurrent requests don't back off
   /// in lockstep, yet a replay reproduces the same schedule bit for bit.
   double backoff_ms(int retry_index, std::uint64_t salt) const;
-
-  /// Fill any defaulted field from the environment.
-  static RetryPolicy resolve(RetryPolicy p);
 };
 
 }  // namespace mps::serve

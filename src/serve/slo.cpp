@@ -3,32 +3,9 @@
 #include <algorithm>
 
 #include "util/common.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace mps::serve {
-
-SloConfig SloConfig::from_env() {
-  SloConfig cfg;
-  cfg.latency_ms = util::env_double_checked("MPS_SLO_LATENCY_MS", 50.0);
-  cfg.objective = util::env_double_checked("MPS_SLO_OBJECTIVE", 0.999);
-  if (cfg.objective <= 0.0 || cfg.objective >= 1.0) {
-    throw InvalidInputError("MPS_SLO_OBJECTIVE: must be in (0, 1), got " +
-                            std::to_string(cfg.objective));
-  }
-  cfg.short_window = static_cast<int>(
-      util::env_int_checked("MPS_SLO_SHORT_WINDOW", 256, 1, 1 << 20));
-  cfg.long_window = static_cast<int>(
-      util::env_int_checked("MPS_SLO_LONG_WINDOW", 4096, 1, 1 << 24));
-  if (cfg.long_window < cfg.short_window) {
-    throw InvalidInputError(
-        "MPS_SLO_LONG_WINDOW: must be >= MPS_SLO_SHORT_WINDOW (" +
-        std::to_string(cfg.long_window) + " < " +
-        std::to_string(cfg.short_window) + ")");
-  }
-  cfg.burn_alert = util::env_double_checked("MPS_SLO_BURN_ALERT", 2.0);
-  return cfg;
-}
 
 SloTracker::SloTracker(SloConfig cfg) : cfg_(cfg) {
   MPS_CHECK(cfg_.short_window >= 1);

@@ -13,15 +13,9 @@
 // tenant is consuming exactly its error budget, 2.0 means the budget
 // will be gone in half the window.
 //
-// Strict-parsed knobs (garbage raises InvalidInputError naming the
-// variable):
-//   MPS_SLO              — 1 enables the tracker in the engine (default 0)
-//   MPS_SLO_LATENCY_MS   — good/bad latency threshold (default 50)
-//   MPS_SLO_OBJECTIVE    — good fraction objective in (0, 1) (default 0.999)
-//   MPS_SLO_SHORT_WINDOW — short window, requests (default 256)
-//   MPS_SLO_LONG_WINDOW  — long window, requests (default 4096; >= short)
-//   MPS_SLO_BURN_ALERT   — alert when both windows exceed this burn rate
-//                          (default 2.0)
+// The objectives are serve::EngineConfig::slo and the tracker runs when
+// EngineConfig::slo_enabled is 1; engine construction range-checks each
+// field (objective in (0, 1), long_window >= short_window >= 1).
 
 #include <cstdint>
 #include <map>
@@ -31,15 +25,12 @@
 namespace mps::serve {
 
 struct SloConfig {
-  double latency_ms = 50.0;
-  double objective = 0.999;
-  int short_window = 256;
-  int long_window = 4096;
+  double latency_ms = 50.0;  ///< good/bad latency threshold, >= 0
+  double objective = 0.999;  ///< good-fraction objective, in (0, 1)
+  int short_window = 256;    ///< short window, requests, [1, 2^20]
+  int long_window = 4096;    ///< long window, requests, [short, 2^24]
+  /// Alert when both windows exceed this burn rate, >= 0.
   double burn_alert = 2.0;
-
-  /// Strict-parse the MPS_SLO_* knobs (not MPS_SLO itself — whether the
-  /// tracker runs is the engine's slo_enabled knob).
-  static SloConfig from_env();
 };
 
 /// Point-in-time SLO state for one tenant (handle).

@@ -21,7 +21,7 @@
 // reduced in fixed segment order, which is deterministic run-to-run but
 // NOT bitwise-identical to the unsharded sum (the fp regrouping is
 // real), which is why it defaults off and is gated behind an explicit
-// knob (MPS_SHARD_2D_NNZ).
+// knob (serve::EngineConfig::shard_2d_nnz).
 
 #include <cstddef>
 #include <span>

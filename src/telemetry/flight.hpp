@@ -15,7 +15,7 @@
 //
 // Bundle triggers: serve::Engine dumps on DeviceLostError, terminal
 // IntegrityError, and RecoveryError; durability::detail::crash_hit dumps
-// before the injected _exit (so every MPS_DURABLE_CRASH point leaves a
+// before the injected _exit (so every armed crash point leaves a
 // bundle, asserted by scripts/crash_matrix.sh); tools/mps_serve dumps on
 // demand via --dump-bundle.  File dumps only happen when MPS_FLIGHT_DIR
 // names a directory — the in-memory ring is always on, but a library

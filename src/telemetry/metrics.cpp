@@ -184,7 +184,7 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
 
 PeriodicDumper::PeriodicDumper() {
   // Strict parse: a typo'd dump interval must fail loudly, not silently
-  // run without periodic dumps (the MPS_SERVE_*/MPS_DURABLE_* rule).
+  // run without periodic dumps (the MPS_FAULT_* rule).
   const long long interval_ms =
       util::env_int_checked("MPS_METRICS_DUMP_MS", 0);
   if (interval_ms <= 0) return;

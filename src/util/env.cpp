@@ -24,14 +24,6 @@ long long env_int(const char* name, long long fallback) {
   return (end && *end == '\0') ? parsed : fallback;
 }
 
-long long env_int_auto(const char* name, long long fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 0);
-  return (end && *end == '\0') ? parsed : fallback;
-}
-
 std::string env_string(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   return (v && *v) ? std::string(v) : fallback;

@@ -10,40 +10,34 @@
 //   MPS_FAULT_ALLOC_N     — fail the Nth device allocation per Device
 //   MPS_FAULT_BYTE_LIMIT  — fail the allocation crossing this byte count
 //   MPS_FAULT_CAPACITY    — cap device capacity in bytes
-//   MPS_FAULT_BITFLIP_ALLOC / _OFFSET / _MASK / _EVERY — silent bit-flip
-//                           injection into live device buffers
+//   MPS_FAULT_BITFLIP_ALLOC  — flip a bit in the Nth windowed allocation
+//   MPS_FAULT_BITFLIP_OFFSET — byte offset of that flip
+//   MPS_FAULT_BITFLIP_MASK   — XOR mask of that flip
 //   MPS_STRICT_VALIDATE   — 1: structurally validate matrices at kernel
 //                           entry (InvalidInputError on violation);
 //                           2: additionally reject non-finite values
 //   MPS_INTEGRITY_CHECK   — 1: buffer checksums + kernel postcondition
 //                           guards (IntegrityError on violation)
 //
-// Serving knobs (docs/serving.md; read by serve::EngineConfig::from_env
-// for any field left zero):
-//   MPS_SERVE_THREADS       — engine worker threads (default 4)
-//   MPS_SERVE_QUEUE_CAP     — submission-queue capacity (default 1024)
-//   MPS_SERVE_BATCH_WINDOW  — max same-matrix SpMV requests coalesced
-//                             into one spmm dispatch (default 8)
-//   MPS_SERVE_PLAN_CACHE_MB — plan-cache capacity in MiB (default 64)
-//
 // Autotuning knob (docs/autotuning.md; read by mps::autotune):
 //   MPS_AUTOTUNE        — 1: adaptive format/kernel selection for SpMV in
 //                         the serving engine, examples and fig5 (default 0;
 //                         results stay bitwise-identical to the static
 //                         merge path — only the dispatch choice changes)
-
-// Chaos knobs (docs/robustness.md; read by vgpu::ChaosSchedule::from_env):
-//   MPS_CHAOS_SCRIPT — explicit fault timeline (device loss, stragglers,
-//                      alloc failures, bit flips) in the chaos
-//                      mini-language; see src/vgpu/chaos.hpp
-//   MPS_CHAOS_SEED   — deterministic pseudo-random schedule (0 = off)
 //
-// Fault/chaos knobs, the serving-engine knobs (MPS_SERVE_*), and the
-// durability knobs (MPS_DURABLE_*) parse STRICTLY via the *_checked
-// variants below: a malformed, overflowing, or out-of-range value
-// throws InvalidInputError naming the variable instead of silently
-// falling back.  Bench-tuning knobs (MPS_SCALE, MPS_THREADS, ...) stay
-// lenient.
+// Observability and bench-output knobs (MPS_TRACE_OUT, MPS_METRICS_DUMP_*,
+// MPS_PROFILE*, MPS_FLIGHT_*, MPS_BENCH_*, MPS_CSV_DIR) are read where
+// they apply.  README's knob table lists every MPS_* variable the code
+// reads, and scripts/check_knobs.py keeps the two in step.
+//
+// The serving engine (src/serve, src/shard, src/durability) reads no
+// environment variable of its own: serve::EngineConfig is its only
+// configuration surface (docs/serving.md).
+//
+// Fault knobs parse STRICTLY via the *_checked variants below: a
+// malformed, overflowing, or out-of-range value throws InvalidInputError
+// naming the variable instead of silently falling back.  Bench-tuning
+// knobs (MPS_SCALE, MPS_THREADS, ...) stay lenient.
 
 #include <climits>
 #include <string>
@@ -52,8 +46,6 @@ namespace mps::util {
 
 double env_double(const char* name, double fallback);
 long long env_int(const char* name, long long fallback);
-/// Like env_int but auto-detects the base ("0x80" parses as hex).
-long long env_int_auto(const char* name, long long fallback);
 std::string env_string(const char* name, const std::string& fallback);
 
 // Strict variants: unset (or empty) returns `fallback` untouched, but a

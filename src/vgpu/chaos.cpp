@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace mps::vgpu {
@@ -209,15 +208,6 @@ ChaosSchedule ChaosSchedule::seeded(std::uint64_t seed, int num_devices) {
     sched.events.push_back(flip);
   }
   return sched;
-}
-
-ChaosSchedule ChaosSchedule::from_env(int num_devices) {
-  const std::string script = util::env_string("MPS_CHAOS_SCRIPT", "");
-  if (!script.empty()) return parse(script, "MPS_CHAOS_SCRIPT");
-  const long long seed = util::env_int_checked("MPS_CHAOS_SEED", 0);
-  if (seed > 0)
-    return seeded(static_cast<std::uint64_t>(seed), num_devices);
-  return ChaosSchedule{};
 }
 
 std::string ChaosSchedule::to_script() const {

@@ -24,11 +24,10 @@
 // bit for bit — the property the chaos harness (mps_serve --chaos-*)
 // builds its invariants on.
 //
-// Environment knobs (parsed strictly — malformed values throw a typed
-// InvalidInputError naming the variable):
-//   MPS_CHAOS_SCRIPT — explicit schedule in the mini-language below
-//   MPS_CHAOS_SEED   — pseudo-random schedule from a seed (0 = disabled;
-//                      ignored when MPS_CHAOS_SCRIPT is set)
+// A schedule reaches the serving engine as serve::EngineConfig::chaos;
+// mps_serve builds it from --chaos-script (parse) or --chaos-seed
+// (seeded).  Parsing is strict — malformed scripts throw a typed
+// InvalidInputError naming their source.
 
 #include <cstddef>
 #include <cstdint>
@@ -81,8 +80,8 @@ struct ChaosSchedule {
   ///   flip[:dev=D]@alloc=N[,offset=B][,mask=M][,every=K]   silent bit flip
   ///
   /// e.g. "lose:dev=0@launch=40;straggle@launch=8,x=8,every=32".
-  /// Malformed input throws InvalidInputError naming `source` (the env
-  /// variable, when the script came from one).
+  /// Malformed input throws InvalidInputError naming `source` (the flag
+  /// or field the script came from).
   static ChaosSchedule parse(const std::string& script,
                              const std::string& source = "chaos script");
 
@@ -91,10 +90,6 @@ struct ChaosSchedule {
   /// plus a recurring straggler, one alloc failure, and one recurring
   /// bit flip per device.  A pure function of (seed, num_devices).
   static ChaosSchedule seeded(std::uint64_t seed, int num_devices);
-
-  /// MPS_CHAOS_SCRIPT (takes precedence) or MPS_CHAOS_SEED; an empty
-  /// schedule when neither is set.  Strict parsing throughout.
-  static ChaosSchedule from_env(int num_devices);
 
   /// Render back into the script mini-language (diagnostics, logs).
   std::string to_script() const;

@@ -13,7 +13,7 @@
 // serving engine quarantines a chaos-lost device without disturbing the
 // shard placement keyed on slot ordinals (serve::Engine failover).
 //
-// Fleet shape comes from a spec string (MPS_SERVE_DEVICE_SPEC):
+// Fleet shape comes from a spec string (serve::EngineConfig::device_spec):
 //
 //   spec     := entry (',' entry)*
 //   entry    := profile [ '*' count ]
@@ -23,8 +23,8 @@
 // single bare profile which broadcasts to the requested fleet size.
 // Parsing is strict — an unknown profile, malformed count, or a spec
 // whose expanded length disagrees with the requested device count raises
-// InvalidInputError naming the source (the env variable when the spec
-// came from one).
+// InvalidInputError naming the source (the config field or flag the
+// spec came from).
 
 #include <cstddef>
 #include <memory>

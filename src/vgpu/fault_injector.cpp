@@ -20,12 +20,10 @@ FaultInjectorConfig FaultInjector::config_from_env() {
   // The mask is a byte pattern — accept hex ("0x80") as well as decimal.
   const long long mask =
       util::env_int_auto_checked("MPS_FAULT_BITFLIP_MASK", 0x01, 0, 0xFF);
-  const long long every = util::env_int_checked("MPS_FAULT_BITFLIP_EVERY", 0);
   if (flip > 0) {
     cfg.bitflip_alloc = flip;
     cfg.bitflip_offset = static_cast<std::size_t>(offset);
     cfg.bitflip_mask = static_cast<std::uint8_t>(mask);
-    cfg.bitflip_every = every;
   }
   return cfg;
 }

@@ -39,8 +39,9 @@
 //   MPS_FAULT_BITFLIP_OFFSET — byte offset of the flip (mod window size)
 //   MPS_FAULT_BITFLIP_MASK   — XOR mask for the byte (decimal or 0x hex;
 //                              default 0x01)
-//   MPS_FAULT_BITFLIP_EVERY  — re-fire every N further allocations
-//                              (transient-fault mode; 0 = flip once)
+//
+// The env flip fires once; repeating flips (bitflip_every) come from a
+// chaos script's "flip@alloc=N,every=K".
 //
 // All MPS_FAULT_* values parse strictly (util::env_*_checked): a
 // malformed or out-of-range value throws InvalidInputError naming the

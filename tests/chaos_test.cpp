@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -25,36 +24,6 @@ namespace {
 using namespace mps;
 using vgpu::ChaosEvent;
 using vgpu::ChaosSchedule;
-
-/// Restores (or re-clears) an environment variable on scope exit.
-class EnvVarGuard {
- public:
-  EnvVarGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvVarGuard() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvVarGuard(const EnvVarGuard&) = delete;
-  EnvVarGuard& operator=(const EnvVarGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 vgpu::Device make_clean_device() {
   vgpu::Device dev;
@@ -135,55 +104,7 @@ TEST(ChaosScript, MalformedScriptsAreRejectedNamingTheSource) {
 }
 
 // ---------------------------------------------------------------------------
-// Environment resolution (strict parsing — satellite of the chaos layer).
-
-TEST(ChaosEnv, ScriptWinsOverSeed) {
-  EnvVarGuard script("MPS_CHAOS_SCRIPT", "lose@launch=5");
-  EnvVarGuard seed("MPS_CHAOS_SEED", "9");
-  const ChaosSchedule sched = ChaosSchedule::from_env(4);
-  ASSERT_EQ(sched.events.size(), 1u);
-  EXPECT_EQ(sched.events[0].kind, ChaosEvent::Kind::kDeviceLoss);
-  EXPECT_EQ(sched.events[0].at_launch, 5);
-}
-
-TEST(ChaosEnv, SeedZeroOrUnsetDisables) {
-  {
-    EnvVarGuard script("MPS_CHAOS_SCRIPT", nullptr);
-    EnvVarGuard seed("MPS_CHAOS_SEED", nullptr);
-    EXPECT_TRUE(ChaosSchedule::from_env(4).empty());
-  }
-  {
-    EnvVarGuard script("MPS_CHAOS_SCRIPT", nullptr);
-    EnvVarGuard seed("MPS_CHAOS_SEED", "0");
-    EXPECT_TRUE(ChaosSchedule::from_env(4).empty());
-  }
-}
-
-TEST(ChaosEnv, MalformedValuesAreRejectedNamingTheVariable) {
-  {
-    EnvVarGuard script("MPS_CHAOS_SCRIPT", "lose@launch=banana");
-    try {
-      ChaosSchedule::from_env(2);
-      FAIL() << "expected InvalidInputError";
-    } catch (const InvalidInputError& e) {
-      EXPECT_NE(std::string(e.what()).find("MPS_CHAOS_SCRIPT"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-  {
-    EnvVarGuard script("MPS_CHAOS_SCRIPT", nullptr);
-    EnvVarGuard seed("MPS_CHAOS_SEED", "not-a-number");
-    try {
-      ChaosSchedule::from_env(2);
-      FAIL() << "expected InvalidInputError";
-    } catch (const InvalidInputError& e) {
-      EXPECT_NE(std::string(e.what()).find("MPS_CHAOS_SEED"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-}
+// Seeded schedules.
 
 TEST(ChaosEnv, SeededScheduleIsDeterministic) {
   const ChaosSchedule a = ChaosSchedule::seeded(7, 4);

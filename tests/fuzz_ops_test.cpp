@@ -19,7 +19,6 @@
 #include "sparse/convert.hpp"
 #include "test_matrices.hpp"
 #include "vgpu/device.hpp"
-#include "workloads/generators.hpp"
 
 namespace mps {
 namespace {
@@ -27,49 +26,11 @@ namespace {
 using sparse::coo_to_csr;
 using sparse::CsrD;
 
-enum class Regime {
-  kUniform,
-  kBanded,
-  kPowerLaw,
-  kHypersparse,
-  kNearDense,
-  kRectWide,
-  kRectTall,
-};
-
-std::string regime_name(Regime r) {
-  switch (r) {
-    case Regime::kUniform: return "uniform";
-    case Regime::kBanded: return "banded";
-    case Regime::kPowerLaw: return "powerlaw";
-    case Regime::kHypersparse: return "hypersparse";
-    case Regime::kNearDense: return "neardense";
-    case Regime::kRectWide: return "rectwide";
-    case Regime::kRectTall: return "recttall";
-  }
-  return "?";
-}
-
-CsrD make_matrix(Regime r, std::uint64_t seed) {
-  util::Rng rng(seed);
-  switch (r) {
-    case Regime::kUniform:
-      return coo_to_csr(testing::random_coo(rng, 400, 400, 4800));
-    case Regime::kBanded:
-      return workloads::fem_banded(500, 18.0, 4.0, seed);
-    case Regime::kPowerLaw:
-      return testing::random_powerlaw_csr(rng, 500, 500, 6.0);
-    case Regime::kHypersparse:
-      return coo_to_csr(testing::random_coo(rng, 2000, 2000, 300));
-    case Regime::kNearDense:
-      return coo_to_csr(testing::random_coo(rng, 60, 60, 2800));
-    case Regime::kRectWide:
-      return coo_to_csr(testing::random_coo(rng, 64, 3000, 2500));
-    case Regime::kRectTall:
-      return coo_to_csr(testing::random_coo(rng, 3000, 64, 2500));
-  }
-  return {};
-}
+using testing::kAllRegimes;
+using testing::kFuzzSeeds;
+using testing::make_regime_matrix;
+using testing::Regime;
+using testing::regime_name;
 
 class FuzzTest
     : public ::testing::TestWithParam<std::tuple<Regime, std::uint64_t>> {
@@ -79,7 +40,7 @@ class FuzzTest
 
 TEST_P(FuzzTest, AllSpmvSchemesAgree) {
   const auto [regime, seed] = GetParam();
-  const auto a = make_matrix(regime, seed);
+  const auto a = make_regime_matrix(regime, seed);
   util::Rng rng(seed * 7 + 1);
   std::vector<double> x(static_cast<std::size_t>(a.num_cols));
   for (auto& v : x) v = rng.uniform_double(-1, 1);
@@ -103,8 +64,8 @@ TEST_P(FuzzTest, AllSpmvSchemesAgree) {
 
 TEST_P(FuzzTest, AllSpaddSchemesAgree) {
   const auto [regime, seed] = GetParam();
-  const auto a = make_matrix(regime, seed);
-  const auto b = make_matrix(regime, seed + 1000);
+  const auto a = make_regime_matrix(regime, seed);
+  const auto b = make_regime_matrix(regime, seed + 1000);
   const auto ref = baselines::seq::spadd(a, b);
   const auto a_coo = sparse::csr_to_coo(a);
   const auto b_coo = sparse::csr_to_coo(b);
@@ -125,8 +86,8 @@ TEST_P(FuzzTest, AllSpaddSchemesAgree) {
 
 TEST_P(FuzzTest, AllSpgemmSchemesAgree) {
   const auto [regime, seed] = GetParam();
-  const auto a = make_matrix(regime, seed);
-  const auto b = sparse::transpose(make_matrix(regime, seed + 2000));
+  const auto a = make_regime_matrix(regime, seed);
+  const auto b = sparse::transpose(make_regime_matrix(regime, seed + 2000));
   ASSERT_EQ(a.num_cols, b.num_rows);
   const auto ref = baselines::seq::spgemm(a, b);
 
@@ -157,12 +118,8 @@ TEST_P(FuzzTest, AllSpgemmSchemesAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, FuzzTest,
-    ::testing::Combine(::testing::Values(Regime::kUniform, Regime::kBanded,
-                                         Regime::kPowerLaw, Regime::kHypersparse,
-                                         Regime::kNearDense, Regime::kRectWide,
-                                         Regime::kRectTall),
-                       ::testing::Values(std::uint64_t{1}, std::uint64_t{2},
-                                         std::uint64_t{3})),
+    ::testing::Combine(::testing::ValuesIn(kAllRegimes),
+                       ::testing::ValuesIn(kFuzzSeeds)),
     [](const ::testing::TestParamInfo<std::tuple<Regime, std::uint64_t>>& p) {
       return regime_name(std::get<0>(p.param)) +
              std::to_string(std::get<1>(p.param));

@@ -50,9 +50,7 @@ struct ProfilerReset {
     telemetry::metrics().reset();
     for (const char* knob :
          {"MPS_PROFILE", "MPS_PROFILE_IMBALANCE_PCT",
-          "MPS_PROFILE_ROOFLINE_FRAC", "MPS_FLIGHT_RING", "MPS_FLIGHT_DIR",
-          "MPS_SLO_LATENCY_MS", "MPS_SLO_OBJECTIVE", "MPS_SLO_SHORT_WINDOW",
-          "MPS_SLO_LONG_WINDOW", "MPS_SLO_BURN_ALERT"}) {
+          "MPS_PROFILE_ROOFLINE_FRAC", "MPS_FLIGHT_RING", "MPS_FLIGHT_DIR"}) {
       ::unsetenv(knob);
     }
   }
@@ -622,33 +620,38 @@ TEST(Slo, TenantsAreIndependentAndUnknownIsZero) {
   EXPECT_EQ(t.report()[1].tenant, 2u);
 }
 
-TEST(Slo, FromEnvDefaultsAndStrictParse) {
+TEST(Slo, ConfigDefaultsAndValidation) {
   ProfilerReset guard;
-  const auto cfg = serve::SloConfig::from_env();
-  EXPECT_DOUBLE_EQ(cfg.latency_ms, 50.0);
-  EXPECT_DOUBLE_EQ(cfg.objective, 0.999);
-  EXPECT_EQ(cfg.short_window, 256);
-  EXPECT_EQ(cfg.long_window, 4096);
-  EXPECT_DOUBLE_EQ(cfg.burn_alert, 2.0);
+  const serve::SloConfig defaults;
+  EXPECT_DOUBLE_EQ(defaults.latency_ms, 50.0);
+  EXPECT_DOUBLE_EQ(defaults.objective, 0.999);
+  EXPECT_EQ(defaults.short_window, 256);
+  EXPECT_EQ(defaults.long_window, 4096);
+  EXPECT_DOUBLE_EQ(defaults.burn_alert, 2.0);
 
-  ::setenv("MPS_SLO_OBJECTIVE", "1.5", 1);  // outside (0, 1)
-  EXPECT_THROW(serve::SloConfig::from_env(), InvalidInputError);
-  ::setenv("MPS_SLO_OBJECTIVE", "nine-nines", 1);
-  EXPECT_THROW(serve::SloConfig::from_env(), InvalidInputError);
-  ::unsetenv("MPS_SLO_OBJECTIVE");
-  ::setenv("MPS_SLO_LATENCY_MS", "-5", 1);
-  EXPECT_THROW(serve::SloConfig::from_env(), InvalidInputError);
-  ::unsetenv("MPS_SLO_LATENCY_MS");
-  ::setenv("MPS_SLO_SHORT_WINDOW", "0", 1);  // below the floor of 1
-  EXPECT_THROW(serve::SloConfig::from_env(), InvalidInputError);
-  ::unsetenv("MPS_SLO_SHORT_WINDOW");
-  ::setenv("MPS_SLO_SHORT_WINDOW", "64", 1);
-  ::setenv("MPS_SLO_LONG_WINDOW", "32", 1);  // long < short
-  EXPECT_THROW(serve::SloConfig::from_env(), InvalidInputError);
-  ::unsetenv("MPS_SLO_SHORT_WINDOW");
-  ::unsetenv("MPS_SLO_LONG_WINDOW");
-  ::setenv("MPS_SLO_BURN_ALERT", "fast", 1);
-  EXPECT_THROW(serve::SloConfig::from_env(), InvalidInputError);
+  // Engine construction range-checks EngineConfig::slo.
+  const auto expect_rejected = [](const serve::SloConfig& slo) {
+    auto cfg = engine_config();
+    cfg.slo_enabled = 1;
+    cfg.slo = slo;
+    EXPECT_THROW(serve::Engine engine(cfg), InvalidInputError);
+  };
+  serve::SloConfig bad;
+  bad.objective = 1.5;  // outside (0, 1)
+  expect_rejected(bad);
+  bad = {};
+  bad.latency_ms = -5.0;
+  expect_rejected(bad);
+  bad = {};
+  bad.short_window = 0;  // below the floor of 1
+  expect_rejected(bad);
+  bad = {};
+  bad.short_window = 64;
+  bad.long_window = 32;  // long < short
+  expect_rejected(bad);
+  bad = {};
+  bad.burn_alert = -1.0;
+  expect_rejected(bad);
 }
 
 // ---------------------------------------------------------------------------
@@ -775,9 +778,9 @@ TEST(EngineExplain, ShardedLayoutIsReported) {
 TEST(EngineSlo, StatsTrackTenantsAndAlerts) {
   ProfilerReset guard;
   // Generous threshold: every request is good.
-  ::setenv("MPS_SLO_LATENCY_MS", "1000000", 1);
   auto cfg = engine_config();
   cfg.slo_enabled = 1;
+  cfg.slo.latency_ms = 1000000.0;
   {
     serve::Engine engine(cfg);
     const auto a = small_matrix();
@@ -794,7 +797,7 @@ TEST(EngineSlo, StatsTrackTenantsAndAlerts) {
   }
   // Zero threshold: every request (wall latency > 0) violates, and the
   // default 0.999 objective pages on the first violation in both windows.
-  ::setenv("MPS_SLO_LATENCY_MS", "0", 1);
+  cfg.slo.latency_ms = 0.0;
   {
     serve::Engine engine(cfg);
     const auto a = small_matrix();
@@ -808,7 +811,6 @@ TEST(EngineSlo, StatsTrackTenantsAndAlerts) {
     EXPECT_GE(stats.slo.tenants[0].alerts, 1);
     EXPECT_EQ(stats.slo.alerting_now, 1);
   }
-  ::unsetenv("MPS_SLO_LATENCY_MS");
 }
 
 TEST(EngineSlo, DisabledLeavesStatsEmpty) {

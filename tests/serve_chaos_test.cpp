@@ -66,25 +66,17 @@ class EnvVarGuard {
   std::string old_;
 };
 
-// Engines resolve fault and tuning knobs from the environment; these tests
-// need a clean slate regardless of what the invoking shell exported.
+// The engine's devices read the fault-injection and integrity knobs from
+// the environment; these tests need a clean slate regardless of what the
+// invoking shell exported.
 class CleanFaultEnv {
  public:
   CleanFaultEnv() {
     static const char* const kVars[] = {
-        "MPS_CHAOS_SCRIPT",        "MPS_CHAOS_SEED",
         "MPS_FAULT_ALLOC_N",       "MPS_FAULT_BYTE_LIMIT",
         "MPS_FAULT_BITFLIP_ALLOC", "MPS_FAULT_BITFLIP_MASK",
         "MPS_FAULT_CAPACITY",      "MPS_INTEGRITY_CHECK",
-        "MPS_SERVE_RETRIES",       "MPS_SERVE_BACKOFF_MS",
-        "MPS_SERVE_BACKOFF_MAX_MS", "MPS_SERVE_BREAKER_THRESHOLD",
-        "MPS_SERVE_BREAKER_COOLDOWN_MS", "MPS_SERVE_SHED_WATERMARK",
-        "MPS_SERVE_MAX_FAILOVERS", "MPS_SERVE_DEGRADE_RECOVERY",
         "MPS_AUTOTUNE",
-        "MPS_SERVE_DEVICES",       "MPS_SERVE_DEVICE_SPEC",
-        "MPS_SHARD_MAX",           "MPS_SHARD_MIN_NNZ",
-        "MPS_SHARD_PLACEMENT",     "MPS_SHARD_REPLICATE_HOT",
-        "MPS_SHARD_2D_NNZ",
     };
     for (const char* v : kVars) {
       guards_.push_back(std::make_unique<EnvVarGuard>(v, nullptr));
@@ -115,8 +107,8 @@ EngineConfig test_config(unsigned threads, int batch_window,
   cfg.queue_capacity = queue_cap;
   cfg.plan_cache_bytes = 64u << 20;
   cfg.autotune = 0;
-  // Explicit fault-layer defaults so nothing resolves from the (already
-  // sanitized) environment mid-test.
+  // Fault-layer values spelled out: the tests below arm only the
+  // mechanism they exercise.
   cfg.retry.max_attempts = 2;
   cfg.retry.backoff_base_ms = 0.5;
   cfg.retry.backoff_max_ms = 8.0;

@@ -8,9 +8,8 @@
 //   - replayed SpMV answers are bitwise identical to the pre-crash run;
 //   - recovery composes with the chaos layer (a snapshot taken while
 //     faults fly still recovers to bitwise-correct answers);
-//   - the MPS_SERVE_* / MPS_DURABLE_* knobs parse strictly (garbage or
-//     out-of-range values raise InvalidInputError, never a silent
-//     fallback).
+//   - out-of-range EngineConfig fields and malformed crash specs raise
+//     InvalidInputError, never a silent fallback.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,55 +37,6 @@ namespace {
 
 using sparse::coo_to_csr;
 using sparse::CsrD;
-
-// Scoped setenv/unsetenv that restores the previous value (same idiom as
-// tests/serve_chaos_test.cpp).
-class EnvVarGuard {
- public:
-  EnvVarGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvVarGuard() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvVarGuard(const EnvVarGuard&) = delete;
-  EnvVarGuard& operator=(const EnvVarGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
-
-class CleanDurableEnv {
- public:
-  CleanDurableEnv() {
-    static const char* const kVars[] = {
-        "MPS_DURABLE_DIR",   "MPS_DURABLE_SNAPSHOT_EVERY",
-        "MPS_DURABLE_WARM",  "MPS_DURABLE_FSYNC",
-        "MPS_DURABLE_CRASH", "MPS_CHAOS_SCRIPT",
-        "MPS_CHAOS_SEED",    "MPS_AUTOTUNE",
-    };
-    for (const char* v : kVars) {
-      guards_.push_back(std::make_unique<EnvVarGuard>(v, nullptr));
-    }
-  }
-
- private:
-  std::vector<std::unique_ptr<EnvVarGuard>> guards_;
-};
 
 class TempDir {
  public:
@@ -156,7 +106,6 @@ std::vector<double> direct_spmv(const CsrD& a, const std::vector<double>& x) {
 // Registration recovery + bitwise replay.
 
 TEST(ServeDurable, RecoverReplaysRegistrationsWithBitwiseAnswers) {
-  CleanDurableEnv env;
   TempDir dir;
   const auto a = make_matrix(1), b = make_matrix(2);
   std::vector<std::vector<double>> before;
@@ -192,7 +141,6 @@ TEST(ServeDurable, RecoverReplaysRegistrationsWithBitwiseAnswers) {
 }
 
 TEST(ServeDurable, ReregistrationVersionsSurviveRecovery) {
-  CleanDurableEnv env;
   TempDir dir;
   const auto a = make_matrix(3);
   MatrixHandle h{};
@@ -213,7 +161,6 @@ TEST(ServeDurable, ReregistrationVersionsSurviveRecovery) {
 }
 
 TEST(ServeDurable, GracefulShutdownSnapshotCoversTheLog) {
-  CleanDurableEnv env;
   TempDir dir;
   const auto a = make_matrix(4);
   {
@@ -231,7 +178,6 @@ TEST(ServeDurable, GracefulShutdownSnapshotCoversTheLog) {
 }
 
 TEST(ServeDurable, WarmRecoveryPrebuildsPlans) {
-  CleanDurableEnv env;
   TempDir dir;
   const auto a = make_matrix(5);
   std::vector<double> before;
@@ -265,7 +211,6 @@ TEST(ServeDurable, WarmRecoveryPrebuildsShardPlans) {
   // handle: the snapshot must still record the handle as warm, and
   // recovery must rebuild each primary shard plan on the shard's own
   // slot — the plans sharded dispatch actually reads.
-  CleanDurableEnv env;
   TempDir dir;
   const auto a = make_matrix(12);
   const auto sharded_config = [&dir] {
@@ -310,7 +255,6 @@ TEST(ServeDurable, WarmRecoveryPrebuildsShardPlans) {
 // Torn-tail tolerance at the engine level.
 
 TEST(ServeDurable, TornFinalWalRecordRecoversThePrefix) {
-  CleanDurableEnv env;
   TempDir dir;
   const auto a = make_matrix(6), b = make_matrix(7);
   // Build the pre-crash state directly with the WAL writer: a graceful
@@ -343,7 +287,6 @@ TEST(ServeDurable, TornFinalWalRecordRecoversThePrefix) {
 }
 
 TEST(ServeDurable, MidLogCorruptionRefusesToServe) {
-  CleanDurableEnv env;
   TempDir dir;
   const auto a = make_matrix(8), b = make_matrix(9);
   {
@@ -369,7 +312,6 @@ TEST(ServeDurable, MidLogCorruptionRefusesToServe) {
 // Snapshot during chaos: durability composes with the fault layer.
 
 TEST(ServeDurable, SnapshotDuringChaosRecoversBitwise) {
-  CleanDurableEnv env;
   TempDir dir;
   const auto a = make_matrix(10);
   std::vector<std::vector<double>> before;
@@ -401,68 +343,54 @@ TEST(ServeDurable, SnapshotDuringChaosRecoversBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Strict knob parsing.
+// Strict field checks.
+
+/// Engine construction must reject `cfg` with InvalidInputError.
+void expect_rejected(const EngineConfig& cfg) {
+  EXPECT_THROW(Engine{cfg}, InvalidInputError);
+}
 
 TEST(ServeDurable, ServeKnobsRejectGarbageAndOutOfRange) {
-  CleanDurableEnv env;
-  {
-    EnvVarGuard g("MPS_SERVE_THREADS", "banana");
-    EXPECT_THROW(EngineConfig::from_env(), InvalidInputError);
-  }
-  {
-    EnvVarGuard g("MPS_SERVE_THREADS", "-3");
-    EXPECT_THROW(EngineConfig::from_env(), InvalidInputError);
-  }
-  {
-    EnvVarGuard g("MPS_SERVE_QUEUE_CAP", "0");
-    EXPECT_THROW(EngineConfig::from_env(), InvalidInputError);
-  }
-  {
-    EnvVarGuard g("MPS_SERVE_BATCH_WINDOW", "1e9");
-    EXPECT_THROW(EngineConfig::from_env(), InvalidInputError);
-  }
-  {
-    EnvVarGuard g("MPS_SERVE_SHED_WATERMARK", "half");
-    EXPECT_THROW(EngineConfig::from_env(), InvalidInputError);
-  }
-  {
-    EnvVarGuard g("MPS_SERVE_PLAN_CACHE_MB", "  ");
-    EXPECT_THROW(EngineConfig::from_env(), InvalidInputError);
-  }
+  auto cfg = test_config();
+  cfg.threads = 0;
+  expect_rejected(cfg);
+  cfg = test_config();
+  cfg.threads = static_cast<unsigned>(-3);  // what "--threads -3" parses to
+  expect_rejected(cfg);
+  cfg = test_config();
+  cfg.queue_capacity = 0;
+  expect_rejected(cfg);
+  cfg = test_config();
+  cfg.batch_window = 1000000000;  // above the 4096 cap
+  expect_rejected(cfg);
+  cfg = test_config();
+  cfg.shed_watermark = -0.5;
+  expect_rejected(cfg);
+  cfg = test_config();
+  cfg.plan_cache_bytes = 0;
+  expect_rejected(cfg);
 }
 
 TEST(ServeDurable, DurableKnobsRejectGarbageAndContradiction) {
-  CleanDurableEnv env;
-  {
-    EnvVarGuard g("MPS_DURABLE_SNAPSHOT_EVERY", "-1");
-    EXPECT_THROW(EngineConfig::from_env(), InvalidInputError);
-  }
-  {
-    EnvVarGuard g("MPS_DURABLE_WARM", "yes");
-    EXPECT_THROW(EngineConfig::from_env(), InvalidInputError);
-  }
-  {  // durability demanded but no directory anywhere
-    auto cfg = EngineConfig::from_env();
-    cfg.durable_enabled = 1;
-    cfg.durable_dir.clear();
-    EXPECT_THROW(Engine{cfg}, InvalidInputError);
-  }
-  {
-    EnvVarGuard g("MPS_DURABLE_CRASH", "wal-mid");  // missing :n
-    EXPECT_THROW(durability::arm_crash_from_env(), InvalidInputError);
-  }
-  {
-    EnvVarGuard g("MPS_DURABLE_CRASH", "nowhere:3");
-    EXPECT_THROW(durability::arm_crash_from_env(), InvalidInputError);
-  }
-  {
-    EnvVarGuard g("MPS_DURABLE_CRASH", "wal-mid:0");
-    EXPECT_THROW(durability::arm_crash_from_env(), InvalidInputError);
-  }
+  auto cfg = test_config();
+  cfg.durable_snapshot_every = -1;
+  expect_rejected(cfg);
+  cfg = test_config();
+  cfg.durable_warm = 2;  // a 0/1 switch
+  expect_rejected(cfg);
+  cfg = test_config();  // durability demanded but no directory
+  cfg.durable_enabled = 1;
+  cfg.durable_dir.clear();
+  expect_rejected(cfg);
+  EXPECT_THROW(durability::parse_crash_spec("wal-mid"), InvalidInputError);  // missing :n
+  EXPECT_THROW(durability::parse_crash_spec("nowhere:3"), InvalidInputError);
+  EXPECT_THROW(durability::parse_crash_spec("wal-mid:0"), InvalidInputError);
+  const auto spec = durability::parse_crash_spec("snapshot-post:7");
+  EXPECT_EQ(spec.point, durability::CrashPoint::kSnapshotPost);
+  EXPECT_EQ(spec.n, 7);
 }
 
 TEST(ServeDurable, DurabilityOffByDefaultAndStatsSaySo) {
-  CleanDurableEnv env;
   const auto a = make_matrix(11);
   Engine engine(test_config());
   const auto h = engine.register_matrix(a);

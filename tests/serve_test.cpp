@@ -15,8 +15,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <future>
+#include <iterator>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/seq.hpp"
@@ -610,6 +615,105 @@ TEST(ServeEngine, DistinctColumnStructureGetsDistinctHandles) {
   const std::vector<double> x{2.0, 3.0};
   EXPECT_EQ(engine.submit_spmv(ha, x).get().y, (std::vector<double>{2.0, 3.0}));
   EXPECT_EQ(engine.submit_spmv(hb, x).get().y, (std::vector<double>{3.0, 2.0}));
+}
+
+/// Sets each named variable to `value` for the guard's lifetime, then
+/// restores whatever the invoking shell had.
+class EnvOverride {
+ public:
+  EnvOverride(std::span<const char* const> names, const char* value) {
+    for (const char* n : names) {
+      const char* old = std::getenv(n);
+      saved_.emplace_back(n, old ? std::optional<std::string>(old) : std::nullopt);
+      ::setenv(n, value, 1);
+    }
+  }
+  ~EnvOverride() {
+    for (const auto& [name, old] : saved_) {
+      if (old) {
+        ::setenv(name, old->c_str(), 1);
+      } else {
+        ::unsetenv(name);
+      }
+    }
+  }
+  EnvOverride(const EnvOverride&) = delete;
+  EnvOverride& operator=(const EnvOverride&) = delete;
+
+ private:
+  std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
+};
+
+TEST(ServeEngine, DefaultConfigIgnoresEnvironment) {
+  // Every serving, sharding, durability, chaos and SLO variable the
+  // engine once fell back to, plus the retired repeating-bit-flip knob.
+  // EngineConfig is the only configuration surface now: garbage in all
+  // of them must change nothing.
+  static const char* const kRetired[] = {
+      "MPS_SERVE_THREADS",          "MPS_SERVE_QUEUE_CAP",
+      "MPS_SERVE_BATCH_WINDOW",     "MPS_SERVE_PLAN_CACHE_MB",
+      "MPS_SERVE_RETRIES",          "MPS_SERVE_BACKOFF_MS",
+      "MPS_SERVE_BACKOFF_MAX_MS",   "MPS_SERVE_BREAKER_THRESHOLD",
+      "MPS_SERVE_BREAKER_COOLDOWN_MS", "MPS_SERVE_SHED_WATERMARK",
+      "MPS_SERVE_MAX_FAILOVERS",    "MPS_SERVE_DEGRADE_RECOVERY",
+      "MPS_SERVE_DEVICES",          "MPS_SERVE_DEVICE_SPEC",
+      "MPS_SHARD_MAX",              "MPS_SHARD_MIN_NNZ",
+      "MPS_SHARD_PLACEMENT",        "MPS_SHARD_REPLICATE_HOT",
+      "MPS_SHARD_2D_NNZ",           "MPS_DURABLE_DIR",
+      "MPS_DURABLE_SNAPSHOT_EVERY", "MPS_DURABLE_WARM",
+      "MPS_DURABLE_FSYNC",          "MPS_DURABLE_CRASH",
+      "MPS_CHAOS_SCRIPT",           "MPS_CHAOS_SEED",
+      "MPS_SLO",                    "MPS_SLO_LATENCY_MS",
+      "MPS_SLO_OBJECTIVE",          "MPS_SLO_SHORT_WINDOW",
+      "MPS_SLO_LONG_WINDOW",        "MPS_SLO_BURN_ALERT",
+      "MPS_FAULT_BITFLIP_EVERY",
+  };
+  static_assert(std::size(kRetired) == 33);
+  const EnvOverride garbage(kRetired, "banana");
+
+  // The documented defaults (docs/serving.md).
+  const EngineConfig cfg;
+  EXPECT_EQ(cfg.threads, 4u);
+  EXPECT_EQ(cfg.queue_capacity, 1024u);
+  EXPECT_EQ(cfg.batch_window, 8);
+  EXPECT_EQ(cfg.plan_cache_bytes, std::size_t{64} << 20);
+  EXPECT_EQ(cfg.retry.max_attempts, 2);
+  EXPECT_EQ(cfg.retry.backoff_base_ms, 0.5);
+  EXPECT_EQ(cfg.retry.backoff_max_ms, 8.0);
+  EXPECT_EQ(cfg.breaker.failure_threshold, 5);
+  EXPECT_EQ(cfg.breaker.cooldown_ms, 250.0);
+  EXPECT_EQ(cfg.shed_watermark, 0.75);
+  EXPECT_EQ(cfg.max_failovers, 8);
+  EXPECT_EQ(cfg.degrade_recovery, 64);
+  EXPECT_TRUE(cfg.chaos.empty());
+  EXPECT_EQ(cfg.durable_enabled, 0);
+  EXPECT_EQ(cfg.durable_snapshot_every, 64);
+  EXPECT_EQ(cfg.durable_warm, 0);
+  EXPECT_EQ(cfg.durable_fsync, 0);
+  EXPECT_EQ(cfg.devices, 0);
+  EXPECT_EQ(cfg.device_spec, "");
+  EXPECT_EQ(cfg.shard_max, 8);
+  EXPECT_EQ(cfg.shard_min_nnz, 2048);
+  EXPECT_EQ(cfg.shard_placement, "weighted");
+  EXPECT_EQ(cfg.shard_replicate_hot, 0.5);
+  EXPECT_EQ(cfg.shard_2d_nnz, 0);
+  EXPECT_EQ(cfg.slo_enabled, 0);
+
+  Engine engine(cfg);
+  const auto a = make_matrix(Regime::kPowerLaw, 9);
+  const auto x = random_x(a, 3);
+  std::vector<double> ref(static_cast<std::size_t>(a.num_rows));
+  baselines::seq::spmv(a, x, ref);
+  EXPECT_EQ(engine.submit_spmv(engine.register_matrix(a), x).get().y, ref);
+  engine.shutdown();
+  const auto s = engine.stats();
+  EXPECT_EQ(s.queue_capacity, 1024u);
+  EXPECT_EQ(s.plan_cache.capacity_bytes, std::size_t{64} << 20);
+  EXPECT_EQ(s.devices.size(), 4u);  // legacy mode: one slot per worker
+  EXPECT_EQ(s.sharded_matrices, 0);
+  EXPECT_FALSE(s.durability.enabled);
+  EXPECT_FALSE(s.slo.enabled);
+  EXPECT_EQ(s.retries, 0);
 }
 
 // ---------------------------------------------------------------------------

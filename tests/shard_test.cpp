@@ -570,37 +570,7 @@ TEST(ShardExec2D, DenseRowSplitIsDeterministicAndAccurate) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine integration: sharded serving stats and strict env knobs.
-
-// Scoped setenv/unsetenv (same idiom as tests/serve_chaos_test.cpp).
-class EnvVarGuard {
- public:
-  EnvVarGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvVarGuard() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvVarGuard(const EnvVarGuard&) = delete;
-  EnvVarGuard& operator=(const EnvVarGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
+// Engine integration: sharded serving stats and strict config checks.
 
 serve::EngineConfig sharded_config(int devices) {
   serve::EngineConfig cfg;
@@ -615,7 +585,6 @@ serve::EngineConfig sharded_config(int devices) {
 }
 
 TEST(EngineSharded, ServesBitwiseAnswersAndPerDeviceStats) {
-  EnvVarGuard no_chaos("MPS_CHAOS_SCRIPT", nullptr);
   const auto a = make_regime_matrix(Regime::kUniform, 1);  // 4800 nnz
   const auto x = oracle_x(a);
   vgpu::Device flat_dev;
@@ -650,7 +619,6 @@ TEST(EngineSharded, HotMatrixGetsABitwiseReplica) {
   // so a 2-wide matrix on a 4-slot fleet is the smallest case that builds
   // one.  A lone tenant holds all of the sharded traffic, so it crosses
   // the hot threshold once the warm-up floor (8 requests) is reached.
-  EnvVarGuard no_chaos("MPS_CHAOS_SCRIPT", nullptr);
   auto a = make_regime_matrix(Regime::kUniform, 1);  // 4800 nnz
   serve::EngineConfig cfg = sharded_config(4);
   cfg.shard_min_nnz = 2048;  // 4800 nnz shards 2-wide
@@ -706,7 +674,6 @@ TEST(EngineSharded, HeteroFleetServesServingSizeMatricesOnTheFastPair) {
   // leaves the slow pair out, because their launch floor alone exceeds
   // the fast pair's balanced finish time, and so finishes earlier than
   // the bandwidth-weighted 4-wide layout it replaced.
-  EnvVarGuard no_chaos("MPS_CHAOS_SCRIPT", nullptr);
   const auto a = make_regime_matrix(Regime::kUniform, 1);  // 4800 nnz
   const auto b = make_regime_matrix(Regime::kUniform, 2);
   const auto x = oracle_x(a);
@@ -781,7 +748,6 @@ TEST(EngineSharded, HeteroFleetBuildsNoSlowReplica) {
   // whose predicted finish time is later than the primary's, so the hot
   // tenant gets no replica and its traffic stays on the fast pair
   // (HotMatrixGetsABitwiseReplica covers the titan fleet, where it does).
-  EnvVarGuard no_chaos("MPS_CHAOS_SCRIPT", nullptr);
   const auto a = make_regime_matrix(Regime::kUniform, 1);  // 4800 nnz
   serve::EngineConfig cfg = hetero_config();
   cfg.shard_replicate_hot = 0.5;
@@ -803,7 +769,6 @@ TEST(EngineSharded, HeteroFleetBuildsNoSlowReplica) {
 }
 
 TEST(EngineSharded, LegacyModeReportsOneSlotPerWorker) {
-  EnvVarGuard no_chaos("MPS_CHAOS_SCRIPT", nullptr);
   serve::EngineConfig cfg = sharded_config(0);  // legacy: no fleet knob
   cfg.threads = 3;
   serve::Engine engine(cfg);
@@ -817,34 +782,24 @@ TEST(EngineSharded, LegacyModeReportsOneSlotPerWorker) {
   for (const auto& d : stats.devices) EXPECT_EQ(d.profile, "titan");
 }
 
-TEST(EngineSharded, StrictEnvKnobsRejectMalformedValues) {
-  const auto expect_ctor_throws = [] {
-    serve::EngineConfig cfg;  // sentinels: resolve everything from env
-    cfg.threads = 1;
+TEST(EngineSharded, StrictKnobsRejectMalformedValues) {
+  const auto expect_ctor_throws = [](const serve::EngineConfig& cfg) {
     EXPECT_THROW(serve::Engine engine(cfg), InvalidInputError);
   };
-  {
-    EnvVarGuard placement("MPS_SHARD_PLACEMENT", "sideways");
-    expect_ctor_throws();
-  }
-  {
-    EnvVarGuard hot("MPS_SHARD_REPLICATE_HOT", "1.5");
-    expect_ctor_throws();
-  }
-  {
-    EnvVarGuard devices("MPS_SERVE_DEVICES", "2");
-    EnvVarGuard spec("MPS_SERVE_DEVICE_SPEC", "warp*2");
-    expect_ctor_throws();
-  }
-  {
-    EnvVarGuard devices("MPS_SERVE_DEVICES", "4");
-    EnvVarGuard spec("MPS_SERVE_DEVICE_SPEC", "fast*2,slow");  // expands to 3
-    expect_ctor_throws();
-  }
-  {
-    EnvVarGuard devices("MPS_SERVE_DEVICES", "999");  // above the 256 cap
-    expect_ctor_throws();
-  }
+  serve::EngineConfig cfg = sharded_config(0);
+  cfg.shard_placement = "sideways";
+  expect_ctor_throws(cfg);
+  cfg = sharded_config(0);
+  cfg.shard_replicate_hot = 1.5;
+  expect_ctor_throws(cfg);
+  cfg = sharded_config(2);
+  cfg.device_spec = "warp*2";
+  expect_ctor_throws(cfg);
+  cfg = sharded_config(4);
+  cfg.device_spec = "fast*2,slow";  // expands to 3
+  expect_ctor_throws(cfg);
+  cfg = sharded_config(999);  // above the 256 cap
+  expect_ctor_throws(cfg);
 }
 
 }  // namespace

@@ -12,16 +12,18 @@
 //   --scale S                    suite scale factor (default 0.05)
 //   --zipf S                     tenant-popularity skew (default 1.1)
 //   --seed N                     trace seed (default 42)
-//   --threads N                  worker threads (0 = MPS_SERVE_THREADS)
-//   --queue-cap N                queue capacity (0 = MPS_SERVE_QUEUE_CAP)
-//   --batch-window N             coalescing window (0 = MPS_SERVE_BATCH_WINDOW)
-//   --cache-mb N                 plan-cache MiB (0 = MPS_SERVE_PLAN_CACHE_MB)
+//   --threads N                  worker threads (default 4)
+//   --queue-cap N                queue capacity (default 1024)
+//   --batch-window N             coalescing window (default 8)
+//   --cache-mb N                 plan-cache MiB (default 64)
+//   --retries N                  retries after a transient fault's first
+//                                attempt (default 1; 0 disables retry)
 //   --devices N                  sharded serving on an N-device fleet
-//                                (default: MPS_SERVE_DEVICES; 0 = legacy
-//                                one-device-per-worker mode)
+//                                (default 0 = legacy one-device-per-worker
+//                                mode)
 //   --device-spec S              fleet heterogeneity, e.g. "fast*2,slow*2"
-//                                (default: MPS_SERVE_DEVICE_SPEC; see
-//                                docs/sharding.md for the grammar)
+//                                (default all titan; see docs/sharding.md
+//                                for the grammar)
 //   --verify                     check every SpMV answer against the
 //                                sequential reference
 //   --chaos-seed N               arm a seeded fault schedule (device loss,
@@ -47,12 +49,11 @@
 //                                writes to stdout.  Independent of
 //                                MPS_FLIGHT_DIR, which additionally arms
 //                                automatic dumps on faults and crashes
-//   --slo                        enable the per-tenant SLO engine
-//                                (MPS_SLO=1 sets the same thing; tune
-//                                with MPS_SLO_LATENCY_MS, _OBJECTIVE,
-//                                _SHORT_WINDOW, _LONG_WINDOW,
-//                                _BURN_ALERT) and print the burn-rate
-//                                report table after the replay
+//   --slo                        enable the per-tenant SLO engine (default
+//                                objectives: 50 ms, 0.999, windows
+//                                256/4096, alert at burn 2.0) and print
+//                                the burn-rate report table after the
+//                                replay
 //
 // Durability / kill-and-recover harness (scripts/crash_matrix.sh drives
 // the full sweep; docs/robustness.md):
@@ -61,7 +62,7 @@
 //                                directory holds and prints a greppable
 //                                "durable recovery:" line
 //   --snapshot-every N           WAL appends between background snapshots
-//                                (0 = shutdown snapshot only)
+//                                (default 64; 0 = shutdown snapshot only)
 //   --durable-warm               eagerly rebuild the snapshot's warm
 //                                plan-cache entries during recovery
 //   --reregister-every K         re-register a tenant (identical values,
@@ -73,8 +74,7 @@
 //                                flight
 //   --crash-point P:N            die at the N-th hit of durability crash
 //                                point P (wal-mid, wal-post,
-//                                snapshot-mid, snapshot-post, post-ack);
-//                                same grammar as MPS_DURABLE_CRASH
+//                                snapshot-mid, snapshot-post, post-ack)
 //   --durable-manifest PATH      append "handle version" after every
 //                                acknowledged registration (then hit the
 //                                post-ack crash point); on recovery the
@@ -94,12 +94,15 @@
 // the zero-dropped-on-shutdown guarantee CI smokes against — if the
 // engine completed requests but reports no finite p99 latency, or (under
 // chaos) if any success diverged bitwise from the fault-free reference.
+#include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -108,6 +111,7 @@
 
 #include "baselines/seq.hpp"
 #include "durability/crash.hpp"
+#include "resilience/integrity.hpp"
 #include "serve/engine.hpp"
 #include "serve/trace.hpp"
 #include "telemetry/flight.hpp"
@@ -129,7 +133,7 @@ using namespace mps;
                "usage: %s [--trace synthetic] [--requests N] [--tenants M]\n"
                "          [--scale S] [--zipf S] [--seed N] [--threads N]\n"
                "          [--queue-cap N] [--batch-window N] [--cache-mb N]\n"
-               "          [--devices N] [--device-spec S]\n"
+               "          [--retries N] [--devices N] [--device-spec S]\n"
                "          [--verify] [--chaos-seed N] [--chaos-script S]\n"
                "          [--trace-out PATH] [--metrics-out PATH]\n"
                "          [--metrics-prom PATH] [--dump-bundle PATH] [--slo]\n"
@@ -148,12 +152,7 @@ struct Options {
   double scale = 0.05;
   double zipf = 1.1;
   std::uint64_t seed = 42;
-  unsigned threads = 0;       // 0 = env default
-  std::size_t queue_cap = 0;  // 0 = env default
-  int batch_window = 0;       // 0 = env default
-  std::size_t cache_mb = 0;   // 0 = env default
-  int devices = -1;           // -1 = env default; 0 = legacy mode
-  std::string device_spec;    // empty = env default
+  serve::EngineConfig engine;  // engine flags land here directly
   bool verify = false;
   std::uint64_t chaos_seed = 0;  // > 0 = chaos harness, seeded schedule
   std::string chaos_script;      // chaos harness, explicit schedule
@@ -161,13 +160,9 @@ struct Options {
   std::string metrics_out;    // metrics registry JSON on shutdown
   std::string metrics_prom;   // Prometheus text exposition on shutdown
   std::string dump_bundle;    // flight-recorder debug bundle ("-" = stdout)
-  bool slo = false;           // per-tenant SLO engine + report table
-  std::string durable_dir;    // empty = durability off for this run
-  long long snapshot_every = -1;   // -1 = MPS_DURABLE_SNAPSHOT_EVERY
-  bool durable_warm = false;       // eager plan rebuild at recovery
   std::size_t reregister_every = 0;  // re-register a tenant every K submits
   std::size_t crash_after = 0;     // _exit(43) after the N-th submission
-  std::string crash_point;         // MPS_DURABLE_CRASH grammar
+  std::string crash_point;         // "<point>:<n>"
   std::string manifest;            // acked-registration manifest path
   std::string hash_out;            // per-position result fingerprints
 };
@@ -193,17 +188,23 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--seed") {
       o.seed = std::stoull(value());
     } else if (arg == "--threads") {
-      o.threads = static_cast<unsigned>(std::stoul(value()));
+      o.engine.threads = static_cast<unsigned>(std::stoul(value()));
     } else if (arg == "--queue-cap") {
-      o.queue_cap = std::stoull(value());
+      o.engine.queue_capacity = std::stoull(value());
     } else if (arg == "--batch-window") {
-      o.batch_window = std::stoi(value());
+      o.engine.batch_window = std::stoi(value());
     } else if (arg == "--cache-mb") {
-      o.cache_mb = std::stoull(value());
+      o.engine.plan_cache_bytes = std::stoull(value()) << 20;
+    } else if (arg == "--retries") {
+      // Clamped so N + 1 fits an int; a negative N becomes 0 attempts,
+      // which engine construction rejects.
+      o.engine.retry.max_attempts =
+          static_cast<int>(std::clamp<long long>(std::stoll(value()), -1,
+                                                 INT_MAX - 1)) + 1;
     } else if (arg == "--devices") {
-      o.devices = std::stoi(value());
+      o.engine.devices = std::stoi(value());
     } else if (arg == "--device-spec") {
-      o.device_spec = value();
+      o.engine.device_spec = value();
     } else if (arg == "--verify") {
       o.verify = true;
     } else if (arg == "--chaos-seed") {
@@ -219,13 +220,14 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--dump-bundle") {
       o.dump_bundle = value();
     } else if (arg == "--slo") {
-      o.slo = true;
+      o.engine.slo_enabled = 1;
     } else if (arg == "--durable-dir") {
-      o.durable_dir = value();
+      o.engine.durable_dir = value();
+      o.engine.durable_enabled = 1;
     } else if (arg == "--snapshot-every") {
-      o.snapshot_every = std::stoll(value());
+      o.engine.durable_snapshot_every = std::stoll(value());
     } else if (arg == "--durable-warm") {
-      o.durable_warm = true;
+      o.engine.durable_warm = 1;
     } else if (arg == "--reregister-every") {
       o.reregister_every = std::stoull(value());
     } else if (arg == "--crash-after") {
@@ -248,6 +250,15 @@ Options parse(int argc, char** argv) {
     usage(argv[0]);
   }
   if (o.requests == 0 || o.tenants == 0) usage(argv[0]);
+  // The seeded generator spreads events over the fleet's slot ordinals
+  // (the worker count in legacy mode); a script wins over a seed.
+  if (!o.chaos_script.empty()) {
+    o.engine.chaos = vgpu::ChaosSchedule::parse(o.chaos_script, "--chaos-script");
+  } else if (o.chaos_seed > 0) {
+    o.engine.chaos = vgpu::ChaosSchedule::seeded(
+        o.chaos_seed, o.engine.devices > 0 ? o.engine.devices
+                                           : static_cast<int>(o.engine.threads));
+  }
   return o;
 }
 
@@ -256,16 +267,6 @@ std::vector<double> make_x(const sparse::CsrD& a, std::uint64_t seed) {
   std::vector<double> x(static_cast<std::size_t>(a.num_cols));
   for (auto& v : x) v = rng.uniform_double(-1, 1);
   return x;
-}
-
-std::uint64_t fnv1a(const void* data, std::size_t n,
-                    std::uint64_t h = 1469598103934665603ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 /// Appends one acknowledged registration to the manifest, flushed before
@@ -348,26 +349,13 @@ struct ReplayOutcome {
 ReplayOutcome replay(const Options& opt,
                      const std::vector<workloads::SuiteEntry>& tenants,
                      const std::vector<serve::TraceOp>& trace,
-                     int chaos_enabled, bool print_tenants,
+                     bool chaos, bool print_tenants,
                      bool want_perfetto, bool want_bundle) {
-  serve::EngineConfig cfg;
-  cfg.threads = opt.threads;
-  cfg.queue_capacity = opt.queue_cap;
-  cfg.batch_window = opt.batch_window;
-  cfg.plan_cache_bytes = opt.cache_mb << 20;
-  if (opt.devices >= 0) cfg.devices = opt.devices;
-  if (!opt.device_spec.empty()) cfg.device_spec = opt.device_spec;
-  cfg.chaos_enabled = chaos_enabled;
-  if (opt.slo) cfg.slo_enabled = 1;
-  if (!opt.durable_dir.empty()) {
-    cfg.durable_dir = opt.durable_dir;
-    cfg.durable_enabled = 1;
-    cfg.durable_snapshot_every = opt.snapshot_every;
-    if (opt.durable_warm) cfg.durable_warm = 1;
-  }
+  serve::EngineConfig cfg = opt.engine;
+  cfg.chaos_enabled = chaos ? 1 : 0;
   serve::Engine engine(cfg);
 
-  if (!opt.durable_dir.empty()) {
+  if (cfg.durable_enabled > 0) {
     // crash_matrix.sh greps this line — keep the format stable.
     const auto& ri = engine.recovery_info();
     std::printf(
@@ -463,7 +451,7 @@ ReplayOutcome replay(const Options& opt,
       if (p.kind == serve::OpKind::kSpmv) {
         serve::SpmvResult r = p.spmv.get();
         out.modeled_ms += r.modeled_ms;
-        out.hash[i] = fnv1a(r.y.data(), r.y.size() * sizeof(double));
+        out.hash[i] = resilience::checksum_span(std::span<const double>(r.y));
         if (opt.verify) {
           const auto& a = tenants[p.matrix].matrix;
           std::vector<double> ref(static_cast<std::size_t>(a.num_rows));
@@ -478,10 +466,11 @@ ReplayOutcome replay(const Options& opt,
       } else {
         serve::MatrixResult r = p.matrix_op.get();
         out.modeled_ms += r.modeled_ms;
-        std::uint64_t h = fnv1a(r.c.row_offsets.data(),
-                                r.c.row_offsets.size() * sizeof(index_t));
-        h = fnv1a(r.c.col.data(), r.c.col.size() * sizeof(index_t), h);
-        out.hash[i] = fnv1a(r.c.val.data(), r.c.val.size() * sizeof(double), h);
+        std::uint64_t h =
+            resilience::checksum_span(std::span<const index_t>(r.c.row_offsets));
+        h = resilience::checksum_span(std::span<const index_t>(r.c.col), h);
+        out.hash[i] =
+            resilience::checksum_span(std::span<const double>(r.c.val), h);
       }
       out.ok[i] = 1;
       ++out.settled_ok;
@@ -514,12 +503,10 @@ int run_main(int argc, char** argv) {
     // request for no trace — env_path_checked throws InvalidInputError.
     opt.trace_out = util::env_path_checked("MPS_TRACE_OUT");
   }
-  // Crash-point injection: the flag publishes through the same knob the
-  // env path uses, so either spelling arms the same machinery.
   if (!opt.crash_point.empty()) {
-    ::setenv("MPS_DURABLE_CRASH", opt.crash_point.c_str(), 1);
+    const auto crash = durability::parse_crash_spec(opt.crash_point, "--crash-point");
+    durability::arm_crash(crash.point, crash.n);
   }
-  durability::arm_crash_from_env();
 
   // The tracer must be live BEFORE any request is admitted so that the
   // serve.request spans, the host phase spans underneath them, and the
@@ -556,18 +543,10 @@ int run_main(int argc, char** argv) {
   const bool chaos_mode = opt.chaos_seed > 0 || !opt.chaos_script.empty();
   ReplayOutcome ref, out;
   if (chaos_mode) {
-    // Publish the schedule through the same env knobs the engine's
-    // config resolution reads (so the seeded expansion sees the real
-    // worker count), and force integrity checking on unless the caller
-    // chose otherwise — bit-flip chaos relies on it to convert silent
-    // corruption into retryable IntegrityError.
-    if (!opt.chaos_script.empty()) {
-      ::setenv("MPS_CHAOS_SCRIPT", opt.chaos_script.c_str(), 1);
-    } else {
-      ::setenv("MPS_CHAOS_SEED", std::to_string(opt.chaos_seed).c_str(), 1);
-      ::unsetenv("MPS_CHAOS_SCRIPT");
-    }
-    ::setenv("MPS_INTEGRITY_CHECK", "1", /*overwrite=*/0);
+    // Integrity checking on unless MPS_INTEGRITY_CHECK says otherwise —
+    // bit-flip chaos relies on it to convert silent corruption into
+    // retryable IntegrityError.
+    resilience::set_integrity_checks_default(true);
     if (!opt.chaos_script.empty()) {
       std::printf("chaos script: %s\n", opt.chaos_script.c_str());
     } else {
@@ -576,14 +555,14 @@ int run_main(int argc, char** argv) {
     }
     // Reference leg: same trace, same engine configuration, chaos forced
     // off.  Every success in the chaos leg must reproduce these bits.
-    ref = replay(opt, tenants, trace, /*chaos_enabled=*/0,
+    ref = replay(opt, tenants, trace, /*chaos=*/false,
                  /*print_tenants=*/true, /*want_perfetto=*/false,
                  /*want_bundle=*/false);
-    out = replay(opt, tenants, trace, /*chaos_enabled=*/1,
+    out = replay(opt, tenants, trace, /*chaos=*/true,
                  /*print_tenants=*/false, !opt.trace_out.empty(),
                  !opt.dump_bundle.empty());
   } else {
-    out = replay(opt, tenants, trace, /*chaos_enabled=*/-1,
+    out = replay(opt, tenants, trace, /*chaos=*/false,
                  /*print_tenants=*/true, !opt.trace_out.empty(),
                  !opt.dump_bundle.empty());
   }
@@ -631,7 +610,7 @@ int run_main(int argc, char** argv) {
                         std::to_string(s.plan_cache.evictions) + " evictions");
   add("plan cache bytes", std::to_string(s.plan_cache.bytes_in_use) + " / " +
                               std::to_string(s.plan_cache.capacity_bytes));
-  if (opt.devices > 0) {
+  if (opt.engine.devices > 0) {
     add("sharded matrices", std::to_string(s.sharded_matrices) + " (" +
                                 std::to_string(s.replicated_matrices) +
                                 " hot-replicated)");
@@ -658,7 +637,7 @@ int run_main(int argc, char** argv) {
   }
   std::fputs(t.render().c_str(), stdout);
 
-  if (opt.slo && s.slo.enabled) {
+  if (s.slo.enabled) {
     // Per-tenant burn-rate report: burn 1.0 = spending the error budget
     // exactly at the objective's sustainable rate; an alert requires
     // BOTH windows above the threshold (docs/observability.md).
