@@ -161,8 +161,9 @@ int main() {
                        {"max_batch", static_cast<double>(max_batch)},
                        {"cache_hits", static_cast<double>(pc.hits)},
                        {"cache_misses", static_cast<double>(pc.misses)}});
-      // Coalescing must not cost modeled time: a batched dispatch runs
-      // ONE merge-path partition where unbatched dispatch runs N.
+      // Coalescing must not cost modeled time: a batched dispatch makes
+      // ONE pass over A, through the same cached plan, where unbatched
+      // dispatch makes N.
       if (window > 1) {
         require(modeled_ms <= modeled_unbatched * 1.0001,
                 "batched modeled cost exceeds unbatched");
@@ -326,8 +327,8 @@ int main() {
   analysis::emit(t, "serve_throughput");
   report.write();
   std::puts("\nExpected shape: req/s grows with threads; opening the batch"
-            " window lowers the summed modeled kernel cost (one partition"
-            " per coalesced spmm instead of one per request) and the"
+            " window lowers the summed modeled kernel cost (one pass over"
+            " A per coalesced SpMM instead of one per request) and the"
             " answers stay bitwise-identical in every cell.");
   return 0;
 }

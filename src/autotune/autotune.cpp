@@ -271,13 +271,20 @@ void TunedPlan::check_match(const sparse::CsrD& a) const {
 core::merge::SpmvStats TunedPlan::execute(vgpu::Device& device,
                                           const sparse::CsrD& a,
                                           std::span<const double> x,
-                                          std::span<double> y) const {
+                                          std::span<double> y,
+                                          index_t num_vectors) const {
   // spmv_execute rejects a different pattern with the same error, so a
   // merge winner hashes row_offsets once per execute, not twice.
-  if (choice_.kernel != Kernel::kMergePath) check_match(a);
+  if (choice_.kernel != Kernel::kMergePath) {
+    check_match(a);
+    // The other kernels are single-vector: a block runs one-shot merge.
+    if (num_vectors > 1) {
+      return core::merge::spmv(device, a, x, y, {}, num_vectors);
+    }
+  }
   switch (choice_.kernel) {
     case Kernel::kMergePath:
-      return core::merge::spmv_execute(device, a, x, y, *plan_);
+      return core::merge::spmv_execute(device, a, x, y, *plan_, num_vectors);
     case Kernel::kRowWise: {
       const auto s = baselines::rowwise::spmv(device, a, x, y);
       return wrap_format_stats(device, a, y, s.modeled_ms, s.wall_ms);

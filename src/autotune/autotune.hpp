@@ -141,9 +141,14 @@ class TunedPlan {
   /// format-converted winners, when its value buffer moved); merge
   /// winners rely on spmv_execute's own pattern guard.  Output is
   /// bitwise-identical to every other kernel in the candidate space.
+  /// num_vectors = k > 1 runs a row-major block (SpMM): a merge winner
+  /// through its plan at its own tile, any other winner as one-shot merge
+  /// SpMM (the format kernels are single-vector).  Either way column j is
+  /// bitwise the k = 1 result for column j.
   core::merge::SpmvStats execute(vgpu::Device& device, const sparse::CsrD& a,
                                  std::span<const double> x,
-                                 std::span<double> y) const;
+                                 std::span<double> y,
+                                 index_t num_vectors = 1) const;
 
  private:
   void check_match(const sparse::CsrD& a) const;

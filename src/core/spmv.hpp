@@ -37,6 +37,10 @@
 // searching, and is bit-identical to one-shot `spmv`.  A cheap pattern
 // fingerprint (dims/nnz + row-offset checksum) rejects a mismatched
 // matrix.
+//
+// SpMM (spmm.hpp) is this kernel over a row-major block of k vectors:
+// `spmv` and `spmv_execute` take a vector count, and a plan built once
+// serves every k.
 
 #include <cstdint>
 #include <optional>
@@ -96,15 +100,19 @@ struct SpmvStats {
 };
 
 /// y = A x.  `y` must hold A.num_rows elements (fully overwritten).
+/// With num_vectors = k > 1 this is SpMM (spmm.hpp): x and y are
+/// row-major blocks of k vectors (A.num_cols x k and A.num_rows x k), run
+/// through the same launch, and column j of y is bitwise spmv of column j
+/// of x.
 SpmvStats spmv(vgpu::Device& device, const sparse::CsrD& a,
                std::span<const double> x, std::span<double> y,
-               const SpmvConfig& cfg = {});
+               const SpmvConfig& cfg = {}, index_t num_vectors = 1);
 
 /// Single-precision variant (the bandwidth-bound kernel runs ~2x faster
 /// in fp32; the evaluation figures use fp64 as in the paper).
 SpmvStats spmv(vgpu::Device& device, const sparse::CsrMatrix<float>& a,
                std::span<const float> x, std::span<float> y,
-               const SpmvConfig& cfg = {});
+               const SpmvConfig& cfg = {}, index_t num_vectors = 1);
 
 namespace detail {
 struct SpmvPlanAccess;
@@ -188,12 +196,14 @@ SpmvPlan spmv_plan(vgpu::Device& device, const sparse::CsrMatrix<float>& a,
 /// run, as one launch.  A must match the plan's pattern fingerprint (dims, nnz,
 /// row-offset checksum) — values may differ freely; a mismatch throws
 /// std::logic_error instead of computing garbage.  Output is bit-identical
-/// to one-shot spmv with the plan's config.
+/// to one-shot spmv with the plan's config.  num_vectors > 1 is planned
+/// SpMM over row-major blocks, as for spmv; the plan pins one carry value
+/// per CTA, so a block reserves the other k - 1 for the call.
 SpmvStats spmv_execute(vgpu::Device& device, const sparse::CsrD& a,
                        std::span<const double> x, std::span<double> y,
-                       const SpmvPlan& plan);
+                       const SpmvPlan& plan, index_t num_vectors = 1);
 SpmvStats spmv_execute(vgpu::Device& device, const sparse::CsrMatrix<float>& a,
                        std::span<const float> x, std::span<float> y,
-                       const SpmvPlan& plan);
+                       const SpmvPlan& plan, index_t num_vectors = 1);
 
 }  // namespace mps::core::merge

@@ -1,14 +1,15 @@
 #pragma once
-// Templated implementation of merge-path SpMV (see spmv.hpp for the
-// algorithm description).  Instantiated for double and float in spmv.cpp.
+// Templated implementation of merge-path SpMV, and of SpMM as SpMV over k
+// vectors (see spmv.hpp).  Instantiated for double and float in spmv.cpp.
 //
 // The implementation is split along the plan/execute seam: plan building
 // runs the pattern-only phases (empty-row compaction, CTA partition) and
 // execution runs the value phases (reduction, carry update).  Planned and
-// one-shot SpMV share one reduce launch (reduce_launch below); they differ
+// one-shot runs share one reduce launch (reduce_kernel below); they differ
 // only in where each CTA gets its row fences — the plan's pinned array, or
 // two binary searches the CTA runs itself inside the launch.
 
+#include <optional>
 #include <vector>
 
 #include "core/spmv.hpp"
@@ -83,38 +84,66 @@ double compact_launch(vgpu::Device& device, const sparse::CsrMatrix<V>& a,
       .modeled_ms;
 }
 
+/// dst[0..k) = the products of nonzeros [lo, hi) with their rows of the
+/// row-major block X, each column accumulated in ascending position (the
+/// canonical order).  K is k fixed at compile time: K = 1 keeps SpMV a
+/// scalar loop (a runtime-k inner loop doubles its host wall time); K = 0
+/// reads `k`.
+template <std::size_t K, typename V>
+void row_products(const sparse::CsrMatrix<V>& a, std::span<const V> x,
+                  std::size_t k, index_t lo, index_t hi, V* dst) {
+  if constexpr (K == 1) {
+    V acc{};
+    for (auto i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi);
+         ++i) {
+      acc += a.val[i] * x[static_cast<std::size_t>(a.col[i])];
+    }
+    *dst = acc;
+  } else {
+    std::fill(dst, dst + k, V{});
+    for (auto i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi);
+         ++i) {
+      const V v = a.val[i];
+      const V* xr = x.data() + static_cast<std::size_t>(a.col[i]) * k;
+      for (std::size_t j = 0; j < k; ++j) dst[j] += v * xr[j];
+    }
+  }
+}
+
 /// The fused reduction + carry-update launch (`merge.spmv_reduce`) shared
-/// by planned and one-shot SpMV.  `offsets` are the segment offsets (A's
-/// own, or the compacted view whose original row ids are `row_ids`;
-/// empty `row_ids` means identity).  `s_bounds` holds a plan's per-CTA
-/// row fences; when it is empty each CTA finds its own two fences with
-/// binary searches over `offsets` — the paper's partition phase run
-/// inside the reduce launch, charged to the searching CTA.  Writes the
-/// reduce and update shares of the launch into `stats`; y must already
-/// be zeroed.
-template <typename V>
-void reduce_launch(vgpu::Device& device, const sparse::CsrMatrix<V>& a,
-                   std::span<const V> x, std::span<V> y, const SpmvConfig& cfg,
-                   int num_ctas, std::span<const index_t> offsets,
+/// by planned and one-shot SpMV and SpMM.  x and y are row-major blocks of
+/// `k` vectors (K as in row_products).  `offsets` are the segment offsets
+/// (A's own, or the compacted view whose original row ids are `row_ids`;
+/// empty `row_ids` means identity).  `s_bounds` holds a plan's per-CTA row
+/// fences; when it is empty each CTA finds its own two fences with binary
+/// searches over `offsets` — the paper's partition phase run inside the
+/// reduce launch, charged to the searching CTA.  Writes the reduce and
+/// update shares of the launch into `stats`; y must already be zeroed.
+template <std::size_t K, typename V>
+void reduce_kernel(vgpu::Device& device, const sparse::CsrMatrix<V>& a,
+                   std::span<const V> x, std::span<V> y, std::size_t k,
+                   const SpmvConfig& cfg, int num_ctas,
+                   std::span<const index_t> offsets,
                    std::span<const index_t> row_ids,
                    std::span<const index_t> s_bounds, SpmvStats& stats) {
+  const std::size_t kv = K == 1 ? 1 : k;
   const std::size_t nnz = static_cast<std::size_t>(a.nnz());
   const index_t num_seg_rows = static_cast<index_t>(offsets.size()) - 1;
   const std::span<const index_t> seg_starts =
       offsets.subspan(0, static_cast<std::size_t>(num_seg_rows));
   const std::size_t tile = static_cast<std::size_t>(cfg.tile());
 
-  // Carries: the open trailing row of each CTA (original row id, partial
-  // sum).  The inter-CTA carry update runs as the launch's serialized
-  // tail (the last CTA to finish folds the carries), so the whole
-  // reduction + update is a single launch.
+  // Carry records: the open trailing row of each CTA (original row id).
+  // The inter-CTA carry update runs as the launch's serialized tail (the
+  // last CTA to finish folds the carries), so the whole reduction +
+  // update is a single launch.
   std::vector<index_t> carry_row(static_cast<std::size_t>(num_ctas), -1);
-  std::vector<V> carry_val(static_cast<std::size_t>(num_ctas), V{});
   const auto s = device.launch(
       "merge.spmv_reduce", num_ctas, cfg.block_threads, [&](vgpu::Cta& cta) {
         const std::size_t cta_id = static_cast<std::size_t>(cta.cta_id());
         const std::size_t p_lo = cta_id * tile;
         const std::size_t p_hi = std::min(nnz, p_lo + tile);
+        const std::size_t count = p_hi - p_lo;
         index_t row_lo = 0;
         index_t row_hi = 0;
         if (s_bounds.empty()) {
@@ -138,40 +167,40 @@ void reduce_launch(vgpu::Device& device, const sparse::CsrMatrix<V>& a,
         cta.charge_global((static_cast<std::size_t>(row_hi - row_lo) + 2) *
                           sizeof(index_t));
 
-        // Strided loads of column indices and values, x gathers,
-        // blocked transpose, and the CTA-wide segmented scan.
-        cta.charge_global((p_hi - p_lo) * (sizeof(index_t) + sizeof(V)));
-        cta.charge_gather(p_hi - p_lo);
-        cta.charge_shared_elems(3 * (p_hi - p_lo));
-        cta.charge_alu_uniform(2 * (p_hi - p_lo));
-        cta.charge_flops(2 * (p_hi - p_lo));  // one multiply-add per nnz
+        // Strided loads of column indices and values, X-row loads (the
+        // first element a gather, the other k - 1 streamed: SpMM's
+        // bandwidth edge over k SpMVs), blocked transpose, and the
+        // CTA-wide segmented scan per vector.
+        cta.charge_global(count * (sizeof(index_t) + sizeof(V)) +
+                          count * (kv - 1) * sizeof(V));
+        cta.charge_gather(count);
+        cta.charge_shared_elems(3 * count * kv);
+        cta.charge_alu_uniform(2 * count * kv);
+        cta.charge_flops(2 * count * kv);  // one multiply-add per product
         cta.charge_sync();
         cta.charge_sync();
 
-        // Functional reduction: walk rows covering [p_lo, p_hi).
+        // Functional reduction: walk rows covering [p_lo, p_hi).  A row
+        // that spans CTAs is rebuilt whole by the tail, so only rows
+        // wholly inside the tile are computed here.
         for (index_t r = row_lo; r <= row_hi && r < num_seg_rows; ++r) {
-          const std::size_t seg_lo = std::max(
-              p_lo, static_cast<std::size_t>(offsets[static_cast<std::size_t>(r)]));
-          const std::size_t seg_hi = std::min(
-              p_hi,
-              static_cast<std::size_t>(offsets[static_cast<std::size_t>(r) + 1]));
-          if (seg_lo >= seg_hi) continue;
-          V acc{};
-          for (std::size_t k = seg_lo; k < seg_hi; ++k) {
-            acc += a.val[k] * x[static_cast<std::size_t>(a.col[k])];
-          }
-          const bool row_ends_here =
-              static_cast<std::size_t>(
-                  offsets[static_cast<std::size_t>(r) + 1]) <= p_hi;
+          const std::size_t row_begin =
+              static_cast<std::size_t>(offsets[static_cast<std::size_t>(r)]);
+          const std::size_t row_end = static_cast<std::size_t>(
+              offsets[static_cast<std::size_t>(r) + 1]);
+          if (std::max(p_lo, row_begin) >= std::min(p_hi, row_end)) continue;
           const index_t out_row =
               row_ids.empty() ? r : row_ids[static_cast<std::size_t>(r)];
-          if (row_ends_here) {
-            y[static_cast<std::size_t>(out_row)] += acc;
-            cta.charge_global(sizeof(V));
+          if (row_end <= p_hi) {
+            if (row_begin >= p_lo) {
+              row_products<K>(a, x, kv, offsets[static_cast<std::size_t>(r)],
+                              offsets[static_cast<std::size_t>(r) + 1],
+                              y.data() + static_cast<std::size_t>(out_row) * kv);
+            }
+            cta.charge_global(kv * sizeof(V));
           } else {
             carry_row[cta_id] = out_row;
-            carry_val[cta_id] = acc;
-            cta.charge_global(sizeof(V) + sizeof(index_t));
+            cta.charge_global(kv * sizeof(V) + sizeof(index_t));
           }
         }
       },
@@ -182,31 +211,68 @@ void reduce_launch(vgpu::Device& device, const sparse::CsrMatrix<V>& a,
         // The fixup instead rebuilds each spanning row (exactly the rows
         // with carry records) with one ascending-k accumulation, so merge
         // output is bitwise identical to the sequential reference for
-        // every tile config — the contract the autotuner's differential
-        // oracle relies on.  The modeled cost is the carry fold the GPU
-        // kernel performs (docs/cost_model.md, "Launch tails", says why
+        // every tile config and every column — the contract the autotuner's
+        // oracle and the engine's batching rely on.  The modeled cost is
+        // the carry fold the GPU kernel performs (docs/cost_model.md, "Launch tails", says why
         // the host-side rebuild is not charged).
         index_t prev = -1;
         for (int i = 0; i < num_ctas; ++i) {
           const index_t r = carry_row[static_cast<std::size_t>(i)];
           if (r < 0 || r == prev) continue;
           prev = r;
-          V acc{};
-          for (index_t k = a.row_offsets[static_cast<std::size_t>(r)];
-               k < a.row_offsets[static_cast<std::size_t>(r) + 1]; ++k) {
-            acc += a.val[static_cast<std::size_t>(k)] *
-                   x[static_cast<std::size_t>(a.col[static_cast<std::size_t>(k)])];
-          }
-          cta.charge_flops(2 * static_cast<std::size_t>(a.row_length(r)));
-          y[static_cast<std::size_t>(r)] = acc;
+          const auto ri = static_cast<std::size_t>(r);
+          row_products<K>(a, x, kv, a.row_offsets[ri], a.row_offsets[ri + 1],
+                          y.data() + ri * kv);
+          cta.charge_flops(2 * static_cast<std::size_t>(a.row_length(r)) * kv);
         }
-        cta.charge_global(static_cast<std::size_t>(num_ctas) *
-                          (sizeof(index_t) + sizeof(V)));
-        cta.charge_shared_elems(static_cast<std::size_t>(num_ctas));
-        cta.charge_alu_uniform(static_cast<std::size_t>(num_ctas));
+        const std::size_t n = static_cast<std::size_t>(num_ctas);
+        cta.charge_global(n * (sizeof(index_t) + kv * sizeof(V)));
+        cta.charge_shared_elems(n * kv);
+        cta.charge_alu_uniform(n * kv);
       });
   stats.reduce_ms = s.modeled_ms - s.tail_ms;
   stats.update_ms = s.tail_ms;
+}
+
+/// Checks that x and y hold row-major blocks of `num_vectors` vectors;
+/// returns that count.
+template <typename V>
+std::size_t block_width(const sparse::CsrMatrix<V>& a, std::span<const V> x,
+                        std::span<V> y, index_t num_vectors) {
+  MPS_CHECK(num_vectors > 0);
+  const std::size_t k = static_cast<std::size_t>(num_vectors);
+  MPS_CHECK(x.size() >= static_cast<std::size_t>(a.num_cols) * k);
+  MPS_CHECK(y.size() >= static_cast<std::size_t>(a.num_rows) * k);
+  return k;
+}
+
+/// Zero y, run the reduce launch (k = 1 compiled as SpMV's scalar loop)
+/// unless A is empty, then, under `guards`, check all of y finite.  y is
+/// written by then: a guard failure reports corrupted output, never
+/// silently wrong data.
+template <typename V>
+void reduce_launch(vgpu::Device& device, const sparse::CsrMatrix<V>& a,
+                   std::span<const V> x, std::span<V> y, std::size_t k,
+                   const SpmvConfig& cfg, int num_ctas,
+                   std::span<const index_t> offsets,
+                   std::span<const index_t> row_ids,
+                   std::span<const index_t> s_bounds, bool guards,
+                   SpmvStats& stats) {
+  const std::size_t out = static_cast<std::size_t>(a.num_rows) * k;
+  std::fill_n(y.begin(), out, V{});
+  if (a.nnz() == 0) return;
+  if (k == 1) {
+    reduce_kernel<1>(device, a, x, y, k, cfg, num_ctas, offsets, row_ids,
+                     s_bounds, stats);
+  } else {
+    reduce_kernel<0>(device, a, x, y, k, cfg, num_ctas, offsets, row_ids,
+                     s_bounds, stats);
+  }
+  if (guards) {
+    stats.integrity_ms += resilience::check_finite(
+        device, std::span<const V>(y.data(), out),
+        k == 1 ? "merge.spmv: y" : "merge.spmm: y");
+  }
 }
 
 }  // namespace
@@ -314,15 +380,14 @@ struct SpmvPlanAccess {
   template <typename V>
   static SpmvStats execute(vgpu::Device& device, const sparse::CsrMatrix<V>& a,
                            std::span<const V> x, std::span<V> y,
-                           const SpmvPlan& plan) {
+                           const SpmvPlan& plan, index_t num_vectors) {
     if (!plan.valid()) {
       throw PlanMismatchError("spmv_execute requires a built plan");
     }
     if (plan.value_bytes_ != sizeof(V)) {
       throw PlanMismatchError("plan was built for a different value precision");
     }
-    MPS_CHECK(x.size() >= static_cast<std::size_t>(a.num_cols));
-    MPS_CHECK(y.size() >= static_cast<std::size_t>(a.num_rows));
+    const std::size_t k = block_width<V>(a, x, y, num_vectors);
     // Pattern-fingerprint guard: values may change between executes, the
     // structure may not.
     if (plan.num_rows_ != a.num_rows || plan.num_cols_ != a.num_cols ||
@@ -353,80 +418,65 @@ struct SpmvPlanAccess {
             "(rebuild the plan)");
       }
     }
-    std::fill(y.begin(), y.begin() + a.num_rows, V{});
-    const std::size_t nnz = static_cast<std::size_t>(a.nnz());
-    if (nnz == 0) {
-      stats.wall_ms = wall.milliseconds();
-      return stats;
+    // The plan pins one carry value per CTA; a block of k vectors needs
+    // k.  The rest is reserved before y is touched, so an allocation
+    // failure leaves the caller's output unmodified.
+    std::optional<vgpu::ScopedDeviceAlloc> block_carry;
+    if (k > 1 && plan.num_ctas_ > 0) {
+      block_carry.emplace(device.memory(),
+                          static_cast<std::size_t>(plan.num_ctas_) * (k - 1) *
+                              sizeof(V));
     }
-
     const std::span<const index_t> offsets =
         plan.used_compaction_ ? std::span<const index_t>(plan.compact_offsets_)
                               : std::span<const index_t>(a.row_offsets);
-    reduce_launch<V>(device, a, x, y, plan.cfg_, plan.num_ctas_, offsets,
-                     plan.compact_row_ids_, plan.s_bounds_, stats);
-    // Output postcondition: y finite.  By this point y is written, so a
-    // failure reports corrupted output rather than preserving it — that
-    // is the guard's job (never return silently wrong data).
-    if (guards) {
-      stats.integrity_ms += resilience::check_finite(
-          device,
-          std::span<const V>(y.data(), static_cast<std::size_t>(a.num_rows)),
-          "merge.spmv: y");
-    }
+    reduce_launch<V>(device, a, x, y, k, plan.cfg_, plan.num_ctas_, offsets,
+                     plan.compact_row_ids_, plan.s_bounds_, guards, stats);
     stats.wall_ms = wall.milliseconds();
     return stats;
   }
 };
 
-/// One-shot SpMV: no plan.  The compaction pass runs first when A has
-/// empty rows (or the config forces it), then one fused reduce launch in
-/// which every CTA finds its own row fences.  One launch on the fast path,
-/// two with compaction.
+/// One-shot SpMV over a block of `num_vectors` vectors: no plan.  The
+/// compaction pass runs first when A has empty rows (or the config forces
+/// it), then one fused reduce launch in which every CTA finds its own row
+/// fences.  One launch on the fast path, two with compaction.
 template <typename V>
 SpmvStats spmv_impl(vgpu::Device& device, const sparse::CsrMatrix<V>& a,
-                    std::span<const V> x, std::span<V> y, const SpmvConfig& cfg) {
-  MPS_CHECK(x.size() >= static_cast<std::size_t>(a.num_cols));
-  MPS_CHECK(y.size() >= static_cast<std::size_t>(a.num_rows));
+                    std::span<const V> x, std::span<V> y, const SpmvConfig& cfg,
+                    index_t num_vectors) {
+  const std::size_t k = block_width<V>(a, x, y, num_vectors);
   telemetry::ScopedSpan span("spmv.execute");
   if (sparse::strict_validation()) sparse::validate_csr(a, "spmv: A");
   util::WallTimer wall;
   SpmvStats stats;
   const std::size_t nnz = static_cast<std::size_t>(a.nnz());
-  if (nnz == 0) {
-    std::fill(y.begin(), y.begin() + a.num_rows, V{});
-    stats.wall_ms = wall.milliseconds();
-    return stats;
-  }
-  const int num_ctas =
-      static_cast<int>(ceil_div(nnz, static_cast<std::size_t>(cfg.tile())));
-  stats.num_ctas = num_ctas;
-  stats.used_compaction = cfg.force_compaction || a.has_empty_rows();
   CompactView compact;
-  if (stats.used_compaction) compact = compact_offsets(a);
-  // The compacted view and the carry buffer are allocated (and
-  // accounted) before y is touched, so an allocation failure leaves the
-  // caller's output unmodified.
-  const vgpu::ScopedDeviceAlloc device_mem(
-      device.memory(),
-      (compact.offsets.size() + compact.row_ids.size()) * sizeof(index_t) +
-          static_cast<std::size_t>(num_ctas) * (sizeof(index_t) + sizeof(V)));
-  if (stats.used_compaction) {
-    stats.compact_ms = compact_launch(device, a, cfg);
+  std::optional<vgpu::ScopedDeviceAlloc> device_mem;
+  if (nnz > 0) {
+    stats.num_ctas =
+        static_cast<int>(ceil_div(nnz, static_cast<std::size_t>(cfg.tile())));
+    stats.used_compaction = cfg.force_compaction || a.has_empty_rows();
+    if (stats.used_compaction) compact = compact_offsets(a);
+    // The compacted view and the carry buffer are allocated (and
+    // accounted) before y is touched, so an allocation failure leaves the
+    // caller's output unmodified.
+    device_mem.emplace(
+        device.memory(),
+        (compact.offsets.size() + compact.row_ids.size()) * sizeof(index_t) +
+            static_cast<std::size_t>(stats.num_ctas) *
+                (sizeof(index_t) + k * sizeof(V)));
+    if (stats.used_compaction) {
+      stats.compact_ms = compact_launch(device, a, cfg);
+    }
+    stats.plan_ms = stats.compact_ms;
   }
-  stats.plan_ms = stats.compact_ms;
-  std::fill(y.begin(), y.begin() + a.num_rows, V{});
   const std::span<const index_t> offsets =
       stats.used_compaction ? std::span<const index_t>(compact.offsets)
                             : std::span<const index_t>(a.row_offsets);
-  reduce_launch<V>(device, a, x, y, cfg, num_ctas, offsets, compact.row_ids,
-                   {}, stats);
-  if (resilience::integrity_checks_enabled()) {
-    stats.integrity_ms += resilience::check_finite(
-        device,
-        std::span<const V>(y.data(), static_cast<std::size_t>(a.num_rows)),
-        "merge.spmv: y");
-  }
+  reduce_launch<V>(device, a, x, y, k, cfg, stats.num_ctas, offsets,
+                   compact.row_ids, {}, resilience::integrity_checks_enabled(),
+                   stats);
   stats.wall_ms = wall.milliseconds();
   return stats;
 }

@@ -8,7 +8,7 @@
 
 #include "core/spadd.hpp"
 #include "core/spgemm.hpp"
-#include "core/spmm.hpp"
+#include "core/spmv.hpp"
 #include "shard/exec.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/metrics.hpp"
@@ -1144,8 +1144,8 @@ void Engine::note_memory_pressure() {
   if (cfg_.degrade_recovery <= 0) return;
   // Any OOM resets the recovery streak; the FIRST one shrinks the plan
   // cache so resident plans stop competing with working sets, and flips
-  // unbatched SpMV onto the plan-less path (execute_batch checks the
-  // flag per dispatch).
+  // SpMV onto the plan-less path (execute_batch checks the flag per
+  // dispatch).
   degrade_successes_.store(0, std::memory_order_relaxed);
   bool expected = false;
   if (degraded_.compare_exchange_strong(expected, true)) {
@@ -1464,40 +1464,59 @@ void Engine::execute_batch(Batch& batch, Lease& lease) {
       settle_metrics(handle, latency_ms(req, clock::now()), true);
       req.finish_span("ok");
       req.matrix_promise.set_value(std::move(result));
-    } else if (batch.reqs.size() == 1) {
-      // Unbatched path: plan-cache hit amortizes the partition (and,
-      // with autotuning on, the trial protocol).  Tuned execution is
-      // bitwise-identical to the merge path — every candidate shares
-      // the canonical accumulation order — so flipping MPS_AUTOTUNE can
-      // change modeled cost only, never a result.  In degraded mode the
-      // cache is bypassed entirely: one-shot spmv runs plan-less,
-      // trading amortization for a minimal resident footprint (results
-      // stay bitwise-identical by construction).
-      SpmvResult result;
-      result.y.resize(rows);
-      const double total = run_attempts(batch, nullptr, [&] {
-        const std::vector<double>& x = batch.reqs.front()->x;
+    } else {
+      // SpMV, one request or a coalesced batch of n.  A batch interleaves
+      // its n vectors into a row-major X (cols x n) and runs them as ONE
+      // block; column j of Y is bitwise-identical to spmv of request j
+      // (tests/serve_test.cpp asserts it).  Either size takes the same
+      // dispatch: a cached plan (with autotuning on, the tuned winner)
+      // runs the block, so the partition and compaction are paid once
+      // per matrix, not once per dispatch.  Tuned execution is
+      // bitwise-identical to the merge path — every candidate shares the
+      // canonical accumulation order — so flipping autotune can change
+      // modeled cost only, never a result.  In degraded mode the cache is
+      // bypassed entirely: one-shot merge runs plan-less, trading
+      // amortization for a minimal resident footprint.  The block is
+      // (re)assembled per attempt because a retry may have pruned expired
+      // requests from the batch.
+      std::vector<double> x_block;
+      std::vector<double> y_block;
+      bool plan_hit = false;
+      const double total = run_attempts(batch, [&] {
+        const std::size_t n = batch.reqs.size();
+        y_block.assign(rows * n, 0.0);
+        if (n == 1) return;
+        telemetry::ScopedSpan assemble_span("serve.batch_assemble");
+        x_block.assign(cols * n, 0.0);
+        for (std::size_t j = 0; j < n; ++j) {
+          const std::vector<double>& x = batch.reqs[j]->x;
+          for (std::size_t c = 0; c < cols; ++c) x_block[c * n + j] = x[c];
+        }
+      }, [&] {
+        const auto n = static_cast<index_t>(batch.reqs.size());
+        const std::span<const double> x =
+            n == 1 ? std::span<const double>(batch.reqs.front()->x)
+                   : std::span<const double>(x_block);
         const bool degraded = degraded_.load(std::memory_order_relaxed);
-        result.plan_cache_hit = false;
+        plan_hit = false;
         if (lease.sharded) {
           // Per-shard plans under shard_plan_key share the one LRU
-          // budget; the request counts as a cache hit only when EVERY
+          // budget; the dispatch counts as a cache hit only when EVERY
           // shard hit.
           const shard::ShardedMatrix& sm = *lease.sharded;
           if (degraded) {
-            return shard::spmv(sm, lease.devices, x, result.y).modeled_ms;
+            return shard::spmm(sm, lease.devices, x, n, y_block).modeled_ms;
           }
           const auto plans = shard_plans(handle, sm, lease.devices,
-                                         lease.replica, &result.plan_cache_hit);
-          return shard::spmv_tuned(sm, lease.devices, plans, x, result.y)
+                                         lease.replica, &plan_hit);
+          return shard::spmv_tuned(sm, lease.devices, plans, x, y_block, n)
               .modeled_ms;
         }
         if (degraded) {
-          return core::merge::spmv(device, a, x, result.y).modeled_ms();
+          return core::merge::spmv(device, a, x, y_block, {}, n).modeled_ms();
         }
-        auto plan = plan_cache_.get_or_build(device, a, handle,
-                                             &result.plan_cache_hit);
-        return plan->execute(device, a, x, result.y).modeled_ms();
+        auto plan = plan_cache_.get_or_build(device, a, handle, &plan_hit);
+        return plan->execute(device, a, x, y_block, n).modeled_ms();
       }, [&] {
         // Rebuild from clean state: every placement's keys in the sharded
         // case, since which shard tripped is not recorded.
@@ -1507,48 +1526,22 @@ void Engine::execute_batch(Batch& batch, Lease& lease) {
           plan_cache_.invalidate(handle);
         }
       });
-      result.modeled_ms = total;
-      Request& req = *batch.reqs.front();
-      settle_metrics(handle, latency_ms(req, clock::now()), true);
-      req.finish_span("ok");
-      req.spmv_promise.set_value(std::move(result));
-    } else {
-      // Batched path: interleave the n request vectors into a row-major
-      // X (cols x n) and run ONE spmm.  Column j of Y is bitwise-identical
-      // to spmv of request j: spmm shares spmv's tile geometry and
-      // accumulation order (tests/serve_test.cpp asserts it).  The block
-      // is (re)assembled per attempt because a retry may have pruned
-      // expired requests from the batch.
-      std::vector<double> x_block;
-      std::vector<double> y_block;
-      const double total = run_attempts(batch, [&] {
-        const std::size_t n = batch.reqs.size();
-        telemetry::ScopedSpan assemble_span("serve.batch_assemble");
-        x_block.assign(cols * n, 0.0);
-        for (std::size_t j = 0; j < n; ++j) {
-          const std::vector<double>& x = batch.reqs[j]->x;
-          for (std::size_t c = 0; c < cols; ++c) x_block[c * n + j] = x[c];
-        }
-        assemble_span.end();
-        y_block.assign(rows * n, 0.0);
-      }, [&] {
-        const auto n = static_cast<index_t>(batch.reqs.size());
-        return lease.sharded ? shard::spmm(*lease.sharded, lease.devices,
-                                           x_block, n, y_block)
-                                   .modeled_ms
-                             : core::merge::spmm(device, a, x_block, n, y_block)
-                                   .modeled_ms;
-      }, nullptr);
-      telemetry::ScopedSpan scatter_span("serve.batch_scatter");
       const std::size_t n = batch.reqs.size();
+      std::optional<telemetry::ScopedSpan> scatter_span;
+      if (n > 1) scatter_span.emplace("serve.batch_scatter");
       const auto now = clock::now();
       for (std::size_t j = 0; j < n; ++j) {
         Request& r = *batch.reqs[j];
         SpmvResult result;
-        result.y.resize(rows);
-        for (std::size_t i = 0; i < rows; ++i) result.y[i] = y_block[i * n + j];
+        if (n == 1) {
+          result.y = std::move(y_block);
+        } else {
+          result.y.resize(rows);
+          for (std::size_t i = 0; i < rows; ++i) result.y[i] = y_block[i * n + j];
+        }
         result.modeled_ms = total / static_cast<double>(n);
         result.batch_size = static_cast<int>(n);
+        result.plan_cache_hit = plan_hit;
         settle_metrics(handle, latency_ms(r, now), true);
         r.finish_span("ok");
         r.spmv_promise.set_value(std::move(result));

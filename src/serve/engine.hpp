@@ -10,14 +10,17 @@
 //   * plan reuse across requests — registered matrices are keyed by
 //     their pattern fingerprint; a capacity-bounded LRU PlanCache
 //     (plan_cache.hpp) means repeated SpMV against a matrix never
-//     re-runs the merge-path partition, no matter which client sent it;
+//     re-runs the merge-path partition, no matter which client sent it
+//     or how many requests a dispatch carries;
 //   * request coalescing — the dispatcher drains the submission queue
 //     and merges up to `batch_window` pending SpMV requests against the
-//     same matrix into ONE spmm call (the row-split/SpMM switch of
-//     Yang/Buluç/Owens, PAPERS.md), scattering per-column results back
-//     to each request's future.  Batched answers are bitwise-identical
-//     to one-at-a-time execution (tests/serve_test.cpp): spmm uses the
-//     same tile geometry and accumulation order as spmv, so column j of
+//     same matrix into ONE block dispatch, SpMM (the row-split/SpMM
+//     switch of Yang/Buluç/Owens, PAPERS.md), scattering per-column
+//     results back to each request's future.  A lone request and a batch
+//     take the same dispatch: the cached plan runs the block.  Batched
+//     answers are bitwise-identical to one-at-a-time execution
+//     (tests/serve_test.cpp): SpMM is the SpMV kernel over k vectors,
+//     with the same tile geometry and accumulation order, so column j of
 //     the batch reproduces request j's sum exactly;
 //   * admission control — the submission queue is bounded.  try_submit_*
 //     rejects instead of blocking; submit_* blocks for queue space up to
@@ -56,9 +59,9 @@
 //     queue crosses the shed watermark, kLow submissions are refused
 //     with LoadShedError.  Memory pressure (any DeviceOomError) enters a
 //     degraded mode that shrinks the plan-cache budget to a quarter and
-//     serves unbatched SpMV plan-less (bitwise-identical — only the
-//     amortization is lost) until `degrade_recovery` consecutive
-//     successes restore it;
+//     serves SpMV plan-less (bitwise-identical — only the amortization
+//     is lost) until `degrade_recovery` consecutive successes restore
+//     it;
 //   * graceful shutdown — shutdown(kDrain) completes everything already
 //     admitted; shutdown(kReject) fails queued-but-unstarted requests
 //     with ShutdownError.  Either way every admitted request's future is
@@ -172,14 +175,14 @@ enum class Priority { kHigh, kNormal, kLow };
 struct EngineConfig {
   unsigned threads = 4;               ///< worker threads, [1, 1024]
   std::size_t queue_capacity = 1024;  ///< submission-queue capacity, >= 1
-  /// Max same-matrix SpMV requests coalesced into one spmm dispatch,
+  /// Max same-matrix SpMV requests coalesced into one SpMM dispatch,
   /// [1, 4096]; 1 disables batching.
   int batch_window = 8;
   /// Plan-cache capacity in bytes, >= 1.
   std::size_t plan_cache_bytes = std::size_t{64} << 20;
   /// < 0: resolve from MPS_AUTOTUNE; 0: one-candidate plans (merge
-  /// default, no trial); > 0: plans tune over every candidate (batched
-  /// dispatch always uses the merge spmm).
+  /// default, no trial); > 0: plans tune over every candidate (a batch
+  /// runs a non-merge winner as one-shot merge SpMM).
   int autotune = -1;
   /// Default per-request queue-wait timeout; <= 0 means no timeout.
   std::chrono::milliseconds default_timeout{0};
@@ -303,7 +306,7 @@ struct EngineStats {
   long long degraded_entered = 0;  ///< memory-pressure degraded-mode entries
   bool degraded = false;           ///< currently in degraded mode
   CircuitBreaker::Stats breaker;
-  long long batches = 0;           ///< spmm dispatches with >= 2 requests
+  long long batches = 0;           ///< SpMM dispatches with >= 2 requests
   long long max_batch = 0;
   /// batch_histogram[k] = dispatches that coalesced exactly k requests
   /// (index 0 unused).
@@ -521,8 +524,9 @@ class Engine {
   /// atomically — all-or-nothing, so overlapping leases cannot deadlock.
   Lease acquire_lease(Batch& batch);
   void release_lease(const Lease& lease);
-  /// Runs the batch on the leased devices: a lone SpMV, a coalesced SpMV
-  /// batch (one spmm) or an SpAdd/SpGEMM, each through run_attempts.
+  /// Runs the batch on the leased devices: an SpMV dispatch (a lone
+  /// request or a coalesced block, one plan lookup either way) or an
+  /// SpAdd/SpGEMM, each through run_attempts.
   /// DeviceLostError propagates to the failover loop (structurally, a
   /// loss can only fire before any request of the batch has settled —
   /// launches and reserves all precede the first set_value).
@@ -590,7 +594,7 @@ class Engine {
   /// Breaker close/probe-success + degraded-mode recovery tick.
   void note_success(MatrixHandle h);
   /// DeviceOomError observed: enter degraded mode (shrink the plan-cache
-  /// budget; unbatched SpMV goes plan-less until recovery).
+  /// budget; SpMV goes plan-less until recovery).
   void note_memory_pressure();
   /// Advance the modeled-time clock (breaker cooldowns key off it).
   void charge_modeled(double ms) {

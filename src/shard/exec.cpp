@@ -7,7 +7,6 @@
 
 #include "core/spadd.hpp"
 #include "core/spgemm.hpp"
-#include "core/spmm.hpp"
 #include "core/spmv.hpp"
 #include "telemetry/profile.hpp"
 #include "telemetry/span.hpp"
@@ -225,40 +224,35 @@ ExecStats run_row_blocks(const sparse::CsrD& a, index_t out_cols,
 
 ExecStats spmv(const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
                std::span<const double> x, std::span<double> y) {
-  const std::vector<std::shared_ptr<const autotune::TunedPlan>> no_plans(
-      sm.shards().size());
-  return spmv_tuned(sm, devices, no_plans, x, y);
+  return spmm(sm, devices, x, 1, y);
 }
 
 ExecStats spmv_tuned(
     const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
     std::span<const std::shared_ptr<const autotune::TunedPlan>> tuned,
-    std::span<const double> x, std::span<double> y) {
+    std::span<const double> x, std::span<double> y, index_t num_vectors) {
+  MPS_CHECK(num_vectors > 0);
   MPS_CHECK(tuned.size() == sm.shards().size());
   return run_rowwise(
-      sm, devices, x, y, 1,
+      sm, devices, x, y, num_vectors,
       [&](std::size_t i, vgpu::Device& dev, const Shard& s,
           std::span<const double> sub_x, std::span<double> y_sub) {
-        if (!tuned[i]) {
-          return core::merge::spmv(dev, s.local, sub_x, y_sub).modeled_ms();
+        if (tuned[i]) {
+          return tuned[i]
+              ->execute(dev, s.local, sub_x, y_sub, num_vectors)
+              .modeled_ms();
         }
-        return tuned[i]->execute(dev, s.local, sub_x, y_sub).modeled_ms();
+        return core::merge::spmv(dev, s.local, sub_x, y_sub, {}, num_vectors)
+            .modeled_ms();
       });
 }
 
 ExecStats spmm(const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
                std::span<const double> x_block, index_t num_vectors,
                std::span<double> y_block) {
-  MPS_CHECK(num_vectors > 0);
-  return run_rowwise(sm, devices, x_block, y_block, num_vectors,
-                     [num_vectors](std::size_t, vgpu::Device& dev,
-                                   const Shard& s,
-                                   std::span<const double> sub_x,
-                                   std::span<double> y_sub) {
-                       return core::merge::spmm(dev, s.local, sub_x,
-                                                num_vectors, y_sub)
-                           .modeled_ms;
-                     });
+  const std::vector<std::shared_ptr<const autotune::TunedPlan>> no_plans(
+      sm.shards().size());
+  return spmv_tuned(sm, devices, no_plans, x_block, y_block, num_vectors);
 }
 
 ExecStats spadd(const sparse::CsrD& a, const sparse::CsrD& b,

@@ -60,24 +60,26 @@ struct ExecStats {
   int shards = 0;
 };
 
-/// y = A x across the fleet: spmv_tuned with no plans, so every shard
-/// runs one-shot merge.  Bitwise identical to single-device merge SpMV
-/// for the 1D row shards; 2D-split dense rows (if any) reduce in fixed
-/// segment order (deterministic, not bitwise — see sharded_matrix.hpp).
+/// y = A x across the fleet: spmm with one vector.  Bitwise identical to
+/// single-device merge SpMV for the 1D row shards; 2D-split dense rows
+/// (if any) reduce in fixed segment order (deterministic, not bitwise —
+/// see sharded_matrix.hpp).
 ExecStats spmv(const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
                std::span<const double> x, std::span<double> y);
 
-/// Plan-reuse variant: tuned[i] drives shards()[i] (null entries fall
-/// back to one-shot merge).  Bit-identical to spmv() above: every
-/// autotune candidate shares merge's canonical accumulation order, and
-/// the engine keys plans per shard, so the oracle gates apply per shard.
+/// The one per-slice SpMV body.  x and y are row-major blocks of
+/// num_vectors right-hand sides (1: plain SpMV); halo bytes scale by
+/// num_vectors (each halo column drags the whole row of X).  tuned[i]
+/// drives shards()[i] through TunedPlan::execute; a null entry runs
+/// one-shot merge.  Bit-identical either way: every autotune candidate
+/// shares merge's canonical accumulation order, and the engine keys plans
+/// per shard, so the oracle gates apply per shard.
 ExecStats spmv_tuned(
     const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
     std::span<const std::shared_ptr<const autotune::TunedPlan>> tuned,
-    std::span<const double> x, std::span<double> y);
+    std::span<const double> x, std::span<double> y, index_t num_vectors = 1);
 
-/// Y = A X, row-major block of num_vectors right-hand sides.  Halo bytes
-/// scale by num_vectors (each halo column drags the whole row of X).
+/// Y = A X with no plans: spmv_tuned with every entry null.
 ExecStats spmm(const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
                std::span<const double> x_block, index_t num_vectors,
                std::span<double> y_block);

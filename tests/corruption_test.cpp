@@ -237,10 +237,19 @@ TEST(SpmvPlanGuard, NeverSilentlyWrongAcrossFlipSweep) {
   std::vector<double> x(static_cast<std::size_t>(a.num_cols), 0.5);
 
   std::vector<double> ref(static_cast<std::size_t>(a.num_rows), 0.0);
+  // Planned SpMM through the same plan: three right-hand sides, the
+  // middle one x.
+  constexpr index_t kVectors = 3;
+  std::vector<double> x_block(x.size() * kVectors);
+  for (std::size_t i = 0; i < x_block.size(); ++i) {
+    x_block[i] = i % kVectors == 1 ? x[i / kVectors] : 0.25 * (i % 5);
+  }
+  std::vector<double> ref_block(ref.size() * kVectors, 0.0);
   {
     auto dev = make_clean_device();
     const auto plan = core::merge::spmv_plan(dev, a);
     core::merge::spmv_execute(dev, a, x, ref, plan);
+    core::merge::spmv_execute(dev, a, x_block, ref_block, plan, kVectors);
   }
 
   for (const std::size_t offset : {0u, 1u, 7u, 40u, 123u, 4096u}) {
@@ -264,6 +273,24 @@ TEST(SpmvPlanGuard, NeverSilentlyWrongAcrossFlipSweep) {
         ASSERT_EQ(std::memcmp(y.data(), ref.data(), ref.size() * sizeof(double)),
                   0)
             << "silently wrong result";
+      }
+      // Planned SpMM on the same plan: a flip SpMV detected must raise
+      // here too, before Y is touched.
+      std::vector<double> y_block(ref_block.size(), -7.0);
+      bool block_threw = false;
+      try {
+        core::merge::spmv_execute(dev, a, x_block, y_block, plan, kVectors);
+      } catch (const IntegrityError&) {
+        block_threw = true;
+      }
+      EXPECT_EQ(block_threw, threw);
+      if (block_threw) {
+        for (const double v : y_block) ASSERT_EQ(v, -7.0) << "Y touched";
+      } else {
+        ASSERT_EQ(std::memcmp(y_block.data(), ref_block.data(),
+                              ref_block.size() * sizeof(double)),
+                  0)
+            << "silently wrong block result";
       }
     }
   }

@@ -316,6 +316,29 @@ TEST(FaultSweep, Spmm) {
       });
 }
 
+TEST(FaultSweep, SpmmPlanned) {
+  // The plan pins one carry value per CTA; a planned block reserves the
+  // other k - 1 per call.  Either reservation failing leaves Y at its
+  // sentinel.  Empty rows put the compacted view in the plan too.
+  util::Rng rng(63);
+  const CsrD a = coo_to_csr(mps::testing::random_coo(rng, 150, 150, 300));
+  ASSERT_TRUE(a.has_empty_rows());
+  const index_t nv = 4;
+  std::vector<double> x(static_cast<std::size_t>(a.num_cols) * nv, 1.0);
+  std::vector<double> y;
+  sweep_alloc_failures(
+      [&](vgpu::Device& dev) {
+        const auto plan = core::merge::spmv_plan(dev, a);
+        core::merge::spmv_execute(dev, a, x, y, plan, nv);
+      },
+      [&] {
+        y.assign(static_cast<std::size_t>(a.num_rows) * nv, kSentinel);
+      },
+      [&] {
+        for (double v : y) ASSERT_EQ(v, kSentinel);
+      });
+}
+
 TEST(FaultSweep, AutotuneTrialProtocol) {
   // The tuner runs EVERY candidate once (merge tiles, ELL, CMRS), so the
   // sweep walks the allocation sites inside the trial protocol itself —

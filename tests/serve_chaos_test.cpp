@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/spmv.hpp"
+#include "resilience/integrity.hpp"
 #include "serve/engine.hpp"
 #include "serve/trace.hpp"
 #include "sparse/convert.hpp"
@@ -119,17 +120,6 @@ EngineConfig test_config(unsigned threads, int batch_window,
   cfg.degrade_recovery = 0;           // off unless the test arms it
   cfg.chaos_enabled = 0;
   return cfg;
-}
-
-template <typename T>
-std::uint64_t hash_span(const std::vector<T>& v,
-                        std::uint64_t h = 1469598103934665603ull) {
-  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
-  for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 // Direct one-shot reference on a fresh fault-free device.
@@ -676,12 +666,13 @@ TEST(TraceDeterminism, ReplayIsBitwiseStableAcrossEngineShapes) {
     std::size_t si = 0, mi = 0;
     for (const auto& op : trace) {
       if (op.kind == OpKind::kSpmv) {
-        hashes.push_back(hash_span(spmv_futs[si++].get().y));
+        hashes.push_back(
+            resilience::checksum_span<double>(spmv_futs[si++].get().y));
       } else {
         const MatrixResult r = mat_futs[mi++].get();
-        std::uint64_t h = hash_span(r.c.row_offsets);
-        h = hash_span(r.c.col, h);
-        hashes.push_back(hash_span(r.c.val, h));
+        std::uint64_t h = resilience::checksum_span<index_t>(r.c.row_offsets);
+        h = resilience::checksum_span<index_t>(r.c.col, h);
+        hashes.push_back(resilience::checksum_span<double>(r.c.val, h));
       }
     }
     engine.shutdown();

@@ -29,6 +29,7 @@
 #include "core/spadd.hpp"
 #include "core/spgemm.hpp"
 #include "core/spmv.hpp"
+#include "oracle.hpp"
 #include "serve/engine.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/trace.hpp"
@@ -43,50 +44,8 @@ namespace {
 using sparse::coo_to_csr;
 using sparse::CsrD;
 
-// The structural regimes of tests/fuzz_ops_test.cpp.
-enum class Regime {
-  kUniform,
-  kBanded,
-  kPowerLaw,
-  kHypersparse,
-  kNearDense,
-  kRectWide,
-  kRectTall,
-};
-
-const char* regime_name(Regime r) {
-  switch (r) {
-    case Regime::kUniform: return "uniform";
-    case Regime::kBanded: return "banded";
-    case Regime::kPowerLaw: return "powerlaw";
-    case Regime::kHypersparse: return "hypersparse";
-    case Regime::kNearDense: return "neardense";
-    case Regime::kRectWide: return "rectwide";
-    case Regime::kRectTall: return "recttall";
-  }
-  return "?";
-}
-
-CsrD make_matrix(Regime r, std::uint64_t seed) {
-  util::Rng rng(seed);
-  switch (r) {
-    case Regime::kUniform:
-      return coo_to_csr(testing::random_coo(rng, 400, 400, 4800));
-    case Regime::kBanded:
-      return workloads::fem_banded(500, 18.0, 4.0, seed);
-    case Regime::kPowerLaw:
-      return testing::random_powerlaw_csr(rng, 500, 500, 6.0);
-    case Regime::kHypersparse:
-      return coo_to_csr(testing::random_coo(rng, 2000, 2000, 300));
-    case Regime::kNearDense:
-      return coo_to_csr(testing::random_coo(rng, 60, 60, 2800));
-    case Regime::kRectWide:
-      return coo_to_csr(testing::random_coo(rng, 64, 3000, 2500));
-    case Regime::kRectTall:
-      return coo_to_csr(testing::random_coo(rng, 3000, 64, 2500));
-  }
-  return {};
-}
+using testing::Regime;
+using testing::regime_name;
 
 std::vector<double> random_x(const CsrD& a, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -113,7 +72,7 @@ class ServeDifferentialTest : public ::testing::TestWithParam<Regime> {};
 
 TEST_P(ServeDifferentialTest, BatchedAndUnbatchedBitIdenticalToDirectSpmv) {
   const Regime regime = GetParam();
-  const auto a = make_matrix(regime, 5);
+  const auto a = testing::make_regime_matrix(regime, 5);
   constexpr std::size_t kRequests = 11;  // one full window + a remainder
 
   // Direct one-shot references, one per distinct input vector.
@@ -169,9 +128,7 @@ TEST_P(ServeDifferentialTest, BatchedAndUnbatchedBitIdenticalToDirectSpmv) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, ServeDifferentialTest,
-    ::testing::Values(Regime::kUniform, Regime::kBanded, Regime::kPowerLaw,
-                      Regime::kHypersparse, Regime::kNearDense,
-                      Regime::kRectWide, Regime::kRectTall),
+    ::testing::ValuesIn(testing::kAllRegimes),
     [](const ::testing::TestParamInfo<Regime>& pinfo) {
       return regime_name(pinfo.param);
     });
@@ -206,7 +163,7 @@ TEST(ServeEngine, SpaddAndSpgemmMatchDirectKernels) {
 // Concurrent plan sharing (satellite): one SpmvPlan, N executing threads.
 
 TEST(ServePlanSharing, ConcurrentExecutesBitIdenticalToSerial) {
-  const auto a = make_matrix(Regime::kPowerLaw, 31);
+  const auto a = testing::make_regime_matrix(Regime::kPowerLaw, 31);
   constexpr int kThreads = 8;
 
   vgpu::Device build_dev;
@@ -313,6 +270,45 @@ TEST(PlanCache, HitsMissesEvictionsAndOversize) {
   EXPECT_EQ(s.evictions, 1);
   EXPECT_EQ(s.entries, 1u);
   EXPECT_EQ(s.bytes_in_use, b_plan);
+}
+
+TEST(ServeEngine, BatchedDispatchReusesTheCachedPlan) {
+  // A lone request builds and caches the handle's plan; a later batch
+  // against the same matrix runs its whole block through that plan, so
+  // every request in it reports a cache hit and no plan is built.
+  auto cfg = test_config(/*threads=*/1, /*batch_window=*/8);
+  cfg.start_paused = true;
+  Engine engine(cfg);
+  const auto a = testing::make_regime_matrix(Regime::kPowerLaw, 13);
+  const MatrixHandle h = engine.register_matrix(a);
+
+  auto lone = engine.submit_spmv(h, random_x(a, 1));
+  engine.resume();
+  const SpmvResult first = lone.get();
+  EXPECT_EQ(first.batch_size, 1);
+  EXPECT_FALSE(first.plan_cache_hit);
+  ASSERT_EQ(engine.stats().plan_cache.misses, 1);
+
+  engine.pause();
+  std::vector<std::vector<double>> xs;
+  std::vector<std::future<SpmvResult>> futures;
+  for (std::uint64_t j = 0; j < 4; ++j) {
+    xs.push_back(random_x(a, 10 + j));
+    futures.push_back(engine.submit_spmv(h, xs.back()));
+  }
+  engine.resume();
+  vgpu::Device ref_dev;
+  for (std::size_t j = 0; j < futures.size(); ++j) {
+    const SpmvResult r = futures[j].get();
+    EXPECT_EQ(r.batch_size, 4);
+    EXPECT_TRUE(r.plan_cache_hit) << "request " << j;
+    std::vector<double> ref(static_cast<std::size_t>(a.num_rows));
+    core::merge::spmv(ref_dev, a, xs[j], ref);
+    EXPECT_TRUE(testing::bitwise_equal(r.y, ref)) << "request " << j;
+  }
+  const auto pc = engine.stats().plan_cache;
+  EXPECT_EQ(pc.misses, 1);  // the batch built no plan
+  EXPECT_EQ(pc.hits, 1);    // one lookup per dispatch
 }
 
 TEST(ServeEngine, ChangedPatternReRegistrationNeverServesStaleTunedPlan) {
@@ -700,7 +696,7 @@ TEST(ServeEngine, DefaultConfigIgnoresEnvironment) {
   EXPECT_EQ(cfg.slo_enabled, 0);
 
   Engine engine(cfg);
-  const auto a = make_matrix(Regime::kPowerLaw, 9);
+  const auto a = testing::make_regime_matrix(Regime::kPowerLaw, 9);
   const auto x = random_x(a, 3);
   std::vector<double> ref(static_cast<std::size_t>(a.num_rows));
   baselines::seq::spmv(a, x, ref);

@@ -1,17 +1,19 @@
 // Merge-path SpMM (blocked SpMV) tests.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "baselines/seq.hpp"
 #include "core/spmm.hpp"
 #include "core/spmv.hpp"
+#include "merge_cost.hpp"
+#include "oracle.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/stats.hpp"
 #include "test_matrices.hpp"
 #include "vgpu/device.hpp"
-#include "vgpu/timing.hpp"
 #include "workloads/generators.hpp"
 
 namespace mps {
@@ -114,108 +116,71 @@ TEST(Spmm, CheaperThanRepeatedSpmv) {
 }
 
 // ---------------------------------------------------------------------------
-// Single-launch SpMM: the carry update is the merge.spmm launch's tail.
-// The fused cost is pinned to an independent rebuild of the two-launch
-// (grid, then a one-CTA update) figure from the kernel's charges.
+// SpMM is the SpMV launch over k vectors: one `merge.spmv_reduce` whose
+// cost is pinned to the independent per-CTA formula of
+// tests/merge_cost.hpp, planned and one-shot, at k = 1, 4 and 8.
 
-/// Per-CTA cycles of the merge.spmm grid (the charges in spmm.cpp), each
-/// CTA paying `arrival` extra global bytes.
-std::vector<double> spmm_grid_cycles(const vgpu::DeviceProperties& p,
-                                     const sparse::CsrD& a, std::size_t nv,
-                                     std::size_t arrival) {
-  const std::size_t nnz = static_cast<std::size_t>(a.nnz());
-  const std::size_t tile = 128 * 7;
-  const std::size_t w = static_cast<std::size_t>(p.warp_size);
-  // The per-CTA binary search over the row offsets.
-  const std::size_t steps = static_cast<std::size_t>(log2_ceil(
-                                static_cast<std::uint64_t>(a.num_rows))) +
-                            1;
-  std::vector<double> cycles;
-  for (std::size_t lo = 0; lo < nnz; lo += tile) {
-    const std::size_t count = std::min(nnz, lo + tile) - lo;
-    vgpu::CtaCounters c;
-    c.global_bytes = count * (sizeof(index_t) + sizeof(double)) +
-                     count * (nv - 1) * sizeof(double) + arrival;
-    c.gather_bytes = (steps + count) * p.gather_sector_bytes;
-    c.shared_ops = (3 * count * nv + w - 1) / w;
-    c.warp_iters = steps + (2 * count * nv + w - 1) / w;
-    c.syncs = 2;
-    cycles.push_back(c.cycles(p));
+constexpr index_t kFusedVectorCounts[] = {1, 4, 8};
+
+TEST(SpmmFusedTail, SpanningRowsCostOneLaunchAndStayBitwise) {
+  const auto a = testing::spanning_rows_csr(/*empty_rows=*/false, 83);
+  for (const index_t k : kFusedVectorCounts) {
+    testing::expect_fused_merge_cost(a, k);
   }
-  return cycles;
 }
 
-void expect_fused_spmm_cost(const sparse::CsrD& a, index_t nv) {
-  const std::size_t nvs = static_cast<std::size_t>(nv);
-  util::Rng rng(73);
-  std::vector<double> x(static_cast<std::size_t>(a.num_cols) * nvs);
-  for (auto& v : x) v = rng.uniform_double(-1, 1);
-  vgpu::Device dev;
-  const vgpu::DeviceProperties& p = dev.props();
-  const double floor = p.kernel_launch_cycles;
-  std::vector<double> y(static_cast<std::size_t>(a.num_rows) * nvs, -5.0);
-  const auto st = core::merge::spmm(dev, a, x, nv, y);
-  // One launch, no separate update; integrity-guard scans (only under
-  // MPS_INTEGRITY_CHECK) follow it and add to st.modeled_ms.
-  ASSERT_FALSE(dev.log().empty());
-  const vgpu::KernelStats k = dev.log().front();
-  double guard_ms = 0.0;
-  for (std::size_t i = 1; i < dev.log().size(); ++i) {
-    EXPECT_EQ(dev.log()[i].name.rfind("integrity.", 0), 0u)
-        << dev.log()[i].name;
-    guard_ms += dev.log()[i].modeled_ms;
+TEST(SpmmFusedTail, EmptyRowsCostOneLaunchAndStayBitwise) {
+  // One-shot SpMM pays the compaction launch, like one-shot SpMV.
+  const auto a = testing::spanning_rows_csr(/*empty_rows=*/true, 84);
+  ASSERT_TRUE(a.has_empty_rows());
+  for (const index_t k : kFusedVectorCounts) {
+    testing::expect_fused_merge_cost(a, k);
   }
-  EXPECT_EQ(k.name, "merge.spmm");
-  ASSERT_GT(st.num_ctas, 1);
+}
 
-  const std::size_t n = static_cast<std::size_t>(st.num_ctas);
-  const std::size_t w = static_cast<std::size_t>(p.warp_size);
-  vgpu::CtaCounters fold;
-  fold.global_bytes = n * (sizeof(index_t) + nvs * sizeof(double));
-  fold.warp_iters = (n * nvs + w - 1) / w;
-  const double grid_unfused =
-      vgpu::schedule_cycles(p, spmm_grid_cycles(p, a, nvs, 0));
-  const double update_unfused = fold.cycles(p) + floor;
-  const double with_arrivals = vgpu::schedule_cycles(
-      p, spmm_grid_cycles(p, a, nvs, sizeof(std::uint32_t)));
-  const double arrivals = with_arrivals - grid_unfused;
-  EXPECT_GT(arrivals, 0.0);
-  EXPECT_EQ(k.tail_cycles, fold.cycles(p));
-  EXPECT_EQ(k.device_cycles, with_arrivals + fold.cycles(p));
-  EXPECT_DOUBLE_EQ(k.device_cycles,
-                   grid_unfused + update_unfused - floor + arrivals);
-  EXPECT_DOUBLE_EQ(st.modeled_ms, k.modeled_ms + guard_ms);
+// ---------------------------------------------------------------------------
+// Planned-SpMM oracle: planned and one-shot SpMM over every fuzz regime
+// and tile geometry, each column memcmp-equal to seq::spmv.
 
-  // Column j is bitwise seq::spmv of column j, and merge SpMV at every
-  // tile config agrees.
-  const core::merge::SpmvConfig configs[] = {{128, 7}, {64, 5}, {256, 9}};
-  std::vector<double> xj(static_cast<std::size_t>(a.num_cols));
-  std::vector<double> ref(static_cast<std::size_t>(a.num_rows));
-  std::vector<double> yj(ref.size());
-  std::vector<double> col(ref.size());
-  for (std::size_t j = 0; j < nvs; ++j) {
-    for (std::size_t c = 0; c < xj.size(); ++c) xj[c] = x[c * nvs + j];
-    baselines::seq::spmv(a, xj, ref);
-    for (std::size_t r = 0; r < col.size(); ++r) col[r] = y[r * nvs + j];
-    ASSERT_EQ(col, ref) << "column " << j;
-    for (const auto& cfg : configs) {
-      core::merge::spmv(dev, a, xj, yj, cfg);
-      ASSERT_EQ(yj, ref) << "column " << j << " tile " << cfg.block_threads
-                         << "x" << cfg.items_per_thread;
+class SpmmOracleTest : public ::testing::TestWithParam<testing::Regime> {};
+
+TEST_P(SpmmOracleTest, PlannedAndOneShotColumnsMatchSeqBitwise) {
+  const auto a = testing::make_regime_matrix(GetParam(), 1);
+  for (const core::merge::SpmvConfig& cfg : testing::kTileConfigs) {
+    vgpu::Device dev;
+    const auto plan = core::merge::spmv_plan(dev, a, cfg);
+    for (const index_t k : {1, 3, 8}) {
+      SCOPED_TRACE(std::to_string(cfg.block_threads) + "x" +
+                   std::to_string(cfg.items_per_thread) + " k=" +
+                   std::to_string(k));
+      const std::size_t kv = static_cast<std::size_t>(k);
+      util::Rng rng(static_cast<std::uint64_t>(a.nnz()) + kv);
+      std::vector<double> x(static_cast<std::size_t>(a.num_cols) * kv);
+      for (auto& v : x) v = rng.uniform_double(-1, 1);
+      const std::size_t out = static_cast<std::size_t>(a.num_rows) * kv;
+      std::vector<double> planned(out, -9.0);
+      std::vector<double> one_shot(out, -9.0);
+      const auto sp = core::merge::spmv_execute(dev, a, x, planned, plan, k);
+      core::merge::spmv(dev, a, x, one_shot, cfg, k);
+      testing::expect_columns_match_seq(a, x, planned, kv);
+      testing::expect_columns_match_seq(a, x, one_shot, kv);
+      if (k == 1) {
+        // Planned k = 1 is spmv_execute, in y and in modeled time.
+        std::vector<double> y(out, -9.0);
+        const auto se = core::merge::spmv_execute(dev, a, x, y, plan);
+        EXPECT_EQ(std::memcmp(y.data(), planned.data(), out * sizeof(double)),
+                  0);
+        EXPECT_EQ(se.modeled_ms(), sp.modeled_ms());
+      }
     }
   }
 }
 
-TEST(SpmmFusedTail, SpanningRowsCostOneLaunchAndStayBitwise) {
-  const auto a = testing::spanning_rows_csr(/*empty_rows=*/false, 83);
-  expect_fused_spmm_cost(a, 4);
-}
-
-TEST(SpmmFusedTail, EmptyRowsCostOneLaunchAndStayBitwise) {
-  const auto a = testing::spanning_rows_csr(/*empty_rows=*/true, 84);
-  ASSERT_TRUE(a.has_empty_rows());
-  expect_fused_spmm_cost(a, 3);
-}
+INSTANTIATE_TEST_SUITE_P(
+    Regimes, SpmmOracleTest, ::testing::ValuesIn(testing::kAllRegimes),
+    [](const ::testing::TestParamInfo<testing::Regime>& p) {
+      return testing::regime_name(p.param);
+    });
 
 TEST(Workloads, RmatGraph) {
   const auto g = workloads::rmat(12, 8, 0.57, 0.19, 0.19, 7);

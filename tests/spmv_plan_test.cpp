@@ -12,6 +12,8 @@
 #include "baselines/seq.hpp"
 #include "core/spmv.hpp"
 #include "sparse/convert.hpp"
+#include "merge_cost.hpp"
+#include "oracle.hpp"
 #include "test_matrices.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/timing.hpp"
@@ -28,50 +30,8 @@ using core::merge::spmv_plan;
 using sparse::coo_to_csr;
 using sparse::CsrD;
 
-// The structural regimes of tests/fuzz_ops_test.cpp.
-enum class Regime {
-  kUniform,
-  kBanded,
-  kPowerLaw,
-  kHypersparse,
-  kNearDense,
-  kRectWide,
-  kRectTall,
-};
-
-std::string regime_name(Regime r) {
-  switch (r) {
-    case Regime::kUniform: return "uniform";
-    case Regime::kBanded: return "banded";
-    case Regime::kPowerLaw: return "powerlaw";
-    case Regime::kHypersparse: return "hypersparse";
-    case Regime::kNearDense: return "neardense";
-    case Regime::kRectWide: return "rectwide";
-    case Regime::kRectTall: return "recttall";
-  }
-  return "?";
-}
-
-CsrD make_matrix(Regime r, std::uint64_t seed) {
-  util::Rng rng(seed);
-  switch (r) {
-    case Regime::kUniform:
-      return coo_to_csr(testing::random_coo(rng, 400, 400, 4800));
-    case Regime::kBanded:
-      return workloads::fem_banded(500, 18.0, 4.0, seed);
-    case Regime::kPowerLaw:
-      return testing::random_powerlaw_csr(rng, 500, 500, 6.0);
-    case Regime::kHypersparse:
-      return coo_to_csr(testing::random_coo(rng, 2000, 2000, 300));
-    case Regime::kNearDense:
-      return coo_to_csr(testing::random_coo(rng, 60, 60, 2800));
-    case Regime::kRectWide:
-      return coo_to_csr(testing::random_coo(rng, 64, 3000, 2500));
-    case Regime::kRectTall:
-      return coo_to_csr(testing::random_coo(rng, 3000, 64, 2500));
-  }
-  return {};
-}
+using testing::Regime;
+using testing::regime_name;
 
 sparse::CsrMatrix<float> to_float(const CsrD& a) {
   sparse::CsrMatrix<float> f(a.num_rows, a.num_cols);
@@ -93,7 +53,7 @@ TEST_P(SpmvPlanDifferentialTest, ExecuteBitIdenticalToOneShotFp64) {
   SpmvConfig cfg;
   cfg.force_compaction = force_compaction;
   for (const std::uint64_t seed : {1, 2, 3}) {
-    const auto a = make_matrix(regime, seed);
+    const auto a = testing::make_regime_matrix(regime, seed);
     util::Rng rng(seed * 7 + 1);
     std::vector<double> x(static_cast<std::size_t>(a.num_cols));
     for (auto& v : x) v = rng.uniform_double(-1, 1);
@@ -127,7 +87,7 @@ TEST_P(SpmvPlanDifferentialTest, ExecuteBitIdenticalToOneShotFp32) {
   const auto [regime, force_compaction] = GetParam();
   SpmvConfig cfg;
   cfg.force_compaction = force_compaction;
-  const auto a = to_float(make_matrix(regime, 11));
+  const auto a = to_float(testing::make_regime_matrix(regime, 11));
   util::Rng rng(23);
   std::vector<float> x(static_cast<std::size_t>(a.num_cols));
   for (auto& v : x) v = static_cast<float>(rng.uniform_double(-1, 1));
@@ -143,10 +103,7 @@ TEST_P(SpmvPlanDifferentialTest, ExecuteBitIdenticalToOneShotFp32) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, SpmvPlanDifferentialTest,
-    ::testing::Combine(::testing::Values(Regime::kUniform, Regime::kBanded,
-                                         Regime::kPowerLaw, Regime::kHypersparse,
-                                         Regime::kNearDense, Regime::kRectWide,
-                                         Regime::kRectTall),
+    ::testing::Combine(::testing::ValuesIn(testing::kAllRegimes),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<std::tuple<Regime, bool>>& pinfo) {
       return regime_name(std::get<0>(pinfo.param)) +
@@ -294,199 +251,19 @@ TEST(SpmvPlan, CompactionPathCarriesCompactedView) {
 
 // ---------------------------------------------------------------------------
 // Single-launch execute: the carry update is the reduce launch's tail.
-// The fused cost is pinned to an independent rebuild of the two-launch
-// (reduce grid, then a one-CTA update) figure from the kernels' charges.
-
-/// Counters of `searches` binary searches over `n` segment offsets: each
-/// search is log2 + 1 single-lane steps, one sector gather per step.
-vgpu::CtaCounters search_counters(const vgpu::DeviceProperties& p,
-                                  std::size_t n, std::size_t searches) {
-  const std::size_t steps = static_cast<std::size_t>(log2_ceil(n)) + 1;
-  vgpu::CtaCounters c;
-  c.gather_bytes = searches * steps * p.gather_sector_bytes;
-  c.warp_iters = searches * steps;
-  return c;
-}
-
-/// Number of segment rows the kernel walks: A's nonempty rows.
-std::size_t segment_rows(const CsrD& a) {
-  std::size_t rows = 0;
-  for (index_t r = 0; r < a.num_rows; ++r) rows += a.row_length(r) > 0;
-  return rows;
-}
-
-/// Per-CTA cycles of the reduce grid (the charges in spmv_impl.hpp),
-/// each CTA paying `arrival` extra global bytes and, for one-shot,
-/// `searches` in-kernel fence searches.
-std::vector<double> reduce_grid_cycles(const vgpu::DeviceProperties& p,
-                                       const CsrD& a, const SpmvConfig& cfg,
-                                       std::size_t arrival,
-                                       std::size_t searches = 0) {
-  // Segment offsets: nonempty rows only (identical to A's offsets when
-  // there are no empty rows).
-  std::vector<index_t> off{0};
-  for (index_t r = 0; r < a.num_rows; ++r) {
-    if (a.row_length(r) > 0) {
-      off.push_back(a.row_offsets[static_cast<std::size_t>(r) + 1]);
-    }
-  }
-  const std::size_t rows = off.size() - 1;
-  const std::size_t nnz = static_cast<std::size_t>(a.nnz());
-  const std::size_t tile = static_cast<std::size_t>(cfg.tile());
-  const std::size_t w = static_cast<std::size_t>(p.warp_size);
-  auto fence = [&](std::size_t pos) {
-    return static_cast<std::size_t>(
-        std::upper_bound(off.begin(), off.begin() + static_cast<long>(rows),
-                         static_cast<index_t>(pos)) -
-        off.begin() - 1);
-  };
-  std::vector<double> cycles;
-  for (std::size_t lo = 0; lo < nnz; lo += tile) {
-    const std::size_t hi = std::min(nnz, lo + tile);
-    const std::size_t count = hi - lo;
-    const std::size_t row_lo = fence(lo);
-    const std::size_t row_hi = fence(hi);
-    vgpu::CtaCounters c;
-    c.global_bytes = (row_hi - row_lo + 2) * sizeof(index_t) +
-                     count * (sizeof(index_t) + sizeof(double)) + arrival;
-    for (std::size_t r = row_lo; r <= row_hi && r < rows; ++r) {
-      const std::size_t seg_lo = std::max(lo, static_cast<std::size_t>(off[r]));
-      const std::size_t seg_hi =
-          std::min(hi, static_cast<std::size_t>(off[r + 1]));
-      if (seg_lo >= seg_hi) continue;
-      // A row ending in the tile stores y; an open row stores a carry.
-      c.global_bytes += static_cast<std::size_t>(off[r + 1]) <= hi
-                            ? sizeof(double)
-                            : sizeof(double) + sizeof(index_t);
-    }
-    c.gather_bytes = count * p.gather_sector_bytes;
-    c.shared_ops = (3 * count + w - 1) / w;
-    c.warp_iters = (2 * count + w - 1) / w;
-    c.syncs = 2;
-    c += search_counters(p, rows, searches);
-    cycles.push_back(c.cycles(p));
-  }
-  return cycles;
-}
-
-/// Cycles of the one-CTA carry fold over `num_ctas` carry records.
-double update_cycles(const vgpu::DeviceProperties& p, int num_ctas) {
-  const std::size_t n = static_cast<std::size_t>(num_ctas);
-  const std::size_t w = static_cast<std::size_t>(p.warp_size);
-  vgpu::CtaCounters c;
-  c.global_bytes = n * (sizeof(index_t) + sizeof(double));
-  c.shared_ops = (n + w - 1) / w;
-  c.warp_iters = (n + w - 1) / w;
-  return c.cycles(p);
-}
-
-const SpmvConfig kTileConfigs[] = {{128, 7}, {64, 5}, {256, 9}};
-
-/// The device's launches minus integrity-guard scans, which run only
-/// under MPS_INTEGRITY_CHECK.
-std::vector<vgpu::KernelStats> kernel_launches(const vgpu::Device& dev) {
-  std::vector<vgpu::KernelStats> out;
-  for (const auto& k : dev.log()) {
-    if (k.name.rfind("integrity.", 0) != 0) out.push_back(k);
-  }
-  return out;
-}
-
-void expect_fused_spmv_cost(const CsrD& a) {
-  util::Rng rng(71);
-  std::vector<double> x(static_cast<std::size_t>(a.num_cols));
-  for (auto& v : x) v = rng.uniform_double(-1, 1);
-  std::vector<double> ref(static_cast<std::size_t>(a.num_rows));
-  baselines::seq::spmv(a, x, ref);
-  for (const SpmvConfig& cfg : kTileConfigs) {
-    SCOPED_TRACE(std::to_string(cfg.block_threads) + "x" +
-                 std::to_string(cfg.items_per_thread));
-    vgpu::Device dev;
-    const vgpu::DeviceProperties& p = dev.props();
-    const double floor = p.kernel_launch_cycles;
-    const auto plan = spmv_plan(dev, a, cfg);
-    ASSERT_EQ(plan.used_compaction(), a.has_empty_rows());
-    ASSERT_GT(plan.num_ctas(), 1);
-
-    // The unfused two-launch figure: reduce grid + a separate update launch.
-    const double reduce_unfused =
-        vgpu::schedule_cycles(p, reduce_grid_cycles(p, a, cfg, 0));
-    const double update_unfused =
-        update_cycles(p, plan.num_ctas()) + floor;
-    const double with_arrivals = vgpu::schedule_cycles(
-        p, reduce_grid_cycles(p, a, cfg, sizeof(std::uint32_t)));
-    const double arrivals = with_arrivals - reduce_unfused;
-    EXPECT_GT(arrivals, 0.0);
-
-    // Planned execute: exactly one launch.
-    dev.clear_log();
-    std::vector<double> y(static_cast<std::size_t>(a.num_rows), -3.0);
-    const auto exec = spmv_execute(dev, a, x, y, plan);
-    const auto launches = kernel_launches(dev);
-    ASSERT_EQ(launches.size(), 1u);
-    const vgpu::KernelStats k = launches.front();
-    EXPECT_EQ(k.name, "merge.spmv_reduce");
-    EXPECT_EQ(k.tail_cycles, update_cycles(p, plan.num_ctas()));
-    EXPECT_EQ(k.device_cycles,
-              with_arrivals + update_cycles(p, plan.num_ctas()));
-    EXPECT_DOUBLE_EQ(k.device_cycles,
-                     reduce_unfused + update_unfused - floor + arrivals);
-    EXPECT_EQ(exec.update_ms, k.tail_ms);
-    EXPECT_DOUBLE_EQ(exec.reduce_ms + exec.update_ms, k.modeled_ms);
-    EXPECT_DOUBLE_EQ(exec.reduce_ms + exec.update_ms,
-                     p.cycles_to_ms(k.device_cycles));
-    EXPECT_EQ(y, ref);
-
-    // One-shot: the same fused launch (after the compaction pass when A
-    // has empty rows), with each CTA paying its two fence searches.
-    dev.clear_log();
-    std::vector<double> y1(static_cast<std::size_t>(a.num_rows), -3.0);
-    const auto one = spmv(dev, a, x, y1, cfg);
-    const auto one_launches = kernel_launches(dev);
-    ASSERT_EQ(one_launches.size(), a.has_empty_rows() ? 2u : 1u);
-    if (a.has_empty_rows()) {
-      EXPECT_EQ(one_launches.front().name, "merge.spmv_compact");
-      EXPECT_EQ(one.compact_ms, one_launches.front().modeled_ms);
-    } else {
-      EXPECT_EQ(one.compact_ms, 0.0);
-    }
-    const vgpu::KernelStats k1 = one_launches.back();
-    EXPECT_EQ(k1.name, "merge.spmv_reduce");
-    EXPECT_EQ(k1.num_ctas, k.num_ctas);
-    vgpu::CtaCounters expect = k.totals;
-    expect += search_counters(p, segment_rows(a),
-                              2 * static_cast<std::size_t>(plan.num_ctas()));
-    EXPECT_EQ(k1.totals.global_bytes, expect.global_bytes);
-    EXPECT_EQ(k1.totals.gather_bytes, expect.gather_bytes);
-    EXPECT_EQ(k1.totals.shared_ops, expect.shared_ops);
-    EXPECT_EQ(k1.totals.warp_iters, expect.warp_iters);
-    EXPECT_EQ(k1.totals.syncs, expect.syncs);
-    EXPECT_EQ(k1.totals.flops, expect.flops);
-    EXPECT_EQ(k1.tail_cycles, k.tail_cycles);
-    EXPECT_EQ(k1.device_cycles,
-              vgpu::schedule_cycles(p, reduce_grid_cycles(
-                                           p, a, cfg, sizeof(std::uint32_t), 2)) +
-                  update_cycles(p, plan.num_ctas()));
-    EXPECT_EQ(one.partition_ms, 0.0);
-    EXPECT_EQ(one.plan_ms, one.compact_ms);
-    EXPECT_EQ(one.update_ms, k1.tail_ms);
-    EXPECT_DOUBLE_EQ(one.reduce_ms + one.update_ms, k1.modeled_ms);
-    EXPECT_LT(exec.kernel_ms(), one.kernel_ms());
-    EXPECT_EQ(y1, ref);
-    EXPECT_EQ(y1, y);
-  }
-}
+// The fused cost is pinned to the independent per-CTA formula of
+// tests/merge_cost.hpp at k = 1 (SpmmFusedTail runs it at k > 1).
 
 TEST(SpmvFusedTail, SpanningRowsCostOneLaunchAndStayBitwise) {
   const CsrD a = testing::spanning_rows_csr(/*empty_rows=*/false, 81);
   ASSERT_FALSE(a.has_empty_rows());
-  expect_fused_spmv_cost(a);
+  testing::expect_fused_merge_cost(a, 1);
 }
 
 TEST(SpmvFusedTail, EmptyRowsCompactionPathCostOneLaunchAndStayBitwise) {
   const CsrD a = testing::spanning_rows_csr(/*empty_rows=*/true, 82);
   ASSERT_TRUE(a.has_empty_rows());
-  expect_fused_spmv_cost(a);
+  testing::expect_fused_merge_cost(a, 1);
 }
 
 }  // namespace
