@@ -2,16 +2,13 @@
 //   (a) keys-only permutation embedding vs key-value pair block sort,
 //   (b) bit-limited vs full 32-bit block sort,
 //   (c) CTA tile size sweep,
-//   (c') chunked (bounded-memory) SpGEMM against the monolithic run,
-//   (d) the adaptive (future-work) driver on a dense-like instance.
+//   (c') chunked (bounded-memory) SpGEMM against the monolithic run.
 #include <cstdio>
 #include <cstring>
 
 #include "analysis/experiment.hpp"
 #include "baselines/seq.hpp"
 #include "core/spgemm.hpp"
-#include "core/spgemm_adaptive.hpp"
-#include "core/spgemm_chunked.hpp"
 #include "sparse/convert.hpp"
 #include "suite_runners.hpp"
 #include "util/table.hpp"
@@ -98,27 +95,6 @@ int main() {
     }
     std::fputs(t.render().c_str(), stdout);
     std::puts("");
-  }
-
-  // (d): adaptive driver — dense-like instance goes segmented and beats
-  // the flat path; a sparse instance stays flat.
-  {
-    util::Table t("Ablation: adaptive SpGEMM (paper Section V future work)");
-    t.set_header({"Matrix", "path", "reason", "adaptive ms", "flat ms"});
-    for (const auto* name : {"Dense", "Cantilever", "Webbase"}) {
-      const auto e = workloads::suite_entry(name, cfg.scale);
-      vgpu::Device dev;
-      sparse::CsrD c;
-      const auto s = core::merge::spgemm_adaptive(dev, e.matrix, e.matrix, c);
-      // Flat Dense at native scale is the paper's OOM case; at bench
-      // scale we can still time it for comparison.
-      sparse::CsrD c2;
-      const double flat_ms =
-          core::merge::spgemm(dev, e.matrix, e.matrix, c2).modeled_ms();
-      t.add_row({name, s.used_segmented ? "segmented" : "flat", s.reason,
-                 util::fmt(s.modeled_ms, 3), util::fmt(flat_ms, 3)});
-    }
-    std::fputs(t.render().c_str(), stdout);
   }
   return 0;
 }

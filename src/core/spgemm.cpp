@@ -85,27 +85,115 @@ void charge_expansion(vgpu::Cta& cta, std::size_t a_nnz, std::size_t count,
   cta.charge_alu_uniform(2 * count);
 }
 
-/// The numeric half of a one-shot multiply: runs `plan` into `c` and
-/// splits its time over Fig 11's two numeric phases using the kernel log
-/// (the last two launches are products + reduce).
-SpgemmStats finish_one_shot(vgpu::Device& device, const CsrD& a,
-                            const CsrD& b, const SpgemmPlan& plan,
-                            SpgemmStats stats, CsrD& c,
-                            const util::WallTimer& wall) {
-  if (stats.num_products == 0) {
-    c = CsrD(a.num_rows, b.num_cols);
+}  // namespace
+
+/// One flat pipeline over `a` (a whole matrix, or a row block's rows)
+/// with CTA tiles aligned to global product `origin`: the symbolic plan,
+/// then the numeric half, whose time splits over Fig 11's two numeric
+/// phases by the kernel log (the last two launches are products +
+/// reduce).  Strong guarantee: `c` is assigned only on success.
+struct SpgemmBlock {
+  static SpgemmStats run(vgpu::Device& device, const CsrD& a, const CsrD& b,
+                         std::uint64_t origin, CsrD& c,
+                         const SpgemmConfig& cfg) {
+    util::WallTimer wall;
+    SpgemmPlan plan;
+    SpgemmStats stats = SpgemmPlan::build(device, a, b, plan, cfg, origin);
+    if (stats.num_products == 0) {
+      c = CsrD(a.num_rows, b.num_cols);
+      stats.wall_ms = wall.milliseconds();
+      return stats;
+    }
+    const std::size_t log_before = device.log().size();
+    spgemm_numeric(device, a, b, plan, c);
+    for (std::size_t i = log_before; i < device.log().size(); ++i) {
+      const auto& k = device.log()[i];
+      if (k.name == "merge.spgemm_reduce") {
+        stats.phases.product_reduce_ms += k.modeled_ms;
+      } else {
+        stats.phases.product_compute_ms += k.modeled_ms;
+      }
+    }
     stats.wall_ms = wall.milliseconds();
     return stats;
   }
-  const std::size_t log_before = device.log().size();
-  spgemm_numeric(device, a, b, plan, c);
-  for (std::size_t i = log_before; i < device.log().size(); ++i) {
-    const auto& k = device.log()[i];
-    if (k.name == "merge.spgemm_reduce") {
-      stats.phases.product_reduce_ms += k.modeled_ms;
-    } else {
-      stats.phases.product_compute_ms += k.modeled_ms;
+};
+
+namespace {
+
+/// Rows [r0, r1) of A as one flat block tiled at its global product
+/// prefix: A itself when the block spans every row, else a slice.
+SpgemmStats run_rows(vgpu::Device& device, const CsrD& a, const CsrD& b,
+                     std::span<const std::uint64_t> row_prefix, index_t r0,
+                     index_t r1, CsrD& c, const SpgemmConfig& cfg) {
+  if (r0 == 0 && r1 == a.num_rows) {
+    return SpgemmBlock::run(device, a, b, 0, c, cfg);
+  }
+  const CsrD block = sparse::row_slice(a, r0, r1);
+  return SpgemmBlock::run(device, block, b,
+                          row_prefix[static_cast<std::size_t>(r0)], c, cfg);
+}
+
+/// Conservative device footprint of one flat-pipeline invocation over a
+/// chunk with `n_prod` intermediate products and `a_nnz` source nonzeros:
+/// perm16 + head bits + the product-offset scan, the unique-tuple arrays
+/// (bounded by n_prod) and the global sort's ping-pong buffers, plus a
+/// fixed floor for the scan/sort scratch of tiny chunks.
+std::size_t chunk_footprint(std::uint64_t n_prod, std::uint64_t a_nnz) {
+  return static_cast<std::size_t>(40 * n_prod + 16 * a_nnz + 4096);
+}
+
+/// Share of free device memory a chunk may claim after a block overflows.
+/// Below 1.0 leaves headroom because chunk_footprint is an estimate of
+/// the sort's transient allocations, not an exact charge.
+constexpr double kFreeMemoryFraction = 0.5;
+
+/// The one chunk loop: rows [row_begin, row_end) as greedy whole-row
+/// chunks whose estimated footprint fits `budget`, stitched into `c`.
+/// Each chunk is one flat block with no step-down of its own, so a chunk
+/// that still overflows throws.  A row is the atomic unit: a chunk takes
+/// at least one row even when that row alone overshoots the budget.
+SpgemmStats run_chunks(vgpu::Device& device, const CsrD& a, const CsrD& b,
+                       std::span<const std::uint64_t> P, index_t row_begin,
+                       index_t row_end, std::size_t budget, CsrD& c,
+                       const SpgemmConfig& cfg) {
+  util::WallTimer wall;
+  SpgemmStats stats;
+  stats.num_chunks = 0;
+  // Built locally and assigned to `c` only on success (strong guarantee).
+  CsrD out(0, b.num_cols);
+  const auto end = static_cast<std::size_t>(row_end);
+  for (auto r0 = static_cast<std::size_t>(row_begin); r0 < end;) {
+    std::size_t r1 = r0 + 1;
+    while (r1 < end &&
+           chunk_footprint(P[r1 + 1] - P[r0],
+                           static_cast<std::uint64_t>(a.row_offsets[r1 + 1] -
+                                                      a.row_offsets[r0])) <=
+               budget) {
+      ++r1;
     }
+    CsrD c_sub;
+    const SpgemmStats sub =
+        run_rows(device, a, b, P, static_cast<index_t>(r0),
+                 static_cast<index_t>(r1), c_sub, cfg);
+    stats.phases.setup_ms += sub.phases.setup_ms;
+    stats.phases.block_sort_ms += sub.phases.block_sort_ms;
+    stats.phases.global_sort_ms += sub.phases.global_sort_ms;
+    stats.phases.product_compute_ms += sub.phases.product_compute_ms;
+    stats.phases.product_reduce_ms += sub.phases.product_reduce_ms;
+    stats.phases.other_ms += sub.phases.other_ms;
+    stats.num_products += sub.num_products;
+    stats.block_unique += sub.block_unique;
+    stats.used_pair_sort = stats.used_pair_sort || sub.used_pair_sort;
+    sparse::append_rows(out, c_sub);
+    ++stats.num_chunks;
+    r0 = r1;
+  }
+  c = std::move(out);
+  // Under MPS_INTEGRITY_CHECK, the stitched C (each chunk's was checked).
+  if (resilience::integrity_checks_enabled()) {
+    stats.phases.other_ms +=
+        resilience::check_csr(device, c, "merge.spgemm_chunked: C");
   }
   stats.wall_ms = wall.milliseconds();
   return stats;
@@ -513,10 +601,7 @@ double spgemm_numeric(vgpu::Device& device, const CsrD& a, const CsrD& b,
 
 SpgemmStats spgemm(vgpu::Device& device, const CsrD& a, const CsrD& b, CsrD& c,
                    const SpgemmConfig& cfg) {
-  util::WallTimer wall;
-  SpgemmPlan plan;
-  const SpgemmStats stats = spgemm_symbolic(device, a, b, plan, cfg);
-  return finish_one_shot(device, a, b, plan, stats, c, wall);
+  return SpgemmBlock::run(device, a, b, 0, c, cfg);
 }
 
 std::vector<std::uint64_t> spgemm_row_prefix(const CsrD& a, const CsrD& b) {
@@ -542,12 +627,43 @@ SpgemmStats spgemm_row_block(vgpu::Device& device, const CsrD& a,
   MPS_CHECK(row_prefix.size() == static_cast<std::size_t>(a.num_rows) + 1);
   MPS_CHECK(0 <= row_begin && row_begin <= row_end && row_end <= a.num_rows);
   util::WallTimer wall;
-  const CsrD block = sparse::row_slice(a, row_begin, row_end);
-  SpgemmPlan plan;
-  const SpgemmStats stats =
-      SpgemmPlan::build(device, block, b, plan, cfg,
-                        row_prefix[static_cast<std::size_t>(row_begin)]);
-  return finish_one_shot(device, block, b, plan, stats, c_block, wall);
+  const std::size_t log_before = device.log().size();
+  try {
+    return run_rows(device, a, b, row_prefix, row_begin, row_end, c_block, cfg);
+  } catch (const vgpu::DeviceOomError&) {
+    // The block unwound cleanly (accounting restored, c_block untouched).
+    // Re-run its rows in chunks sized to the memory now free, and charge
+    // the kernels the failed attempt launched before it overflowed.
+    double wasted_ms = 0.0;
+    for (std::size_t i = log_before; i < device.log().size(); ++i) {
+      wasted_ms += device.log()[i].modeled_ms;
+    }
+    const std::size_t free_bytes =
+        device.memory().capacity() - device.memory().in_use();
+    SpgemmStats stats = run_chunks(
+        device, a, b, row_prefix, row_begin, row_end,
+        static_cast<std::size_t>(kFreeMemoryFraction *
+                                 static_cast<double>(free_bytes)),
+        c_block, cfg);
+    stats.phases.other_ms += wasted_ms;
+    stats.wall_ms = wall.milliseconds();
+    return stats;
+  }
+}
+
+SpgemmStats spgemm_chunked(vgpu::Device& device, const CsrD& a, const CsrD& b,
+                           CsrD& c, const ChunkedConfig& cfg) {
+  MPS_CHECK(a.num_cols == b.num_rows);
+  if (sparse::strict_validation()) {
+    sparse::validate_csr(a, "spgemm_chunked: A");
+    sparse::validate_csr(b, "spgemm_chunked: B");
+  }
+  const std::vector<std::uint64_t> P = spgemm_row_prefix(a, b);
+  if (cfg.chunk_bytes == 0) {
+    return spgemm_row_block(device, a, b, P, 0, a.num_rows, c, cfg.flat);
+  }
+  return run_chunks(device, a, b, P, 0, a.num_rows, cfg.chunk_bytes, c,
+                    cfg.flat);
 }
 
 }  // namespace mps::core::merge

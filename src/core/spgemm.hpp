@@ -24,6 +24,7 @@
 //   Product Reduce  — reduce-by-key over the sorted stream forms C;
 //   Other           — row-pointer construction and misc memory ops.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -63,14 +64,15 @@ struct SpgemmStats {
   long long num_products = 0;   ///< paper's work measure (Fig 10 x-axis)
   long long block_unique = 0;   ///< tuples surviving the CTA-level reduction
   bool used_pair_sort = false;  ///< permutation embedding did not fit
+  int num_chunks = 1;           ///< row blocks run (1: one flat block)
   double wall_ms = 0.0;
   double modeled_ms() const { return phases.total_ms(); }
 };
 
-/// C = A x B.  Throws vgpu::DeviceOomError when the intermediate exceeds
-/// device memory (the paper's Dense case in Fig 9); on any throw, device
-/// accounting is restored and `c` is untouched (strong guarantee) — see
-/// spgemm_chunked.hpp for the bounded-footprint fallback.
+/// C = A x B, the paper's flat pipeline.  Throws vgpu::DeviceOomError when
+/// the intermediate exceeds device memory (the paper's Dense case in Fig 9);
+/// on any throw, device accounting is restored and `c` is untouched (strong
+/// guarantee).  spgemm_chunked is the bounded-memory entry point.
 SpgemmStats spgemm(vgpu::Device& device, const sparse::CsrD& a,
                    const sparse::CsrD& b, sparse::CsrD& c,
                    const SpgemmConfig& cfg = {});
@@ -92,13 +94,34 @@ std::vector<std::uint64_t> spgemm_row_prefix(const sparse::CsrD& a,
 /// Rows [row_begin, row_end) of C = A x B into `c_block` (row_end -
 /// row_begin rows, B's columns), tiled at the block's global product
 /// origin row_prefix[row_begin] (`row_prefix` from spgemm_row_prefix).
-/// Bitwise equal to those rows of spgemm(a, b); same strong guarantee.
+/// Bitwise equal to those rows of spgemm(a, b).
+///
+/// The memory-pressure rule: the block first runs as one flat pipeline.
+/// If that throws DeviceOomError, real or injected, its rows re-run as
+/// whole-row sub-blocks sized to half the device's free memory.  It
+/// throws only when a single row's expansion cannot fit.  Strong
+/// guarantee: on throw, device accounting is restored and `c_block` is
+/// untouched.
 SpgemmStats spgemm_row_block(vgpu::Device& device, const sparse::CsrD& a,
                              const sparse::CsrD& b,
                              std::span<const std::uint64_t> row_prefix,
                              index_t row_begin, index_t row_end,
                              sparse::CsrD& c_block,
                              const SpgemmConfig& cfg = {});
+
+struct ChunkedConfig {
+  SpgemmConfig flat;  ///< geometry forwarded to each chunk's pipeline
+  /// Per-chunk device budget in bytes.  0: spgemm_row_block over all of
+  /// A (flat, stepping down to chunks only on DeviceOomError); > 0:
+  /// chunks sized to this budget from the start, with no step-down.
+  std::size_t chunk_bytes = 0;
+};
+
+/// C = A x B with bounded device footprint; bitwise identical to
+/// spgemm().  Strong guarantee as spgemm_row_block.
+SpgemmStats spgemm_chunked(vgpu::Device& device, const sparse::CsrD& a,
+                           const sparse::CsrD& b, sparse::CsrD& c,
+                           const ChunkedConfig& cfg = {});
 
 /// Reusable symbolic state: everything that depends only on the sparsity
 /// patterns of A and B.  Amortizes the setup/block-sort/global-sort work
@@ -120,16 +143,13 @@ class SpgemmPlan {
 
  private:
   /// The symbolic phase with CTA tiles aligned to global product `origin`
-  /// (0 for a whole matrix; a row block's prefix for spgemm_row_block).
+  /// (0 for a whole matrix; a row block's prefix for a row block).
   static SpgemmStats build(vgpu::Device& device, const sparse::CsrD& a,
                            const sparse::CsrD& b, SpgemmPlan& out_plan,
                            const SpgemmConfig& cfg, std::uint64_t origin);
 
-  friend SpgemmStats spgemm_row_block(vgpu::Device&, const sparse::CsrD&,
-                                      const sparse::CsrD&,
-                                      std::span<const std::uint64_t>, index_t,
-                                      index_t, sparse::CsrD&,
-                                      const SpgemmConfig&);
+  /// spgemm.cpp's one-block multiply (flat spgemm, and every row block).
+  friend struct SpgemmBlock;
   friend SpgemmStats spgemm_symbolic(vgpu::Device&, const sparse::CsrD&,
                                      const sparse::CsrD&, SpgemmPlan&,
                                      const SpgemmConfig&);

@@ -6,8 +6,6 @@
 #include <numeric>
 #include <utility>
 
-#include "core/spadd.hpp"
-#include "core/spgemm.hpp"
 #include "core/spmv.hpp"
 #include "shard/exec.hpp"
 #include "telemetry/flight.hpp"
@@ -1240,7 +1238,7 @@ Engine::Lease Engine::acquire_lease(Batch& batch) {
   } else if (sharded_mode && head.kind != Request::Kind::kSpmv) {
     // Matrix ops place over the whole fleet in slot order: shard::spadd /
     // spgemm partition the output rows across the chosen slots by their
-    // placement weights, and one chosen slot runs the op unsharded.
+    // placement weights (one chosen slot runs one block).
     std::vector<int> fleet(fleet_.size());
     std::iota(fleet.begin(), fleet.end(), 0);
     const shard::OpCost cost = head.kind == Request::Kind::kSpadd
@@ -1256,7 +1254,7 @@ Engine::Lease Engine::acquire_lease(Batch& batch) {
     std::unique_lock<std::mutex> lock(devices_mutex_);
     if (lease.ordinals.empty()) {
       // Unsharded work (legacy mode, or a matrix below the shard
-      // threshold): any one free slot.
+      // threshold): any one free slot, one block of weight 1.
       devices_cv_.wait(lock, [&] {
         for (const SlotState& slot : slots_) {
           if (!slot.busy) return true;
@@ -1266,6 +1264,7 @@ Engine::Lease Engine::acquire_lease(Batch& batch) {
       for (std::size_t i = 0; i < slots_.size(); ++i) {
         if (!slots_[i].busy) {
           lease.ordinals.push_back(static_cast<int>(i));
+          lease.weights = {1.0};
           break;
         }
       }
@@ -1426,9 +1425,9 @@ void Engine::execute_batch(Batch& batch, Lease& lease) {
                                                  : "serve.spgemm";
     prof_scope.emplace(attr);
   }
-  // Unsharded work runs on the lease's single slot; sharded work
-  // (lease.sharded, or a matrix op leasing the whole fleet) fans out in
-  // src/shard/exec.cpp with bitwise-identical results.
+  // Unsharded SpMV runs on the lease's single slot; sharded SpMV
+  // (lease.sharded) and every matrix op run through src/shard/exec.cpp
+  // with bitwise-identical results.
   vgpu::Device& device =
       *lease.devices[static_cast<std::size_t>(lease.ordinals.front())];
   const auto rows = static_cast<std::size_t>(a.num_rows);
@@ -1443,22 +1442,16 @@ void Engine::execute_batch(Batch& batch, Lease& lease) {
       MatrixResult result;
       result.modeled_ms = run_attempts(batch, nullptr, [&] {
         result.c = sparse::CsrD{};  // a failed attempt may leave partial rows
-        if (lease.ordinals.size() > 1) {
-          // The op's output rows are partitioned across the whole fleet
-          // by placement weight.
-          return kind == Request::Kind::kSpadd
-                     ? shard::spadd(a, *b_ref, lease.devices, lease.ordinals,
-                                    lease.weights, result.c)
-                           .modeled_ms
-                     : shard::spgemm(a, *b_ref, lease.devices, lease.ordinals,
-                                     lease.weights, result.c)
-                           .modeled_ms;
-        }
+        // The op's output rows are partitioned across the leased slots by
+        // placement weight; one slot is one block, bitwise the core
+        // kernel.  A SpGEMM block steps down to row chunks on OOM.
         return kind == Request::Kind::kSpadd
-                   ? core::merge::spadd_csr(device, a, *b_ref, result.c)
+                   ? shard::spadd(a, *b_ref, lease.devices, lease.ordinals,
+                                  lease.weights, result.c)
                          .modeled_ms
-                   : core::merge::spgemm(device, a, *b_ref, result.c)
-                         .modeled_ms();
+                   : shard::spgemm(a, *b_ref, lease.devices, lease.ordinals,
+                                   lease.weights, result.c)
+                         .modeled_ms;
       }, nullptr);
       Request& req = *batch.reqs.front();
       settle_metrics(handle, latency_ms(req, clock::now()), true);

@@ -505,7 +505,7 @@ class Engine {
     std::vector<vgpu::Device*> devices;  ///< indexed by fleet ordinal
     std::shared_ptr<const shard::ShardedMatrix> sharded;  ///< null = unsharded
     bool replica = false;  ///< which placement the plan keys name
-    std::vector<double> weights;  ///< placement weights (matrix ops)
+    std::vector<double> weights;  ///< matrix-op placement ({1.0}: one slot)
   };
 
   void dispatcher_loop();
@@ -526,7 +526,8 @@ class Engine {
   void release_lease(const Lease& lease);
   /// Runs the batch on the leased devices: an SpMV dispatch (a lone
   /// request or a coalesced block, one plan lookup either way) or an
-  /// SpAdd/SpGEMM, each through run_attempts.
+  /// SpAdd/SpGEMM through shard::spadd / shard::spgemm on the lease's
+  /// slots and weights (one slot: one block), each through run_attempts.
   /// DeviceLostError propagates to the failover loop (structurally, a
   /// loss can only fire before any request of the batch has settled —
   /// launches and reserves all precede the first set_value).

@@ -94,7 +94,9 @@ Tally run_slices(std::span<vgpu::Device* const> devices, std::size_t count,
     t.sum_ms += kernel_ms;
     if (prof) samples.push_back({i, ordinal, halo_ms + kernel_ms});
   }
-  if (prof && !samples.empty()) {
+  // A one-slice call (a one-slot matrix op) is not a sharded dispatch, so
+  // it feeds neither the imbalance detector nor shard_batches.
+  if (prof && count > 1 && !samples.empty()) {
     telemetry::profiler().note_shard_batch(
         telemetry::current_prof_attr().tenant, samples);
   }
@@ -204,6 +206,7 @@ ExecStats run_row_blocks(const sparse::CsrD& a, index_t out_cols,
       },
       [&](std::size_t, vgpu::Device& dev) { return halo(dev); },
       [&](std::size_t i, vgpu::Device& dev) {
+        if (blocks.size() == 1) return kernel(dev, blocks[i], out);
         sparse::CsrD sub_c;
         const double ms = kernel(dev, blocks[i], sub_c);
         sparse::append_rows(out, sub_c);
@@ -269,6 +272,9 @@ ExecStats spadd(const sparse::CsrD& a, const sparse::CsrD& b,
       a, a.num_cols, combined, devices, ordinals, weights, "shard.spadd",
       [](vgpu::Device&) { return 0.0; },
       [&](vgpu::Device& dev, const RowBlock& blk, sparse::CsrD& sub_c) {
+        if (blk.row_begin == 0 && blk.row_end == a.num_rows) {
+          return core::merge::spadd_csr(dev, a, b, sub_c).modeled_ms;
+        }
         const sparse::CsrD sub_a =
             sparse::row_slice(a, blk.row_begin, blk.row_end);
         const sparse::CsrD sub_b =

@@ -13,7 +13,10 @@
 // each slice as a core row block (core::merge::spgemm_row_block, the
 // rule spgemm_chunked uses), tiled at the slice's global product prefix,
 // so CTA tile boundaries, partial-sum grouping, and therefore every
-// floating-point sum match the flat path bit for bit.
+// floating-point sum match the flat path bit for bit.  A slice whose
+// block overflows its device steps down to smaller row chunks there.
+// One slot and weight {1.0} is one block on the whole matrix: bitwise
+// the core kernel, in output and in modeled time.
 //
 // Shards run sequentially on the calling thread (CTA-level parallelism
 // already fans out through the device's pool); ExecStats::modeled_ms
@@ -98,8 +101,9 @@ ExecStats spadd(const sparse::CsrD& a, const sparse::CsrD& b,
 /// C = A B, row-partitioned on the intermediate-product staircase.  Each
 /// slice multiplies against a full replica of B (replication for shards
 /// past the first is the modeled halo cost) as a core row block
-/// (spgemm_row_block), so the stitched C is bitwise identical to flat
-/// spgemm — the spgemm_chunked argument verbatim.
+/// (spgemm_row_block, which steps down to row chunks on DeviceOomError),
+/// so the stitched C is bitwise identical to flat spgemm — the
+/// spgemm_chunked argument verbatim.
 ExecStats spgemm(const sparse::CsrD& a, const sparse::CsrD& b,
                  std::span<vgpu::Device* const> devices,
                  std::span<const int> ordinals, std::span<const double> weights,

@@ -72,7 +72,7 @@ using CsrD = CsrMatrix<double>;
 
 /// The row slice [row_begin, row_end) of `a` as a standalone CSR with
 /// rebased offsets and ORIGINAL column ids (num_cols is preserved).
-/// The building block of chunked/sharded matrix ops (core/spgemm_chunked,
+/// The building block of row-block matrix ops (core::merge row blocks,
 /// src/shard): per-slice kernel output stitches back into the full
 /// result because columns keep their global meaning.
 template <typename V>

@@ -24,8 +24,9 @@
 //     missed flips, never corrupted.
 //
 // Alloc-failure triggers fire exactly once and then disarm, so a caller
-// that catches the error and retries (spgemm_adaptive's oom-retry tier)
-// runs clean afterwards.  Counters are per-injector and deterministic:
+// that catches the error and retries (core::merge::spgemm_row_block's
+// step-down to row chunks, the engine's retry policy) runs clean
+// afterwards.  Counters are per-injector and deterministic:
 // the functional layer performs the same allocations in the same order
 // regardless of host thread count.
 //

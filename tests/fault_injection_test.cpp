@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -21,8 +20,6 @@
 #include "baselines/seq.hpp"
 #include "core/spadd.hpp"
 #include "core/spgemm.hpp"
-#include "core/spgemm_adaptive.hpp"
-#include "core/spgemm_chunked.hpp"
 #include "core/spmm.hpp"
 #include "core/spmv.hpp"
 #include "oracle.hpp"
@@ -299,6 +296,51 @@ TEST(FaultSweep, SpgemmChunked) {
       });
 }
 
+TEST(FaultSweep, SpgemmRowBlock) {
+  // The memory-pressure rule under every injected allocation failure: a
+  // row block either throws with C at its sentinel and no residency, or
+  // steps down to row chunks and completes bitwise equal to flat.  Both a
+  // whole-matrix block and an interior one (the sliced path) are swept.
+  const CsrD a = medium_matrix(107);
+  const CsrD b = medium_matrix(109);
+  const auto prefix = core::merge::spgemm_row_prefix(a, b);
+  CsrD flat;
+  {
+    auto dev = make_clean_device();
+    core::merge::spgemm(dev, a, b, flat);
+  }
+  for (const auto& [r0, r1] : {std::pair<index_t, index_t>{0, a.num_rows},
+                               std::pair<index_t, index_t>{50, 170}}) {
+    SCOPED_TRACE("rows [" + std::to_string(r0) + ", " + std::to_string(r1) +
+                 ")");
+    const CsrD want = sparse::row_slice(flat, r0, r1);
+    CsrD c;
+    auto clean = make_clean_device();
+    core::merge::spgemm_row_block(clean, a, b, prefix, r0, r1, c);
+    const long long n = clean.fault_injector().allocations_observed();
+    ASSERT_GT(n, 0);
+    for (long long i = 1; i <= n; ++i) {
+      SCOPED_TRACE("failing allocation " + std::to_string(i));
+      auto dev = make_clean_device();
+      dev.fault_injector().fail_at_allocation(i);
+      c = CsrD(1, 1);
+      c.row_offsets = {0, 1};
+      c.col = {0};
+      c.val = {kSentinel};
+      try {
+        core::merge::spgemm_row_block(dev, a, b, prefix, r0, r1, c);
+        EXPECT_TRUE(mps::testing::bitwise_equal(c, want));
+      } catch (const vgpu::DeviceOomError& e) {
+        EXPECT_TRUE(e.injected());
+        ASSERT_EQ(c.nnz(), 1);
+        ASSERT_EQ(c.val[0], kSentinel);
+      }
+      EXPECT_EQ(dev.memory().in_use(), 0u);
+      EXPECT_EQ(dev.fault_injector().faults_injected(), 1);
+    }
+  }
+}
+
 TEST(FaultSweep, Spmm) {
   const CsrD a = medium_matrix(61);
   const index_t nv = 4;
@@ -390,129 +432,6 @@ TEST(FaultSweep, CmrsConvertAndSpmv) {
   std::vector<double> ref(static_cast<std::size_t>(a.num_rows), 0.0);
   baselines::seq::spmv(a, x, ref);
   for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(y[i], ref[i]);
-}
-
-// ---------------------------------------------------------------------------
-// Chunked SpGEMM correctness.
-
-TEST(ChunkedSpgemm, BitwiseIdenticalToFlat) {
-  const CsrD a = medium_matrix(53, 300, 300, 2500);
-  const CsrD b = medium_matrix(59, 300, 300, 2500);
-  auto dev = make_clean_device();
-
-  CsrD flat;
-  core::merge::spgemm(dev, a, b, flat);
-
-  core::merge::ChunkedConfig cfg;
-  cfg.chunk_bytes = 48 * 1024;  // far below the flat footprint
-  CsrD chunked;
-  const auto stats = core::merge::spgemm_chunked(dev, a, b, chunked, cfg);
-  ASSERT_GT(stats.num_chunks, 1) << "budget did not force chunking";
-
-  ASSERT_EQ(chunked.num_rows, flat.num_rows);
-  ASSERT_EQ(chunked.num_cols, flat.num_cols);
-  ASSERT_EQ(chunked.row_offsets, flat.row_offsets);
-  ASSERT_EQ(chunked.col, flat.col);
-  ASSERT_EQ(chunked.val.size(), flat.val.size());
-  // Bitwise, not tolerance: the phase-aligned tiling must reproduce the
-  // flat path's floating-point association order exactly.
-  ASSERT_EQ(std::memcmp(chunked.val.data(), flat.val.data(),
-                        flat.val.size() * sizeof(double)),
-            0);
-}
-
-TEST(ChunkedSpgemm, SingleChunkDegeneratesToFlat) {
-  const CsrD a = medium_matrix(61);
-  const CsrD b = medium_matrix(67);
-  auto dev = make_clean_device();
-  CsrD flat, chunked;
-  core::merge::spgemm(dev, a, b, flat);
-  const auto stats = core::merge::spgemm_chunked(dev, a, b, chunked);
-  EXPECT_EQ(stats.num_chunks, 1);
-  ASSERT_EQ(chunked.row_offsets, flat.row_offsets);
-  ASSERT_EQ(chunked.col, flat.col);
-  ASSERT_EQ(std::memcmp(chunked.val.data(), flat.val.data(),
-                        flat.val.size() * sizeof(double)),
-            0);
-}
-
-TEST(ChunkedSpgemm, CompletesWhereFlatOverflowsAndMatchesFlatBitwise) {
-  const CsrD a = medium_matrix(71, 400, 400, 6000);
-  const CsrD b = medium_matrix(73, 400, 400, 6000);
-
-  // Flat result on an unconstrained device (the ground truth).
-  auto big = make_clean_device();
-  CsrD flat;
-  core::merge::spgemm(big, a, b, flat);
-
-  // A device too small for the flat intermediate: flat throws, chunked
-  // (sized to half the free capacity) completes.
-  auto props = vgpu::gtx_titan();
-  props.global_mem_bytes = 192 * 1024;
-  vgpu::Device small(props);
-  small.fault_injector().disarm();
-  EXPECT_EQ(small.memory().capacity(), 192u * 1024u)
-      << "explicit capacities must survive MPS_FAULT_CAPACITY";
-
-  CsrD c;
-  EXPECT_THROW(core::merge::spgemm(small, a, b, c), vgpu::DeviceOomError);
-  EXPECT_EQ(small.memory().in_use(), 0u);
-
-  const auto stats = core::merge::spgemm_chunked(small, a, b, c);
-  EXPECT_GT(stats.num_chunks, 1);
-  EXPECT_EQ(small.memory().in_use(), 0u);
-  ASSERT_EQ(c.row_offsets, flat.row_offsets);
-  ASSERT_EQ(c.col, flat.col);
-  ASSERT_EQ(std::memcmp(c.val.data(), flat.val.data(),
-                        flat.val.size() * sizeof(double)),
-            0);
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive oom-retry tier.
-
-TEST(AdaptiveSpgemm, RetriesChunkedOnActualOom) {
-  const CsrD a = medium_matrix(79, 400, 400, 6000);
-  const CsrD b = medium_matrix(83, 400, 400, 6000);
-
-  auto props = vgpu::gtx_titan();
-  props.global_mem_bytes = 192 * 1024;
-  vgpu::Device small(props);
-  small.fault_injector().disarm();
-
-  // Keep the dense-like tier out of the way so the flat attempt runs and
-  // really overflows; spgemm_adaptive must catch and retry chunked.
-  core::merge::AdaptiveConfig cfg;
-  cfg.density_threshold = 1e9;
-  CsrD c;
-  const auto stats = core::merge::spgemm_adaptive(small, a, b, c, cfg);
-  EXPECT_TRUE(stats.used_chunked);
-  EXPECT_FALSE(stats.used_segmented);
-  EXPECT_STREQ(stats.reason, "oom-retry");
-  EXPECT_GT(stats.chunked_stats.num_chunks, 1);
-  EXPECT_EQ(small.memory().in_use(), 0u);
-
-  auto big = make_clean_device();
-  CsrD flat;
-  core::merge::spgemm(big, a, b, flat);
-  EXPECT_TRUE(mps::testing::bitwise_equal(c, flat));
-}
-
-TEST(AdaptiveSpgemm, InjectedOomAlsoRetriesChunked) {
-  const CsrD a = medium_matrix(89);
-  const CsrD b = medium_matrix(97);
-  auto dev = make_clean_device();
-  dev.fault_injector().fail_at_allocation(1);  // fires once, then disarms
-
-  core::merge::AdaptiveConfig cfg;
-  cfg.density_threshold = 1e9;
-  CsrD c;
-  const auto stats = core::merge::spgemm_adaptive(dev, a, b, c, cfg);
-  EXPECT_STREQ(stats.reason, "oom-retry");
-  EXPECT_EQ(dev.memory().in_use(), 0u);
-  CsrD flat;
-  core::merge::spgemm(dev, a, b, flat);
-  EXPECT_TRUE(mps::testing::bitwise_equal(c, flat));
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@
 #include "baselines/seq.hpp"
 #include "core/spadd.hpp"
 #include "core/spgemm.hpp"
-#include "core/spgemm_chunked.hpp"
 #include "core/spmv.hpp"
 #include "oracle.hpp"
 #include "sparse/compare.hpp"

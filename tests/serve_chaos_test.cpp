@@ -19,7 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/spgemm.hpp"
 #include "core/spmv.hpp"
+#include "oracle.hpp"
 #include "resilience/integrity.hpp"
 #include "serve/engine.hpp"
 #include "serve/trace.hpp"
@@ -29,6 +31,7 @@
 #include "vgpu/chaos.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/memory_model.hpp"
+#include "workloads/suite.hpp"
 
 namespace mps::serve {
 namespace {
@@ -575,6 +578,39 @@ TEST(ServeChaos, DegradedModeRecoversAfterConsecutiveSuccesses) {
   EXPECT_EQ(s.plan_cache.capacity_bytes, 64u << 20)
       << "recovery restores the full plan-cache budget";
   EXPECT_EQ(s.completed, 3);
+}
+
+// Served SpGEMM under memory pressure: Cantilever at scale 0.01 (2.5M
+// intermediate products) overflows an 8 MiB device as one flat block,
+// and a 4 MiB slot as one placement block.  Each block steps down to row
+// chunks on its own device, so the request completes bitwise equal to
+// flat on a roomy device, with no failure and no degraded-mode entry.
+TEST(ServeChaos, SpgemmCompletesUnderMemoryPressure) {
+  CleanFaultEnv env;
+  const CsrD a = workloads::suite_entry("Cantilever", 0.01).matrix;
+  CsrD flat;
+  {
+    vgpu::Device roomy;
+    core::merge::spgemm(roomy, a, a, flat);
+  }
+  const std::pair<int, const char*> cases[] = {{0, "8388608"},
+                                               {4, "4194304"}};
+  for (const auto& [devices, capacity] : cases) {
+    SCOPED_TRACE("devices " + std::to_string(devices) + ", capacity " +
+                 capacity);
+    // The cap applies when the engine constructs its devices.
+    EnvVarGuard cap("MPS_FAULT_CAPACITY", capacity);
+    auto cfg = test_config(/*threads=*/1, /*batch_window=*/1);
+    cfg.devices = devices;
+    Engine engine(cfg);
+    const MatrixHandle h = engine.register_matrix(a);
+    const MatrixResult r = engine.submit_spgemm(h, h).get();
+    EXPECT_TRUE(testing::bitwise_equal(r.c, flat));
+    engine.shutdown();
+    const auto s = engine.stats();
+    EXPECT_EQ(s.failed, 0);
+    EXPECT_EQ(s.degraded_entered, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -480,6 +480,38 @@ TEST(ShardExecOracle, RectangularSpgemmBitwise) {
   EXPECT_TRUE(csr_bitwise_equal(c, c_ref));
 }
 
+// One slot with weight {1.0} is one block on the whole matrix, which is
+// how the engine serves every unsharded SpAdd and SpGEMM: it must be the
+// core kernel, in output bits and in modeled time.
+TEST(ShardExecOracle, OneSlotIsTheCoreKernel) {
+  for (const Regime r : kAllRegimes) {
+    const auto a = make_regime_matrix(r, 1);
+    const auto b = make_regime_matrix(r, 32);
+    const auto at = sparse::transpose(b);
+    vgpu::Device core_dev;
+    core_dev.fault_injector().disarm();
+    sparse::CsrD add_ref, gemm_ref;
+    const double add_ms =
+        core::merge::spadd_csr(core_dev, a, b, add_ref).modeled_ms;
+    const double gemm_ms =
+        core::merge::spgemm(core_dev, a, at, gemm_ref).modeled_ms();
+
+    Fleet fleet("", 1);
+    fleet.set.device(0).fault_injector().disarm();
+    sparse::CsrD add, gemm;
+    const auto add_stats =
+        spadd(a, b, fleet.ptrs, fleet.ordinals, uniform_weights(1), add);
+    const auto gemm_stats =
+        spgemm(a, at, fleet.ptrs, fleet.ordinals, uniform_weights(1), gemm);
+    EXPECT_TRUE(csr_bitwise_equal(add, add_ref)) << regime_name(r);
+    EXPECT_TRUE(csr_bitwise_equal(gemm, gemm_ref)) << regime_name(r);
+    EXPECT_EQ(add_stats.modeled_ms, add_ms) << regime_name(r);
+    EXPECT_EQ(gemm_stats.modeled_ms, gemm_ms) << regime_name(r);
+    EXPECT_EQ(add_stats.shards, 1);
+    EXPECT_EQ(gemm_stats.halo_ms, 0.0);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Degenerate shapes.
 

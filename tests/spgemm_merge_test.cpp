@@ -1,11 +1,10 @@
 // Merge-path SpGEMM: the paper's Fig 3 worked example, randomized
-// validation against Gustavson, configuration ablations, the adaptive
-// driver, and the work-proportional cost property.
+// validation against Gustavson, configuration ablations, and the
+// work-proportional cost property.
 #include <gtest/gtest.h>
 
 #include "baselines/seq.hpp"
 #include "core/spgemm.hpp"
-#include "core/spgemm_adaptive.hpp"
 #include "oracle.hpp"
 #include "sparse/compare.hpp"
 #include "sparse/convert.hpp"
@@ -16,7 +15,6 @@ namespace mps {
 namespace {
 
 using core::merge::spgemm;
-using core::merge::spgemm_adaptive;
 using core::merge::SpgemmConfig;
 using sparse::coo_to_csr;
 using testing::expect_spgemm_matches;
@@ -181,67 +179,6 @@ TEST(MergeSpgemm, CostTracksProductsNotStructure) {
   const double ratio = per_s / per_u;
   EXPECT_GT(ratio, 0.6);
   EXPECT_LT(ratio, 1.6);
-}
-
-TEST(AdaptiveSpgemm, PicksFlatForSparse) {
-  vgpu::Device dev;
-  // The subject is the scheme heuristic; an ambient MPS_FAULT_* sweep
-  // would flip the reported reason to "oom-retry".
-  dev.fault_injector().disarm();
-  util::Rng rng(71);
-  const auto a = coo_to_csr(random_coo(rng, 1000, 1000, 10000));
-  sparse::CsrD c;
-  const auto stats = spgemm_adaptive(dev, a, a, c);
-  EXPECT_FALSE(stats.used_segmented);
-  EXPECT_STREQ(stats.reason, "flat");
-  const auto ref = baselines::seq::spgemm(a, a);
-  EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal);
-  sparse::CsrD flat;
-  spgemm(dev, a, a, flat);
-  EXPECT_TRUE(testing::bitwise_equal(c, flat));
-}
-
-TEST(AdaptiveSpgemm, PicksSegmentedForDense) {
-  vgpu::Device dev;
-  dev.fault_injector().disarm();
-  // A fully dense 64x64 block: products/row = 64*64 = num_cols * 64.
-  sparse::CooD d(64, 64);
-  util::Rng rng(73);
-  for (index_t r = 0; r < 64; ++r)
-    for (index_t cc = 0; cc < 64; ++cc) d.push_back(r, cc, rng.uniform_double(-1, 1));
-  const auto a = coo_to_csr(d);
-  sparse::CsrD c;
-  const auto stats = spgemm_adaptive(dev, a, a, c);
-  EXPECT_TRUE(stats.used_segmented);
-  EXPECT_STREQ(stats.reason, "dense-like");
-  const auto ref = baselines::seq::spgemm(a, a);
-  EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal);
-}
-
-TEST(AdaptiveSpgemm, RetriesChunkedUnderMemoryPressure) {
-  // Not dense-like, but the flat intermediate overflows the device: the
-  // flat attempt throws and spgemm_adaptive retries chunked, which matches
-  // flat run on an unconstrained device bit for bit.
-  vgpu::DeviceProperties tiny = vgpu::gtx_titan();
-  tiny.global_mem_bytes = 1 << 18;
-  vgpu::Device dev(tiny);
-  dev.fault_injector().disarm();
-  util::Rng rng(79);
-  const auto a = coo_to_csr(random_coo(rng, 600, 600, 6000));
-  sparse::CsrD c;
-  EXPECT_THROW(spgemm(dev, a, a, c), vgpu::DeviceOomError);
-  const auto stats = spgemm_adaptive(dev, a, a, c);
-  EXPECT_FALSE(stats.used_segmented);
-  EXPECT_TRUE(stats.used_chunked);
-  EXPECT_STREQ(stats.reason, "oom-retry");
-  EXPECT_GT(stats.chunked_stats.num_chunks, 1);
-  EXPECT_EQ(dev.memory().in_use(), 0u);
-
-  vgpu::Device big;
-  big.fault_injector().disarm();
-  sparse::CsrD flat;
-  spgemm(big, a, a, flat);
-  EXPECT_TRUE(testing::bitwise_equal(c, flat));
 }
 
 }  // namespace
