@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
-"""Report-only delta table between BENCH_*.json runs and committed baselines.
+"""Delta table between BENCH_*.json runs and committed baselines.
 
 The modeled timeline is deterministic, so any delta in a *_ms metric at the
 same scale is a real change in the cost model or the kernels, not noise.
-This script REPORTS deltas — a changed metric never fails the build; the
-table is for the reviewer reading the CI log.  Broken *inputs* do fail it:
+By default this script REPORTS deltas — a changed metric does not fail the
+build; the table is for whoever reads the CI log.  With --exact it
+GATES them: any compared metric that changed, appeared or disappeared
+exits 1, so a commit that moves a modeled number must rewrite the
+baseline in the same commit (the baseline diff is then the evidence).
+Benches the baseline does not cover are skipped either way.  Wall-timed
+metrics drift between runs of one commit and must not be gated exactly.
+Broken *inputs* always fail it:
 a missing/unreadable baseline, a run directory with no BENCH_*.json, or a
 malformed run file exits 1, so CI can't silently "pass" a bench step whose
 output was never produced.  So does a run whose recorded scale differs
@@ -13,7 +19,7 @@ different instance sizes means nothing, so that bench is not tabulated.
 
 Usage:
     bench_delta.py --dir <dir with BENCH_*.json runs>
-    bench_delta.py --baseline BENCH_seed.json --dir <dir>
+    bench_delta.py --baseline BENCH_seed.json --dir <dir> [--exact]
 
 With no --baseline, EVERY BENCH_*.json committed at the repo root (or
 --baseline-dir) is loaded, so adding a baseline file is all it takes to
@@ -99,6 +105,12 @@ def main():
         default="_ms",
         help="only compare metrics with this suffix (default: _ms)",
     )
+    ap.add_argument(
+        "--exact",
+        action="store_true",
+        help="exit 1 if any compared metric changed, appeared or "
+             "disappeared (for deterministic modeled baselines only)",
+    )
     args = ap.parse_args()
 
     if args.baseline:
@@ -125,9 +137,13 @@ def main():
               "did the bench step run?", file=sys.stderr)
         return 1
 
-    print(f"bench delta vs {label} "
-          "(deltas are report-only — only broken inputs or a scale "
-          "mismatch fail the build)")
+    if args.exact:
+        print(f"bench delta vs {label} (exact: any changed, new or gone "
+              "metric fails the build)")
+    else:
+        print(f"bench delta vs {label} "
+              "(deltas are report-only — only broken inputs or a scale "
+              "mismatch fail the build)")
     print(f"{'bench':<18} {'case':<14} {'metric':<14} "
           f"{'baseline':>14} {'current':>14} {'delta':>12}")
     exact, changed, uncovered, malformed, rescaled = 0, 0, 0, 0, 0
@@ -176,7 +192,12 @@ def main():
     if rescaled:
         print(f"bench_delta: ERROR: {rescaled} run(s) at a scale other than "
               "their baseline's", file=sys.stderr)
-    return 1 if malformed or rescaled else 0
+    drifted = args.exact and changed > 0
+    if drifted:
+        print(f"bench_delta: ERROR: {changed} metric(s) differ from the exact "
+              "baseline; rewrite the baseline in the same commit if the "
+              "change is intended", file=sys.stderr)
+    return 1 if malformed or rescaled or drifted else 0
 
 
 if __name__ == "__main__":

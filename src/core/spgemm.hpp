@@ -23,9 +23,15 @@
 //                     partial sums into globally sorted order;
 //   Product Reduce  — reduce-by-key over the sorted stream forms C;
 //   Other           — row-pointer construction and misc memory ops.
+//
+// Both sorts are charged as the radix sorts above, but the host computes
+// their stable orders directly from the product stream's structure (see
+// "Charge and order" in docs/primitives.md): same plan, same bits, same
+// device log.
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -164,8 +170,10 @@ class SpgemmPlan {
   std::size_t phase_ = 0;  ///< origin % tile: first CTA's shortfall
   std::vector<std::uint64_t> prod_offsets_;   ///< S: per-A-nonzero scan
   std::vector<index_t> a_rows_;               ///< row id per A nonzero
-  std::vector<std::uint16_t> perm16_;         ///< per-product local permutation
-  std::vector<std::uint8_t> head_;            ///< per-product local head flag
+  /// Per-product local permutation and head flag; left uninitialized
+  /// until the block sort writes every entry.
+  std::unique_ptr<std::uint16_t[]> perm16_;
+  std::unique_ptr<std::uint8_t[]> head_;
   std::vector<std::uint64_t> unique_offset_;  ///< per-CTA base into uniques
   std::vector<std::uint32_t> rank_;           ///< global rank of each unique
   std::vector<index_t> seg_offsets_;          ///< C-entry -> sorted-stream range

@@ -1,7 +1,6 @@
 #include "primitives/device_radix_sort.hpp"
 
-#include <vector>
-
+#include "primitives/cta_radix_sort.hpp"
 #include "util/common.hpp"
 
 namespace mps::primitives {
@@ -19,60 +18,53 @@ DeviceSortStats sort_impl(vgpu::Device& device, const std::string& name,
                           std::span<K> keys, std::span<std::uint32_t> payload,
                           int bit_end) {
   MPS_CHECK(payload.empty() || payload.size() == keys.size());
-  MPS_CHECK(bit_end >= 0 && bit_end <= static_cast<int>(sizeof(K) * 8));
+  DeviceSortStats stats =
+      device_radix_sort_charge(device, name, keys.size(),
+                               static_cast<int>(sizeof(K) * 8),
+                               !payload.empty(), bit_end);
+  util::WallTimer wall;
+  stable_sort_by_bits(keys, payload, 0, bit_end);
+  stats.wall_ms += wall.milliseconds();
+  return stats;
+}
+
+}  // namespace
+
+DeviceSortStats device_radix_sort_charge(vgpu::Device& device,
+                                         const std::string& name, std::size_t n,
+                                         int key_bits, bool pairs, int bit_end) {
+  MPS_CHECK(key_bits == 32 || key_bits == 64);
+  MPS_CHECK(bit_end >= 0 && bit_end <= key_bits);
   DeviceSortStats stats;
-  const std::size_t n = keys.size();
   if (n == 0) return stats;
-  const bool pairs = !payload.empty();
   const int num_passes = ceil_div(bit_end, kDigitBits);
   stats.passes = num_passes;
   const int num_tiles = static_cast<int>(ceil_div(n, kTile));
 
   util::WallTimer wall;
-  const std::size_t elem_bytes = sizeof(K) + (pairs ? sizeof(std::uint32_t) : 0);
+  const std::size_t elem_bytes =
+      static_cast<std::size_t>(key_bits / 8) + (pairs ? sizeof(std::uint32_t) : 0);
   vgpu::ScopedDeviceAlloc pingpong(device.memory(), n * elem_bytes);
   vgpu::ScopedDeviceAlloc hist_mem(
       device.memory(), static_cast<std::size_t>(num_tiles) * kRadix * sizeof(index_t));
-
-  std::vector<K> key_buf(n);
-  std::vector<std::uint32_t> val_buf(pairs ? n : 0);
-  // hist[tile][digit] -> after scan: starting rank of (digit, tile).
-  std::vector<std::size_t> hist(static_cast<std::size_t>(num_tiles) * kRadix);
-
+  auto tile_size = [&](const vgpu::Cta& cta) {
+    const std::size_t lo = static_cast<std::size_t>(cta.cta_id()) * kTile;
+    return std::min(n, lo + kTile) - lo;
+  };
   for (int pass = 0; pass < num_passes; ++pass) {
-    const int shift = pass * kDigitBits;
-    // Mask only bits below bit_end on the final pass (bits above may be
-    // unsorted payload by contract).
-    const int pass_bits = std::min(kDigitBits, bit_end - shift);
-    const K mask = static_cast<K>((std::uint64_t{1} << pass_bits) - 1);
-
     // Kernel 1: per-tile digit histogram.
     auto s1 = device.launch(name + ".hist", num_tiles, kBlock, [&](vgpu::Cta& cta) {
-      const std::size_t lo = static_cast<std::size_t>(cta.cta_id()) * kTile;
-      const std::size_t hi = std::min(n, lo + kTile);
-      std::size_t* h = &hist[static_cast<std::size_t>(cta.cta_id()) * kRadix];
-      std::fill(h, h + kRadix, 0);
-      for (std::size_t i = lo; i < hi; ++i) {
-        ++h[static_cast<std::size_t>((keys[i] >> shift) & mask)];
-      }
-      cta.charge_global((hi - lo) * sizeof(K) + kRadix * sizeof(index_t));
-      cta.charge_shared_elems(hi - lo);
-      cta.charge_alu_uniform(hi - lo);
+      const std::size_t count = tile_size(cta);
+      cta.charge_global(count * static_cast<std::size_t>(key_bits / 8) +
+                        kRadix * sizeof(index_t));
+      cta.charge_shared_elems(count);
+      cta.charge_alu_uniform(count);
       cta.charge_sync();
     });
     stats.modeled_ms += s1.modeled_ms;
 
     // Kernel 2: scan the histogram matrix digit-major so that equal digits
     // order by tile (stability across tiles).
-    std::size_t acc = 0;
-    for (std::size_t d = 0; d < kRadix; ++d) {
-      for (int t = 0; t < num_tiles; ++t) {
-        std::size_t& cell = hist[static_cast<std::size_t>(t) * kRadix + d];
-        const std::size_t c = cell;
-        cell = acc;
-        acc += c;
-      }
-    }
     auto s2 = device.launch(name + ".scan", 1, kBlock, [&](vgpu::Cta& cta) {
       const std::size_t cells = static_cast<std::size_t>(num_tiles) * kRadix;
       cta.charge_global(2 * cells * sizeof(index_t));
@@ -84,30 +76,18 @@ DeviceSortStats sort_impl(vgpu::Device& device, const std::string& name,
 
     // Kernel 3: ranked scatter (stable within a tile by construction).
     auto s3 = device.launch(name + ".scatter", num_tiles, kBlock, [&](vgpu::Cta& cta) {
-      const std::size_t lo = static_cast<std::size_t>(cta.cta_id()) * kTile;
-      const std::size_t hi = std::min(n, lo + kTile);
-      std::size_t* h = &hist[static_cast<std::size_t>(cta.cta_id()) * kRadix];
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::size_t dst = h[static_cast<std::size_t>((keys[i] >> shift) & mask)]++;
-        key_buf[dst] = keys[i];
-        if (pairs) val_buf[dst] = payload[i];
-      }
-      cta.charge_global((hi - lo) * elem_bytes);  // coalesced read
-      cta.charge_gather(hi - lo);                 // scattered write
-      cta.charge_shared_elems(2 * (hi - lo));           // local rank + stage
-      cta.charge_alu_uniform(hi - lo);
+      const std::size_t count = tile_size(cta);
+      cta.charge_global(count * elem_bytes);  // coalesced read
+      cta.charge_gather(count);               // scattered write
+      cta.charge_shared_elems(2 * count);     // local rank + stage
+      cta.charge_alu_uniform(count);
       cta.charge_sync();
     });
     stats.modeled_ms += s3.modeled_ms;
-
-    std::copy(key_buf.begin(), key_buf.end(), keys.begin());
-    if (pairs) std::copy(val_buf.begin(), val_buf.end(), payload.begin());
   }
   stats.wall_ms = wall.milliseconds();
   return stats;
 }
-
-}  // namespace
 
 DeviceSortStats device_radix_sort_pairs(vgpu::Device& device, const std::string& name,
                                         std::span<std::uint32_t> keys,

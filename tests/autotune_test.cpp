@@ -6,15 +6,14 @@
 // serving engine's tuned path behaves identically to the untuned one.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "autotune/autotune.hpp"
 #include "baselines/seq.hpp"
 #include "core/spmv.hpp"
+#include "env_guard.hpp"
 #include "oracle.hpp"
 #include "serve/engine.hpp"
 #include "sparse/convert.hpp"
@@ -115,28 +114,6 @@ TEST_P(CanonicalGridTest, TunedBitIdenticalToSeqAndUntuned) {
   EXPECT_DOUBLE_EQ(st.modeled_ms(), tuned.steady_ms());
 }
 
-/// Sets MPS_INTEGRITY_CHECK for one scope and restores it after.
-class IntegrityChecksGuard {
- public:
-  explicit IntegrityChecksGuard(const char* value) {
-    if (const char* old = std::getenv(kVar)) old_ = old;
-    ::setenv(kVar, value, 1);
-  }
-  ~IntegrityChecksGuard() {
-    if (old_) {
-      ::setenv(kVar, old_->c_str(), 1);
-    } else {
-      ::unsetenv(kVar);
-    }
-  }
-  IntegrityChecksGuard(const IntegrityChecksGuard&) = delete;
-  IntegrityChecksGuard& operator=(const IntegrityChecksGuard&) = delete;
-
- private:
-  static constexpr const char* kVar = "MPS_INTEGRITY_CHECK";
-  std::optional<std::string> old_;
-};
-
 // Every candidate runs the same output guard and is ranked without guard
 // charges, so integrity guards never change which candidate wins.
 TEST_P(CanonicalGridTest, TunedChoiceIgnoresGuardScans) {
@@ -145,10 +122,10 @@ TEST_P(CanonicalGridTest, TunedChoiceIgnoresGuardScans) {
   const auto x = oracle_x(a);
   std::string off;
   {
-    IntegrityChecksGuard guards("0");
+    testing::EnvVarGuard guards("MPS_INTEGRITY_CHECK", "0");
     off = TunedPlan(dev_, a).choice().name;
   }
-  IntegrityChecksGuard guards("1");
+  testing::EnvVarGuard guards("MPS_INTEGRITY_CHECK", "1");
   const TunedPlan tuned(dev_, a);
   EXPECT_EQ(tuned.choice().name, off);
   // The served winner pays its output guard, whatever its kernel.

@@ -20,6 +20,7 @@
 #include "solver/resilient.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/validate.hpp"
+#include "env_guard.hpp"
 #include "test_matrices.hpp"
 #include "util/rng.hpp"
 #include "vgpu/device.hpp"
@@ -30,6 +31,7 @@ namespace {
 using namespace mps;
 using sparse::CsrD;
 using sparse::coo_to_csr;
+using mps::testing::EnvVarGuard;
 
 /// A device whose injector is guaranteed disarmed even when the process
 /// runs under an MPS_FAULT_* sweep — deterministic tests arm it
@@ -40,36 +42,6 @@ vgpu::Device make_clean_device() {
   dev.fault_injector().reset_counters();
   return dev;
 }
-
-/// Restores (or re-clears) an environment variable on scope exit.
-class EnvVarGuard {
- public:
-  EnvVarGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvVarGuard() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvVarGuard(const EnvVarGuard&) = delete;
-  EnvVarGuard& operator=(const EnvVarGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 CsrD medium_matrix(unsigned seed, index_t rows = 200, index_t cols = 200,
                    index_t nnz = 1400) {

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "core/spgemm.hpp"
 #include "core/spmm.hpp"
 #include "core/spmv.hpp"
+#include "env_guard.hpp"
 #include "oracle.hpp"
 #include "sparse/compare.hpp"
 #include "sparse/convert.hpp"
@@ -36,6 +36,7 @@ using namespace mps;
 using sparse::CooD;
 using sparse::CsrD;
 using sparse::coo_to_csr;
+using mps::testing::EnvVarGuard;
 
 constexpr double kSentinel = -777.25;
 
@@ -48,36 +49,6 @@ vgpu::Device make_clean_device() {
   dev.fault_injector().reset_counters();
   return dev;
 }
-
-/// Restores (or re-clears) an environment variable on scope exit.
-class EnvVarGuard {
- public:
-  EnvVarGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvVarGuard() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvVarGuard(const EnvVarGuard&) = delete;
-  EnvVarGuard& operator=(const EnvVarGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 /// The sweep harness.  `run` performs the kernel on the given device;
 /// `reset_outputs` re-initializes the caller-visible outputs to sentinel

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "primitives/cta_radix_sort.hpp"
@@ -146,17 +147,6 @@ TEST(DeviceSort, FinalPassMaskDoesNotSpillPastBitEnd) {
   EXPECT_EQ(keys, expect);
 }
 
-TEST(CtaRadixSort, EmbedRankRoundTrip) {
-  const int key_bits = 20;
-  for (std::uint32_t key : {0u, 1u, 777u, (1u << 20) - 1}) {
-    for (std::size_t rank : {std::size_t{0}, std::size_t{5}, std::size_t{2047}}) {
-      const auto packed = embed_rank<std::uint32_t>(key, rank, key_bits);
-      EXPECT_EQ(extract_key(packed, key_bits), key);
-      EXPECT_EQ(extract_rank(packed, key_bits), rank);
-    }
-  }
-}
-
 TEST(CtaRadixSort, RejectsOversizedTile) {
   vgpu::Device dev;
   dev.launch("sort", 1, 128, [&](vgpu::Cta& cta) {
@@ -229,6 +219,145 @@ TEST(DeviceSort, AccountsDeviceMemory) {
   EXPECT_THROW(device_radix_sort_pairs(dev, "t", std::span<std::uint64_t>(keys),
                                        std::span<std::uint32_t>(payload)),
                vgpu::DeviceOomError);
+}
+
+// ---------------------------------------------------------------------------
+// Charge and order: each sort is its charge function plus a stable order,
+// and the charge depends on counts alone.
+
+void expect_same_counters(const vgpu::CtaCounters& got,
+                          const vgpu::CtaCounters& want) {
+  EXPECT_EQ(got.global_bytes, want.global_bytes);
+  EXPECT_EQ(got.gather_bytes, want.gather_bytes);
+  EXPECT_EQ(got.shared_ops, want.shared_ops);
+  EXPECT_EQ(got.warp_iters, want.warp_iters);
+  EXPECT_EQ(got.syncs, want.syncs);
+  EXPECT_EQ(got.flops, want.flops);
+}
+
+/// The indices of `keys` stably sorted by bits [bit_begin, bit_end).
+template <typename K>
+std::vector<std::uint32_t> stable_order(const std::vector<K>& keys,
+                                        int bit_begin, int bit_end) {
+  const int width = bit_end - bit_begin;
+  const K mask = width >= static_cast<int>(sizeof(K) * 8)
+                     ? ~K{0}
+                     : static_cast<K>((K{1} << width) - 1);
+  std::vector<std::uint32_t> order(keys.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t x, std::uint32_t y) {
+                     return ((keys[x] >> bit_begin) & mask) <
+                            ((keys[y] >> bit_begin) & mask);
+                   });
+  return order;
+}
+
+TEST(CtaRadixSort, ChargeEqualsSortAndOrderIsStable) {
+  util::Rng rng(23);
+  vgpu::Device dev;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = rng.uniform(1409);
+    const int bit_begin = static_cast<int>(rng.uniform(17));
+    const int bit_end = bit_begin + static_cast<int>(rng.uniform(33 - bit_begin));
+    const bool pairs = trial % 2 == 1;
+    SCOPED_TRACE("n=" + std::to_string(n) + " bits [" +
+                 std::to_string(bit_begin) + ", " + std::to_string(bit_end) +
+                 ") pairs=" + std::to_string(pairs));
+    std::vector<std::uint32_t> keys(n);
+    for (auto& k : keys) k = rng.next_u32() >> rng.uniform(28);
+    std::vector<std::uint32_t> vals(pairs ? n : 0);
+    std::iota(vals.begin(), vals.end(), 0u);
+    const auto want = stable_order(keys, bit_begin, bit_end);
+    auto sorted = keys;
+    const auto sort = dev.launch("sort", 1, 128, [&](vgpu::Cta& cta) {
+      cta_radix_sort<std::uint32_t>(cta, sorted, vals, bit_begin, bit_end);
+    });
+    const auto charge = dev.launch("sort", 1, 128, [&](vgpu::Cta& cta) {
+      cta_radix_sort_charge<std::uint32_t>(cta, n, pairs, bit_begin, bit_end);
+    });
+    expect_same_counters(charge.totals, sort.totals);
+    EXPECT_EQ(charge.modeled_ms, sort.modeled_ms);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(sorted[i], keys[want[i]]) << i;
+      if (pairs) {
+        ASSERT_EQ(vals[i], want[i]) << i;
+      }
+    }
+  }
+}
+
+template <typename K>
+void expect_device_charge_equals_sort(util::Rng& rng, std::size_t n,
+                                      int bit_end, bool pairs) {
+  SCOPED_TRACE("n=" + std::to_string(n) + " key bits " +
+               std::to_string(sizeof(K) * 8) + " bit_end " +
+               std::to_string(bit_end) + " pairs=" + std::to_string(pairs));
+  std::vector<K> keys(n);
+  for (auto& k : keys) {
+    k = static_cast<K>((static_cast<std::uint64_t>(rng.next_u32()) << 32 |
+                        rng.next_u32()) >>
+                       rng.uniform(60));
+  }
+  std::vector<std::uint32_t> payload(pairs ? n : 0);
+  std::iota(payload.begin(), payload.end(), 0u);
+  const auto want = stable_order(keys, 0, bit_end);
+
+  vgpu::Device sort_dev;
+  sort_dev.fault_injector().disarm();
+  sort_dev.fault_injector().reset_counters();
+  auto sorted = keys;
+  const auto sort_stats =
+      pairs ? device_radix_sort_pairs(sort_dev, "t", std::span<K>(sorted),
+                                      std::span<std::uint32_t>(payload), bit_end)
+            : device_radix_sort_keys(sort_dev, "t", std::span<K>(sorted),
+                                     bit_end);
+  vgpu::Device charge_dev;
+  charge_dev.fault_injector().disarm();
+  charge_dev.fault_injector().reset_counters();
+  const auto charge_stats = device_radix_sort_charge(
+      charge_dev, "t", n, static_cast<int>(sizeof(K) * 8), pairs, bit_end);
+
+  EXPECT_EQ(charge_stats.passes, sort_stats.passes);
+  EXPECT_EQ(charge_stats.modeled_ms, sort_stats.modeled_ms);
+  const auto& got = charge_dev.log();
+  const auto& want_log = sort_dev.log();
+  ASSERT_EQ(got.size(), want_log.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].name, want_log[i].name);
+    EXPECT_EQ(got[i].num_ctas, want_log[i].num_ctas);
+    EXPECT_EQ(got[i].device_cycles, want_log[i].device_cycles);
+    EXPECT_EQ(got[i].modeled_ms, want_log[i].modeled_ms);
+    expect_same_counters(got[i].totals, want_log[i].totals);
+  }
+  EXPECT_EQ(charge_dev.fault_injector().allocations_observed(),
+            sort_dev.fault_injector().allocations_observed());
+  EXPECT_EQ(charge_dev.fault_injector().bytes_observed(),
+            sort_dev.fault_injector().bytes_observed());
+  EXPECT_EQ(charge_dev.memory().peak(), sort_dev.memory().peak());
+  EXPECT_EQ(charge_dev.memory().in_use(), 0u);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(sorted[i], keys[want[i]]) << i;
+    if (pairs) {
+      ASSERT_EQ(payload[i], want[i]) << i;
+    }
+  }
+}
+
+TEST(DeviceSort, ChargeEqualsSortAndOrderIsStable) {
+  util::Rng rng(29);
+  const std::size_t sizes[] = {0, 1, 2047, 2048, 2049, 9000, 40000};
+  for (int trial = 0; trial < 28; ++trial) {
+    const std::size_t n = sizes[static_cast<std::size_t>(trial) % 7];
+    const bool pairs = trial % 2 == 0;
+    if (trial % 4 < 2) {
+      expect_device_charge_equals_sort<std::uint32_t>(
+          rng, n, static_cast<int>(rng.uniform(33)), pairs);
+    } else {
+      expect_device_charge_equals_sort<std::uint64_t>(
+          rng, n, static_cast<int>(rng.uniform(65)), pairs);
+    }
+  }
 }
 
 }  // namespace

@@ -11,16 +11,15 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <future>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/spgemm.hpp"
 #include "core/spmv.hpp"
+#include "env_guard.hpp"
 #include "oracle.hpp"
 #include "resilience/integrity.hpp"
 #include "serve/engine.hpp"
@@ -38,57 +37,24 @@ namespace {
 
 using sparse::coo_to_csr;
 using sparse::CsrD;
-
-// Scoped setenv/unsetenv that restores the previous value (same idiom as
-// tests/fault_injection_test.cpp).
-class EnvVarGuard {
- public:
-  EnvVarGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvVarGuard() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvVarGuard(const EnvVarGuard&) = delete;
-  EnvVarGuard& operator=(const EnvVarGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
+using testing::EnvVarGuard;
 
 // The engine's devices read the fault-injection and integrity knobs from
 // the environment; these tests need a clean slate regardless of what the
 // invoking shell exported.
+constexpr const char* kFaultEnvVars[] = {
+    "MPS_FAULT_ALLOC_N",       "MPS_FAULT_BYTE_LIMIT",
+    "MPS_FAULT_BITFLIP_ALLOC", "MPS_FAULT_BITFLIP_MASK",
+    "MPS_FAULT_CAPACITY",      "MPS_INTEGRITY_CHECK",
+    "MPS_AUTOTUNE",
+};
+
 class CleanFaultEnv {
  public:
-  CleanFaultEnv() {
-    static const char* const kVars[] = {
-        "MPS_FAULT_ALLOC_N",       "MPS_FAULT_BYTE_LIMIT",
-        "MPS_FAULT_BITFLIP_ALLOC", "MPS_FAULT_BITFLIP_MASK",
-        "MPS_FAULT_CAPACITY",      "MPS_INTEGRITY_CHECK",
-        "MPS_AUTOTUNE",
-    };
-    for (const char* v : kVars) {
-      guards_.push_back(std::make_unique<EnvVarGuard>(v, nullptr));
-    }
-  }
+  CleanFaultEnv() : guards_(kFaultEnvVars, nullptr) {}
 
  private:
-  std::vector<std::unique_ptr<EnvVarGuard>> guards_;
+  testing::EnvVarGuards guards_;
 };
 
 CsrD make_matrix(std::uint64_t seed) {

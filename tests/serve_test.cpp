@@ -13,11 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <future>
 #include <iterator>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,6 +27,7 @@
 #include "core/spadd.hpp"
 #include "core/spgemm.hpp"
 #include "core/spmv.hpp"
+#include "env_guard.hpp"
 #include "oracle.hpp"
 #include "serve/engine.hpp"
 #include "serve/plan_cache.hpp"
@@ -471,11 +470,14 @@ TEST(ServeEngine, RequestTimeoutFailsWithoutRunning) {
 
 TEST(ServeEngine, RetriesOnceOnInjectedDeviceOom) {
   // The injector arms at Device construction, so the env must be set
-  // while the engine builds its worker devices.
-  ::setenv("MPS_FAULT_ALLOC_N", "1", 1);
+  // while the engine builds its worker devices, and only then.
   auto cfg = test_config(/*threads=*/1, /*batch_window=*/1);
-  Engine engine(cfg);
-  ::unsetenv("MPS_FAULT_ALLOC_N");
+  std::optional<Engine> built;
+  {
+    testing::EnvVarGuard fault("MPS_FAULT_ALLOC_N", "1");
+    built.emplace(cfg);
+  }
+  Engine& engine = *built;
 
   util::Rng rng(107);
   const auto a = coo_to_csr(testing::random_coo(rng, 300, 300, 3000));
@@ -613,33 +615,6 @@ TEST(ServeEngine, DistinctColumnStructureGetsDistinctHandles) {
   EXPECT_EQ(engine.submit_spmv(hb, x).get().y, (std::vector<double>{3.0, 2.0}));
 }
 
-/// Sets each named variable to `value` for the guard's lifetime, then
-/// restores whatever the invoking shell had.
-class EnvOverride {
- public:
-  EnvOverride(std::span<const char* const> names, const char* value) {
-    for (const char* n : names) {
-      const char* old = std::getenv(n);
-      saved_.emplace_back(n, old ? std::optional<std::string>(old) : std::nullopt);
-      ::setenv(n, value, 1);
-    }
-  }
-  ~EnvOverride() {
-    for (const auto& [name, old] : saved_) {
-      if (old) {
-        ::setenv(name, old->c_str(), 1);
-      } else {
-        ::unsetenv(name);
-      }
-    }
-  }
-  EnvOverride(const EnvOverride&) = delete;
-  EnvOverride& operator=(const EnvOverride&) = delete;
-
- private:
-  std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
-};
-
 TEST(ServeEngine, DefaultConfigIgnoresEnvironment) {
   // Every serving, sharding, durability, chaos and SLO variable the
   // engine once fell back to, plus the retired repeating-bit-flip knob.
@@ -665,7 +640,7 @@ TEST(ServeEngine, DefaultConfigIgnoresEnvironment) {
       "MPS_FAULT_BITFLIP_EVERY",
   };
   static_assert(std::size(kRetired) == 33);
-  const EnvOverride garbage(kRetired, "banana");
+  const testing::EnvVarGuards garbage(kRetired, "banana");
 
   // The documented defaults (docs/serving.md).
   const EngineConfig cfg;

@@ -8,6 +8,7 @@
 #include "oracle.hpp"
 #include "sparse/compare.hpp"
 #include "sparse/convert.hpp"
+#include "spgemm_cost.hpp"
 #include "test_matrices.hpp"
 #include "vgpu/device.hpp"
 
@@ -179,6 +180,44 @@ TEST(MergeSpgemm, CostTracksProductsNotStructure) {
   const double ratio = per_s / per_u;
   EXPECT_GT(ratio, 0.6);
   EXPECT_LT(ratio, 1.6);
+}
+
+// Every launch of a flat SpGEMM equals tests/spgemm_cost.hpp's
+// independent formula, at the default tile, both ablation configs and a
+// small tile, on every oracle regime.
+TEST(SpgemmCost, EveryLaunchMatchesTheFormula) {
+  SpgemmConfig pair;
+  pair.force_pair_sort = true;
+  SpgemmConfig full;
+  full.force_full_bits = true;
+  SpgemmConfig small;
+  small.block_threads = 64;
+  small.items_per_thread = 5;
+  const SpgemmConfig configs[] = {SpgemmConfig{}, pair, full, small};
+  for (const auto r : testing::kAllRegimes) {
+    const auto a = testing::make_regime_matrix(r, 1);
+    const auto b = sparse::transpose(testing::make_regime_matrix(r, 2001));
+    for (const auto& cfg : configs) {
+      SCOPED_TRACE(testing::regime_name(r) + " tile " +
+                   std::to_string(cfg.tile()) +
+                   (cfg.force_pair_sort ? " pair" : "") +
+                   (cfg.force_full_bits ? " full" : ""));
+      testing::expect_spgemm_cost(a, b, cfg);
+    }
+  }
+}
+
+// A row block tiled at a global origin that is not a tile multiple: its
+// first tile is short, and the formula counts it so.
+TEST(SpgemmCost, RowBlockWithTilePhase) {
+  const auto a = testing::make_regime_matrix(testing::Regime::kPowerLaw, 2);
+  const auto b = sparse::transpose(
+      testing::make_regime_matrix(testing::Regime::kPowerLaw, 2002));
+  const auto prefix = core::merge::spgemm_row_prefix(a, b);
+  const std::uint64_t tile = SpgemmConfig{}.tile();
+  index_t r0 = a.num_rows / 3;
+  while (prefix[static_cast<std::size_t>(r0)] % tile == 0) ++r0;
+  testing::expect_spgemm_cost(a, b, SpgemmConfig{}, r0, 2 * a.num_rows / 3);
 }
 
 }  // namespace
