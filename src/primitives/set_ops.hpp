@@ -9,6 +9,12 @@
 //   2. count     — each CTA runs the serial multiset kernel, counting,
 //   3. scan      — exclusive scan of CTA output counts,
 //   4. emit      — re-run, writing keys (and combined values) at offset.
+//
+// The charge and the order are separate (docs/primitives.md, "Charge and
+// order"): set_op_charge makes the reservations and launches from the
+// fences and the per-tile output offsets alone, and the caller writes
+// the output in order on the host — device_set_op tile by tile, SpAdd
+// with one row merge straight into CSR.
 
 #include <cstdint>
 #include <functional>
@@ -17,7 +23,6 @@
 #include <vector>
 
 #include "primitives/balanced_path.hpp"
-#include "primitives/scan.hpp"
 #include "vgpu/device.hpp"
 
 namespace mps::primitives {
@@ -38,24 +43,97 @@ struct SetOpResult {
   double wall_ms = 0.0;
 };
 
-namespace detail {
+/// The device charge of a balanced-path set op, from its fences and its
+/// per-tile output offsets alone: it reads no key.  fences[p] (num_parts
+/// + 1 balanced cuts at diagonals min(p * tile, |A| + |B|), as
+/// balanced_path_partitions cuts them) bound tile p, which writes
+/// outputs [offsets[p], offsets[p + 1]).  Each key is `key_bytes` wide
+/// and carries `value_bytes` of value (0: keys only).
+///
+/// Makes the op's three reservations (fences, counts, output) and its
+/// four launches with their grids and per-CTA charges:
+///
+///   setop.partition — one balanced-path search per fence,
+///   setop.count     — each tile's keys (and values) through the serial
+///                     kernel, one count out,
+///   setop.scan      — exclusive scan of the counts,
+///   setop.emit      — each tile again, its outputs written.
+///
+/// Returns the modeled ms summed over the four launches.
+inline double set_op_charge(vgpu::Device& device, std::size_t key_bytes,
+                            std::size_t value_bytes,
+                            std::span<const BalancedCut> fences,
+                            std::span<const std::size_t> offsets,
+                            SetOpConfig cfg = {}) {
+  MPS_CHECK(fences.size() >= 2 && offsets.size() == fences.size());
+  const std::size_t total = fences.back().a_index + fences.back().b_index;
+  const std::size_t num_parts = fences.size() - 1;
+  const std::size_t tile = static_cast<std::size_t>(cfg.tile());
+  const auto block = static_cast<std::size_t>(cfg.block_threads);
 
-template <typename K, typename Less>
-void charge_fence_search(vgpu::Cta& cta, std::size_t total) {
-  (void)sizeof(K);
-  // merge-path diagonal search + two run searches (biased) per fence.
-  cta.charge_binary_search(total);
-  cta.charge_binary_search(total);
-  cta.charge_binary_search(total);
-  (void)sizeof(Less);
+  // Inputs are device-resident; account temporaries only (fences + counts).
+  vgpu::ScopedDeviceAlloc fences_mem(
+      device.memory(), fences.size() * (2 * sizeof(std::uint64_t) + 1));
+
+  // Phase 1: partition.  One logical thread per fence: a merge-path
+  // diagonal search plus two run searches.
+  const int fence_ctas = static_cast<int>(ceil_div(fences.size(), block));
+  auto s1 = device.launch(
+      "setop.partition", fence_ctas, cfg.block_threads, [&](vgpu::Cta& cta) {
+        const std::size_t lo = static_cast<std::size_t>(cta.cta_id()) * block;
+        const std::size_t hi = std::min(fences.size(), lo + block);
+        for (std::size_t f = lo; f < hi; ++f) {
+          cta.charge_binary_search(total);
+          cta.charge_binary_search(total);
+          cta.charge_binary_search(total);
+        }
+        cta.charge_global((hi - lo) * 2 * sizeof(std::uint64_t));
+      });
+
+  // Phase 2: count outputs per partition.
+  vgpu::ScopedDeviceAlloc counts_mem(device.memory(), num_parts * sizeof(index_t));
+  auto charge_tile = [&](vgpu::Cta& cta) {
+    const auto p = static_cast<std::size_t>(cta.cta_id());
+    const std::size_t n = (fences[p + 1].a_index - fences[p].a_index) +
+                          (fences[p + 1].b_index - fences[p].b_index);
+    cta.charge_global(n * (key_bytes + value_bytes));
+    // Thread-level balanced-path split in shared memory + serial merge.
+    cta.charge_shared_elems(block * static_cast<std::size_t>(log2_ceil(tile) + 1));
+    cta.charge_shared_elems(n);
+    cta.charge_alu_uniform(n);
+    cta.charge_sync();
+  };
+  auto s2 = device.launch("setop.count", static_cast<int>(num_parts),
+                          cfg.block_threads, [&](vgpu::Cta& cta) {
+                            charge_tile(cta);
+                            cta.charge_global(sizeof(index_t));
+                          });
+
+  // Phase 3: scan counts, size the output.
+  auto s3 = device.launch("setop.scan", 1, cfg.block_threads, [&](vgpu::Cta& cta) {
+    cta.charge_global(2 * num_parts * sizeof(index_t));
+    cta.charge_shared_elems(num_parts);
+  });
+  vgpu::ScopedDeviceAlloc out_mem(device.memory(),
+                                  offsets.back() * (key_bytes + value_bytes));
+
+  // Phase 4: emit.
+  auto s4 = device.launch(
+      "setop.emit", static_cast<int>(num_parts), cfg.block_threads,
+      [&](vgpu::Cta& cta) {
+        const auto p = static_cast<std::size_t>(cta.cta_id());
+        charge_tile(cta);
+        cta.charge_global((offsets[p + 1] - offsets[p]) * (key_bytes + value_bytes));
+      });
+  return s1.modeled_ms + s2.modeled_ms + s3.modeled_ms + s4.modeled_ms;
 }
-
-}  // namespace detail
 
 /// Generic key-value multiset operation.  `vals_a` / `vals_b` may be empty
 /// (keys-only: the result's vals stays empty).  `combine(x, y)` merges the
 /// values of a matched pair (union/intersection); unmatched emissions copy
-/// their source value.
+/// their source value.  The host runs the serial kernel tile by tile
+/// between the balanced-path fences, which concatenates to exactly the
+/// whole op, and the device is charged by set_op_charge.
 template <typename K, typename V, typename Combine, typename Less = std::less<K>>
 SetOpResult<K, V> device_set_op(vgpu::Device& device, std::span<const K> keys_a,
                                 std::span<const V> vals_a, std::span<const K> keys_b,
@@ -68,108 +146,34 @@ SetOpResult<K, V> device_set_op(vgpu::Device& device, std::span<const K> keys_a,
   const bool with_vals = vals_a.size() == keys_a.size() &&
                          vals_b.size() == keys_b.size() &&
                          !(keys_a.empty() && keys_b.empty());
-  const std::size_t total = keys_a.size() + keys_b.size();
-  const std::size_t tile = static_cast<std::size_t>(cfg.tile());
-  const int num_parts = static_cast<int>(total == 0 ? 1 : ceil_div(total, tile));
-
   util::WallTimer wall;
   SetOpResult<K, V> res;
-
-  // Inputs are device-resident; account temporaries only (fences + counts).
-  vgpu::ScopedDeviceAlloc fences_mem(device.memory(),
-                                     (static_cast<std::size_t>(num_parts) + 1) *
-                                         (2 * sizeof(std::uint64_t) + 1));
-  std::vector<BalancedCut> fences(static_cast<std::size_t>(num_parts) + 1);
-
-  // Phase 1: partition.  One logical thread per fence.
-  const int fence_ctas =
-      static_cast<int>(ceil_div(static_cast<std::size_t>(num_parts) + 1,
-                                static_cast<std::size_t>(cfg.block_threads)));
-  auto s1 = device.launch("setop.partition", fence_ctas, cfg.block_threads,
-                          [&](vgpu::Cta& cta) {
-                            const std::size_t lo =
-                                static_cast<std::size_t>(cta.cta_id()) *
-                                static_cast<std::size_t>(cfg.block_threads);
-                            const std::size_t hi =
-                                std::min(fences.size(),
-                                         lo + static_cast<std::size_t>(cfg.block_threads));
-                            for (std::size_t f = lo; f < hi; ++f) {
-                              const std::size_t diag = std::min(f * tile, total);
-                              fences[f] = balanced_path(keys_a, keys_b, diag, less);
-                              detail::charge_fence_search<K, Less>(cta, total);
-                            }
-                            cta.charge_global((hi - lo) * 2 * sizeof(std::uint64_t));
-                          });
-
-  // Phase 2: count outputs per partition.
-  vgpu::ScopedDeviceAlloc counts_mem(device.memory(),
-                                     static_cast<std::size_t>(num_parts) * sizeof(index_t));
-  std::vector<std::size_t> counts(static_cast<std::size_t>(num_parts) + 1, 0);
-  auto charge_tile = [&](vgpu::Cta& cta, const BalancedCut& lo, const BalancedCut& hi) {
-    const std::size_t na = hi.a_index - lo.a_index;
-    const std::size_t nb = hi.b_index - lo.b_index;
-    cta.charge_global(na * sizeof(K) + nb * sizeof(K));
-    if (with_vals) cta.charge_global(na * sizeof(V) + nb * sizeof(V));
-    // Thread-level balanced-path split in shared memory + serial merge.
-    cta.charge_shared_elems(static_cast<std::size_t>(cfg.block_threads) *
-                      static_cast<std::size_t>(log2_ceil(tile) + 1));
-    cta.charge_shared_elems(na + nb);
-    cta.charge_alu_uniform(na + nb);
-    cta.charge_sync();
-  };
-  auto s2 = device.launch("setop.count", num_parts, cfg.block_threads,
-                          [&](vgpu::Cta& cta) {
-                            const auto& lo = fences[static_cast<std::size_t>(cta.cta_id())];
-                            const auto& hi = fences[static_cast<std::size_t>(cta.cta_id()) + 1];
-                            charge_tile(cta, lo, hi);
-                            counts[static_cast<std::size_t>(cta.cta_id())] = set_op_serial(
-                                keys_a, keys_b, lo.a_index, hi.a_index, lo.b_index,
-                                hi.b_index, op, [](std::size_t) {}, [](std::size_t) {},
-                                [](std::size_t, std::size_t) {}, less);
-                            cta.charge_global(sizeof(index_t));
-                          });
-
-  // Phase 3: scan counts, size the output.
-  const std::size_t out_n = exclusive_scan_inplace(std::span<std::size_t>(counts));
-  auto s3 = device.launch("setop.scan", 1, cfg.block_threads, [&](vgpu::Cta& cta) {
-    cta.charge_global(2 * static_cast<std::size_t>(num_parts) * sizeof(index_t));
-    cta.charge_shared_elems(static_cast<std::size_t>(num_parts));
-  });
-
-  vgpu::ScopedDeviceAlloc out_mem(
-      device.memory(), out_n * (sizeof(K) + (with_vals ? sizeof(V) : 0)));
-  res.keys.resize(out_n);
-  if (with_vals) res.vals.resize(out_n);
-
-  // Phase 4: emit.
-  auto s4 = device.launch(
-      "setop.emit", num_parts, cfg.block_threads, [&](vgpu::Cta& cta) {
-        const auto& lo = fences[static_cast<std::size_t>(cta.cta_id())];
-        const auto& hi = fences[static_cast<std::size_t>(cta.cta_id()) + 1];
-        charge_tile(cta, lo, hi);
-        std::size_t pos = counts[static_cast<std::size_t>(cta.cta_id())];
-        const std::size_t wrote = set_op_serial(
-            keys_a, keys_b, lo.a_index, hi.a_index, lo.b_index, hi.b_index, op,
-            [&](std::size_t i) {
-              res.keys[pos] = keys_a[i];
-              if (with_vals) res.vals[pos] = vals_a[i];
-              ++pos;
-            },
-            [&](std::size_t j) {
-              res.keys[pos] = keys_b[j];
-              if (with_vals) res.vals[pos] = vals_b[j];
-              ++pos;
-            },
-            [&](std::size_t i, std::size_t j) {
-              res.keys[pos] = keys_a[i];
-              if (with_vals) res.vals[pos] = combine(vals_a[i], vals_b[j]);
-              ++pos;
-            },
-            less);
-        cta.charge_global(wrote * (sizeof(K) + (with_vals ? sizeof(V) : 0)));
-      });
-
-  res.modeled_ms = s1.modeled_ms + s2.modeled_ms + s3.modeled_ms + s4.modeled_ms;
+  const auto fences = balanced_path_partitions(
+      keys_a, keys_b, static_cast<std::size_t>(cfg.tile()), less);
+  std::vector<std::size_t> offsets(fences.size(), 0);
+  res.keys.reserve(keys_a.size() + keys_b.size());
+  if (with_vals) res.vals.reserve(keys_a.size() + keys_b.size());
+  for (std::size_t p = 0; p + 1 < fences.size(); ++p) {
+    set_op_serial(
+        keys_a, keys_b, fences[p].a_index, fences[p + 1].a_index,
+        fences[p].b_index, fences[p + 1].b_index, op,
+        [&](std::size_t i) {
+          res.keys.push_back(keys_a[i]);
+          if (with_vals) res.vals.push_back(vals_a[i]);
+        },
+        [&](std::size_t j) {
+          res.keys.push_back(keys_b[j]);
+          if (with_vals) res.vals.push_back(vals_b[j]);
+        },
+        [&](std::size_t i, std::size_t j) {
+          res.keys.push_back(keys_a[i]);
+          if (with_vals) res.vals.push_back(combine(vals_a[i], vals_b[j]));
+        },
+        less);
+    offsets[p + 1] = res.keys.size();
+  }
+  res.modeled_ms = set_op_charge(device, sizeof(K), with_vals ? sizeof(V) : 0,
+                                 fences, offsets, cfg);
   res.wall_ms = wall.milliseconds();
   return res;
 }

@@ -5,10 +5,11 @@
 // survivable; this module makes *silent* ones visible.  Three mechanisms,
 // all raising mps::IntegrityError through integrity_failed():
 //
-//   * checksums — FNV-1a over raw buffer bytes.  BufferGuard records the
-//     checksums of a set of buffers and re-verifies them later, detecting
-//     any bit flip in data that should not have changed (kernel inputs
-//     across a call, solver state across a scrub);
+//   * checksums — an FNV-1a-style hash over raw buffer bytes (see
+//     kChecksumSeed).  BufferGuard records the checksums of a set of
+//     buffers and re-verifies them later, detecting any bit flip in data
+//     that should not have changed (kernel inputs across a call, solver
+//     state across a scrub);
 //   * scrub — registers a live buffer with the device memory model (a
 //     zero-byte reservation carrying the host window), which is where
 //     armed MPS_FAULT_BITFLIP_* faults land, and charges the cost model
@@ -69,10 +70,16 @@ Counters& counters();
 // ---------------------------------------------------------------------------
 // Checksums.
 
+/// The checksum's start value.  It is one digit short of FNV-1a's offset
+/// basis (14695981039346656037), so checksum_bytes is FNV-1a-style with
+/// a non-standard seed and matches no standard FNV-1a implementation.
+/// The value stays: WAL frames and snapshots persist these checksums,
+/// and recorded golden digests depend on it.
 inline constexpr std::uint64_t kChecksumSeed = 1469598103934665603ull;
 
-/// FNV-1a over raw bytes; chain calls through `seed` to cover multiple
-/// buffers with one value.
+/// FNV-1a-style hash over raw bytes (FNV-1a's prime and xor-multiply
+/// step, kChecksumSeed as the start value); chain calls through `seed`
+/// to cover multiple buffers with one value.
 std::uint64_t checksum_bytes(const void* data, std::size_t bytes,
                              std::uint64_t seed = kChecksumSeed);
 
@@ -150,12 +157,11 @@ double check_finite(vgpu::Device& device, std::span<const V> vals,
   return ms;
 }
 
-/// CSR output postconditions: offsets present, starting at 0, monotone,
-/// consistent with col/val sizes; columns in range; values finite.
+/// CSR output postconditions on the host, uncharged: offsets present,
+/// starting at 0, monotone, consistent with col/val sizes; columns in
+/// range; values finite.
 template <typename V>
-double check_csr(vgpu::Device& device, const sparse::CsrMatrix<V>& c,
-                 const char* what) {
-  const double ms = charge_guard_scan(device, c.device_bytes());
+void verify_csr(const sparse::CsrMatrix<V>& c, const char* what) {
   const std::string w(what);
   if (c.row_offsets.size() != static_cast<std::size_t>(c.num_rows) + 1 ||
       (c.num_rows >= 0 && !c.row_offsets.empty() && c.row_offsets.front() != 0)) {
@@ -182,6 +188,14 @@ double check_csr(vgpu::Device& device, const sparse::CsrMatrix<V>& c,
       integrity_failed(w + ": non-finite value at nonzero " + std::to_string(k));
     }
   }
+}
+
+/// verify_csr, charged as a guard scan of the CSR arrays.
+template <typename V>
+double check_csr(vgpu::Device& device, const sparse::CsrMatrix<V>& c,
+                 const char* what) {
+  const double ms = charge_guard_scan(device, c.device_bytes());
+  verify_csr(c, what);
   return ms;
 }
 

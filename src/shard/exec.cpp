@@ -272,14 +272,9 @@ ExecStats spadd(const sparse::CsrD& a, const sparse::CsrD& b,
       a, a.num_cols, combined, devices, ordinals, weights, "shard.spadd",
       [](vgpu::Device&) { return 0.0; },
       [&](vgpu::Device& dev, const RowBlock& blk, sparse::CsrD& sub_c) {
-        if (blk.row_begin == 0 && blk.row_end == a.num_rows) {
-          return core::merge::spadd_csr(dev, a, b, sub_c).modeled_ms;
-        }
-        const sparse::CsrD sub_a =
-            sparse::row_slice(a, blk.row_begin, blk.row_end);
-        const sparse::CsrD sub_b =
-            sparse::row_slice(b, blk.row_begin, blk.row_end);
-        return core::merge::spadd_csr(dev, sub_a, sub_b, sub_c).modeled_ms;
+        return core::merge::spadd_row_block(dev, a, b, blk.row_begin,
+                                            blk.row_end, sub_c)
+            .modeled_ms;
       },
       c);
 }

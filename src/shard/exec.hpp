@@ -90,9 +90,10 @@ ExecStats spmm(const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
 /// C = A + B, row-partitioned on the *combined* staircase (a's plus b's
 /// row offsets) so a row dense in either input still balances.  Slice i
 /// runs on devices[ordinals[i]] with diagonal span proportional to
-/// weights[i].  Both slices keep original column ids (sparse::row_slice);
-/// per-slice outputs concatenate row-wise into C.  Bitwise: each output
-/// entry is one copy or one a+b add, never regrouped.
+/// weights[i] as a core row block (spadd_row_block, which steps down to
+/// row chunks on DeviceOomError); per-slice outputs keep original column
+/// ids and concatenate row-wise into C.  Bitwise: each output entry is
+/// one copy or one a+b add, never regrouped.
 ExecStats spadd(const sparse::CsrD& a, const sparse::CsrD& b,
                 std::span<vgpu::Device* const> devices,
                 std::span<const int> ordinals, std::span<const double> weights,

@@ -179,6 +179,50 @@ TEST(FaultSweep, Spadd) {
       });
 }
 
+TEST(FaultSweep, SpaddRowBlock) {
+  // SpAdd's memory-pressure rule under every injected allocation failure:
+  // a row block either throws with C at its sentinel and no residency, or
+  // steps down to row chunks and completes bitwise equal to flat.  Both a
+  // whole-matrix block and an interior one are swept.
+  const CsrD a = medium_matrix(113);
+  const CsrD b = medium_matrix(127);
+  CsrD flat;
+  {
+    auto dev = make_clean_device();
+    core::merge::spadd_csr(dev, a, b, flat);
+  }
+  for (const auto& [r0, r1] : {std::pair<index_t, index_t>{0, a.num_rows},
+                               std::pair<index_t, index_t>{50, 170}}) {
+    SCOPED_TRACE("rows [" + std::to_string(r0) + ", " + std::to_string(r1) +
+                 ")");
+    const CsrD want = sparse::row_slice(flat, r0, r1);
+    CsrD c;
+    auto clean = make_clean_device();
+    core::merge::spadd_row_block(clean, a, b, r0, r1, c);
+    const long long n = clean.fault_injector().allocations_observed();
+    ASSERT_GT(n, 0);
+    for (long long i = 1; i <= n; ++i) {
+      SCOPED_TRACE("failing allocation " + std::to_string(i));
+      auto dev = make_clean_device();
+      dev.fault_injector().fail_at_allocation(i);
+      c = CsrD(1, 1);
+      c.row_offsets = {0, 1};
+      c.col = {0};
+      c.val = {kSentinel};
+      try {
+        core::merge::spadd_row_block(dev, a, b, r0, r1, c);
+        EXPECT_TRUE(mps::testing::bitwise_equal(c, want));
+      } catch (const vgpu::DeviceOomError& e) {
+        EXPECT_TRUE(e.injected());
+        ASSERT_EQ(c.nnz(), 1);
+        ASSERT_EQ(c.val[0], kSentinel);
+      }
+      EXPECT_EQ(dev.memory().in_use(), 0u);
+      EXPECT_EQ(dev.fault_injector().faults_injected(), 1);
+    }
+  }
+}
+
 TEST(FaultSweep, SpgemmFlat) {
   const CsrD a = medium_matrix(19);
   const CsrD b = medium_matrix(23);

@@ -17,6 +17,7 @@
 #include "baselines/seq.hpp"
 #include "core/spmm.hpp"
 #include "core/spmv.hpp"
+#include "cost_formula.hpp"
 #include "util/rng.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/timing.hpp"
@@ -25,16 +26,6 @@ namespace mps::testing {
 
 inline const core::merge::SpmvConfig kTileConfigs[] = {
     {128, 7}, {64, 5}, {256, 9}};
-
-/// The device's launches minus integrity-guard scans, which run only
-/// under MPS_INTEGRITY_CHECK.
-inline std::vector<vgpu::KernelStats> kernel_launches(const vgpu::Device& dev) {
-  std::vector<vgpu::KernelStats> out;
-  for (const auto& k : dev.log()) {
-    if (k.name.rfind("integrity.", 0) != 0) out.push_back(k);
-  }
-  return out;
-}
 
 /// Segment offsets the kernel walks: A's nonempty rows only (A's own
 /// offsets when it has no empty rows).

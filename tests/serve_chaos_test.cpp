@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/spadd.hpp"
 #include "core/spgemm.hpp"
 #include "core/spmv.hpp"
 #include "env_guard.hpp"
@@ -243,17 +244,15 @@ TEST(ServeChaos, RetryBudgetBoundsTransientFaults) {
 }
 
 TEST(ServeChaos, BackoffIsChargedIntoModeledTimeExactly) {
-  // Every request shape retries: a lone SpMV, a coalesced SpMV batch (one
-  // spmm whose modeled time, surcharge included, splits evenly over its
-  // requests) and an SpAdd.
+  // Both SpMV request shapes retry: a lone SpMV and a coalesced batch
+  // (one spmm whose modeled time, surcharge included, splits evenly over
+  // its requests).  A served SpAdd absorbs the same fault in its kernel
+  // (SpaddAbsorbsInjectedOomWithoutRetry below).
   CleanFaultEnv env;
   const auto a = make_matrix(8);
-  const auto b = make_matrix(18);
-  enum class Shape { kLone, kBatch, kSpadd };
-  for (const Shape shape : {Shape::kLone, Shape::kBatch, Shape::kSpadd}) {
-    SCOPED_TRACE(shape == Shape::kLone    ? "lone spmv"
-                 : shape == Shape::kBatch ? "coalesced spmv batch"
-                                          : "spadd");
+  enum class Shape { kLone, kBatch };
+  for (const Shape shape : {Shape::kLone, Shape::kBatch}) {
+    SCOPED_TRACE(shape == Shape::kLone ? "lone spmv" : "coalesced spmv batch");
     // A power-of-two batch keeps the per-request split exact, so the
     // expectation below can undo it bit for bit.
     const std::size_t n = shape == Shape::kBatch ? 4 : 1;
@@ -268,7 +267,6 @@ TEST(ServeChaos, BackoffIsChargedIntoModeledTimeExactly) {
     struct Run {
       MatrixHandle h = 0;
       std::vector<std::vector<double>> y;  // SpMV answers
-      CsrD c;                              // SpAdd answer
       std::vector<double> modeled_ms;      // one per request
       long long retries = 0;
     };
@@ -276,24 +274,16 @@ TEST(ServeChaos, BackoffIsChargedIntoModeledTimeExactly) {
       Run out;
       Engine engine(run_cfg);
       out.h = engine.register_matrix(a);
-      if (shape == Shape::kSpadd) {
-        auto f = engine.submit_spadd(out.h, engine.register_matrix(b));
-        engine.resume();
-        MatrixResult r = f.get();
-        out.c = std::move(r.c);
+      std::vector<std::future<SpmvResult>> futures;
+      for (std::size_t j = 0; j < n; ++j) {
+        futures.push_back(engine.submit_spmv(out.h, random_x(a, 4 + j)));
+      }
+      engine.resume();
+      for (auto& f : futures) {
+        SpmvResult r = f.get();
+        EXPECT_EQ(r.batch_size, static_cast<int>(n));
+        out.y.push_back(std::move(r.y));
         out.modeled_ms.push_back(r.modeled_ms);
-      } else {
-        std::vector<std::future<SpmvResult>> futures;
-        for (std::size_t j = 0; j < n; ++j) {
-          futures.push_back(engine.submit_spmv(out.h, random_x(a, 4 + j)));
-        }
-        engine.resume();
-        for (auto& f : futures) {
-          SpmvResult r = f.get();
-          EXPECT_EQ(r.batch_size, static_cast<int>(n));
-          out.y.push_back(std::move(r.y));
-          out.modeled_ms.push_back(r.modeled_ms);
-        }
       }
       engine.shutdown();
       out.retries = engine.stats().retries;
@@ -307,9 +297,6 @@ TEST(ServeChaos, BackoffIsChargedIntoModeledTimeExactly) {
 
     ASSERT_EQ(got.h, ref.h) << "handles are content-addressed";
     EXPECT_EQ(got.y, ref.y);
-    EXPECT_EQ(got.c.row_offsets, ref.c.row_offsets);
-    EXPECT_EQ(got.c.col, ref.c.col);
-    EXPECT_EQ(got.c.val, ref.c.val);
     EXPECT_EQ(ref.retries, 0);
     EXPECT_EQ(got.retries, 1);
     // The first admitted request's jitter salt is its handle (admit_seq
@@ -326,6 +313,42 @@ TEST(ServeChaos, BackoffIsChargedIntoModeledTimeExactly) {
           << "backoff must be charged into modeled time, bit for bit";
     }
   }
+}
+
+// A served SpAdd absorbs a one-shot injected OOM inside its kernel: the
+// row block steps down to row chunks (core::merge::spadd_row_block), so
+// the engine neither retries nor charges backoff, and C is bitwise the
+// fault-free twin's.  The fault lands on the block's first reservation,
+// before any launch, so the modeled time is the twin's too.
+TEST(ServeChaos, SpaddAbsorbsInjectedOomWithoutRetry) {
+  CleanFaultEnv env;
+  const auto a = make_matrix(8);
+  const auto b = make_matrix(18);
+  auto cfg = test_config(1, 1);
+  cfg.start_paused = true;
+  struct Run {
+    MatrixResult r;
+    long long retries = 0;
+  };
+  const auto run = [&](const EngineConfig& run_cfg) {
+    Run out;
+    Engine engine(run_cfg);
+    const MatrixHandle h = engine.register_matrix(a);
+    auto f = engine.submit_spadd(h, engine.register_matrix(b));
+    engine.resume();
+    out.r = f.get();
+    engine.shutdown();
+    out.retries = engine.stats().retries;
+    return out;
+  };
+  const Run ref = run(cfg);
+  cfg.chaos = vgpu::ChaosSchedule::parse("oom@alloc=1");
+  cfg.chaos_enabled = 1;
+  const Run got = run(cfg);
+  EXPECT_TRUE(testing::bitwise_equal(got.r.c, ref.r.c));
+  EXPECT_EQ(ref.retries, 0);
+  EXPECT_EQ(got.retries, 0);
+  EXPECT_EQ(got.r.modeled_ms, ref.r.modeled_ms);
 }
 
 TEST(ServeChaos, DeadlineIsRecheckedBeforeEachRetry) {
@@ -571,6 +594,37 @@ TEST(ServeChaos, SpgemmCompletesUnderMemoryPressure) {
     Engine engine(cfg);
     const MatrixHandle h = engine.register_matrix(a);
     const MatrixResult r = engine.submit_spgemm(h, h).get();
+    EXPECT_TRUE(testing::bitwise_equal(r.c, flat));
+    engine.shutdown();
+    const auto s = engine.stats();
+    EXPECT_EQ(s.failed, 0);
+    EXPECT_EQ(s.degraded_entered, 0);
+  }
+}
+
+// SpAdd's memory-pressure rule end to end: a served A + A whose flat
+// block overflows the device steps down to row chunks on its own device,
+// unsharded and on a fleet, bitwise equal to flat on a roomy device.
+TEST(ServeChaos, SpaddCompletesUnderMemoryPressure) {
+  CleanFaultEnv env;
+  const CsrD a = workloads::suite_entry("Cantilever", 0.01).matrix;
+  CsrD flat;
+  {
+    vgpu::Device roomy;
+    core::merge::spadd_csr(roomy, a, a, flat);
+  }
+  const std::pair<int, const char*> cases[] = {{0, "1048576"},
+                                               {4, "262144"}};
+  for (const auto& [devices, capacity] : cases) {
+    SCOPED_TRACE("devices " + std::to_string(devices) + ", capacity " +
+                 capacity);
+    // The cap applies when the engine constructs its devices.
+    EnvVarGuard cap("MPS_FAULT_CAPACITY", capacity);
+    auto cfg = test_config(/*threads=*/1, /*batch_window=*/1);
+    cfg.devices = devices;
+    Engine engine(cfg);
+    const MatrixHandle h = engine.register_matrix(a);
+    const MatrixResult r = engine.submit_spadd(h, h).get();
     EXPECT_TRUE(testing::bitwise_equal(r.c, flat));
     engine.shutdown();
     const auto s = engine.stats();

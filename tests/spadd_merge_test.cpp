@@ -1,13 +1,17 @@
 // Balanced-path SpAdd: correctness and the work-proportional cost property.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "baselines/seq.hpp"
 #include "core/spadd.hpp"
 #include "oracle.hpp"
+#include "spadd_cost.hpp"
 #include "sparse/compare.hpp"
 #include "sparse/convert.hpp"
 #include "test_matrices.hpp"
 #include "vgpu/device.hpp"
+#include "workloads/generators.hpp"
 
 namespace mps {
 namespace {
@@ -96,6 +100,27 @@ TEST(MergeSpadd, RejectsNonCanonicalInput) {
   bad.push_back(0, 0, 1.0);  // unsorted
   sparse::CooD c;
   EXPECT_THROW(spadd(dev, bad, bad, c), mps::InvalidInputError);
+
+  // CSR: columns out of order, and a duplicate column, in row 1.
+  const auto good = coo_to_csr(testing::paper_a());
+  for (const bool duplicate : {false, true}) {
+    sparse::CsrD bad_csr = good;
+    const auto k = static_cast<std::size_t>(bad_csr.row_offsets[1]);
+    ASSERT_GE(bad_csr.row_length(1), 2);
+    if (duplicate) {
+      bad_csr.col[k + 1] = bad_csr.col[k];
+    } else {
+      std::swap(bad_csr.col[k], bad_csr.col[k + 1]);
+    }
+    sparse::CsrD c_csr;
+    EXPECT_THROW(core::merge::spadd_csr(dev, bad_csr, good, c_csr),
+                 mps::InvalidInputError);
+    EXPECT_THROW(core::merge::spadd_csr(dev, good, bad_csr, c_csr),
+                 mps::InvalidInputError);
+    EXPECT_THROW(core::merge::spadd_row_block(dev, good, bad_csr, 0, 2, c_csr),
+                 mps::InvalidInputError);
+  }
+  EXPECT_EQ(dev.memory().in_use(), 0u);
 }
 
 TEST(MergeSpadd, CostTracksTotalWorkNotStructure) {
@@ -112,6 +137,133 @@ TEST(MergeSpadd, CostTracksTotalWorkNotStructure) {
   const double ratio = t_skewed / t_uniform;
   EXPECT_GT(ratio, 0.8);
   EXPECT_LT(ratio, 1.25);
+}
+
+// ---------------------------------------------------------------------------
+// The charge: every launch equals tests/spadd_cost.hpp's formula, built
+// from naively enumerated fences and tile union counts.
+
+TEST(SpaddCost, EveryLaunchMatchesTheFormula) {
+  for (const auto r : testing::kAllRegimes) {
+    SCOPED_TRACE(testing::regime_name(r));
+    const auto a = testing::make_regime_matrix(r, 1);
+    const auto b = testing::make_regime_matrix(r, 1001);
+    testing::expect_spadd_cost(a, b);
+    testing::expect_spadd_cost(a, a);  // every tuple matched
+  }
+}
+
+TEST(SpaddCost, RowBlockIsChargedAsItsRows) {
+  for (const auto r : testing::kAllRegimes) {
+    SCOPED_TRACE(testing::regime_name(r));
+    const auto a = testing::make_regime_matrix(r, 2);
+    const auto b = testing::make_regime_matrix(r, 1002);
+    testing::expect_spadd_cost(a, b, a.num_rows / 3, 2 * a.num_rows / 3);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// spadd_row_block: flat first, whole-row chunks on DeviceOomError.
+
+vgpu::Device clean_device(std::size_t mem_bytes = 0) {
+  auto props = vgpu::gtx_titan();
+  if (mem_bytes > 0) props.global_mem_bytes = mem_bytes;
+  vgpu::Device dev(props);
+  dev.fault_injector().disarm();
+  return dev;
+}
+
+sparse::CsrD flat_sum(const sparse::CsrD& a, const sparse::CsrD& b) {
+  auto dev = clean_device();
+  sparse::CsrD c;
+  core::merge::spadd_csr(dev, a, b, c);
+  return c;
+}
+
+sparse::CsrD random_csr(std::uint64_t seed, index_t rows, index_t cols,
+                        index_t nnz) {
+  util::Rng rng(seed);
+  return coo_to_csr(random_coo(rng, rows, cols, nnz));
+}
+
+TEST(RowBlockSpadd, AmpleMemoryRunsOneFlatBlock) {
+  const auto a = random_csr(71, 1000, 1000, 10000);
+  const auto b = random_csr(73, 1000, 1000, 10000);
+  auto dev = clean_device();
+  sparse::CsrD flat, c;
+  const auto flat_stats = core::merge::spadd_csr(dev, a, b, flat);
+  const auto stats = core::merge::spadd_row_block(dev, a, b, 0, a.num_rows, c);
+  EXPECT_EQ(stats.num_chunks, 1);
+  EXPECT_EQ(stats.modeled_ms, flat_stats.modeled_ms);
+  EXPECT_TRUE(testing::bitwise_equal(c, flat));
+  EXPECT_TRUE(testing::bitwise_equal(c, baselines::seq::spadd(a, b)));
+}
+
+// An interior block equals those rows of flat, charged as spadd_csr on
+// the row slices (what the sharded SpAdd ran before it took row ranges).
+TEST(RowBlockSpadd, InteriorBlockEqualsThoseRowsOfFlat) {
+  const auto a = random_csr(79, 400, 400, 6000);
+  const auto b = random_csr(83, 400, 400, 6000);
+  const index_t r0 = 37;
+  const index_t r1 = 361;
+  auto dev = clean_device();
+  sparse::CsrD c, c_slices;
+  const auto stats = core::merge::spadd_row_block(dev, a, b, r0, r1, c);
+  const auto slice_stats = core::merge::spadd_csr(
+      dev, sparse::row_slice(a, r0, r1), sparse::row_slice(b, r0, r1), c_slices);
+  EXPECT_EQ(stats.modeled_ms, slice_stats.modeled_ms);
+  EXPECT_TRUE(testing::bitwise_equal(c, c_slices));
+  EXPECT_TRUE(testing::bitwise_equal(c, sparse::row_slice(flat_sum(a, b), r0, r1)));
+  // An empty row range is an empty block.
+  core::merge::spadd_row_block(dev, a, b, r0, r0, c);
+  EXPECT_EQ(c.num_rows, 0);
+  EXPECT_EQ(c.nnz(), 0);
+}
+
+TEST(RowBlockSpadd, StepsDownUnderMemoryPressure) {
+  const auto a = random_csr(89, 600, 600, 12000);
+  const auto b = random_csr(97, 600, 600, 12000);
+  auto small = clean_device(256 * 1024);
+  sparse::CsrD c;
+  EXPECT_THROW(core::merge::spadd_csr(small, a, b, c), vgpu::DeviceOomError);
+  EXPECT_EQ(small.memory().in_use(), 0u);
+  for (const auto& [r0, r1] : {std::pair<index_t, index_t>{0, a.num_rows},
+                               std::pair<index_t, index_t>{37, 561}}) {
+    const auto stats = core::merge::spadd_row_block(small, a, b, r0, r1, c);
+    EXPECT_GT(stats.num_chunks, 1);
+    EXPECT_EQ(small.memory().in_use(), 0u);
+    EXPECT_TRUE(
+        testing::bitwise_equal(c, sparse::row_slice(flat_sum(a, b), r0, r1)));
+  }
+}
+
+TEST(RowBlockSpadd, InjectedOomStepsDown) {
+  const auto a = random_csr(101, 300, 300, 3000);
+  const auto b = random_csr(103, 300, 300, 3000);
+  auto dev = clean_device();
+  // The second reservation (the fences) fails, after the pack launch.
+  dev.fault_injector().fail_at_allocation(2);
+  sparse::CsrD c;
+  const auto stats = core::merge::spadd_row_block(dev, a, b, 0, a.num_rows, c);
+  EXPECT_EQ(dev.fault_injector().faults_injected(), 1);
+  EXPECT_EQ(dev.memory().in_use(), 0u);
+  sparse::CsrD flat;
+  const auto flat_stats = core::merge::spadd_csr(dev, a, b, flat);
+  // The failed attempt's pack launch is charged on top of the re-run.
+  EXPECT_GT(stats.modeled_ms, flat_stats.modeled_ms);
+  EXPECT_TRUE(testing::bitwise_equal(c, flat));
+}
+
+// One row that alone overflows the device is the one case the rule
+// cannot cut further: the block throws and leaves nothing behind.
+TEST(RowBlockSpadd, ThrowsWhenOneRowCannotFit) {
+  const auto a = workloads::dense_block(64, 2048, 5);
+  auto tiny = clean_device(16 * 1024);
+  sparse::CsrD c(1, 1);
+  EXPECT_THROW(core::merge::spadd_row_block(tiny, a, a, 0, a.num_rows, c),
+               vgpu::DeviceOomError);
+  EXPECT_EQ(tiny.memory().in_use(), 0u);
+  EXPECT_EQ(c.num_rows, 1);
 }
 
 }  // namespace

@@ -20,42 +20,10 @@
 #include <vector>
 
 #include "core/spgemm.hpp"
+#include "cost_formula.hpp"
 #include "vgpu/device.hpp"
-#include "vgpu/timing.hpp"
 
 namespace mps::testing {
-
-/// One launch of the formula: its name and per-CTA counters.
-struct CostLaunch {
-  std::string name;
-  std::vector<vgpu::CtaCounters> ctas;
-};
-
-/// Cta-style charges on bare counters: element and lane counts round up
-/// to whole warps per charge.
-class Charges {
- public:
-  Charges(const vgpu::DeviceProperties& p, vgpu::CtaCounters& c)
-      : p_(p), c_(c) {}
-  void global(std::uint64_t bytes) { c_.global_bytes += bytes; }
-  void gather(std::uint64_t n) { c_.gather_bytes += n * p_.gather_sector_bytes; }
-  void shared(std::uint64_t elems) { c_.shared_ops += warps(elems); }
-  void alu(std::uint64_t lanes) { c_.warp_iters += warps(lanes); }
-  void sync() { c_.syncs += 1; }
-  void search(std::uint64_t n) {
-    const auto steps = static_cast<std::uint64_t>(log2_ceil(n ? n : 1)) + 1;
-    gather(steps);
-    c_.warp_iters += steps;
-  }
-
- private:
-  std::uint64_t warps(std::uint64_t n) const {
-    const auto w = static_cast<std::uint64_t>(p_.warp_size);
-    return (n + w - 1) / w;
-  }
-  const vgpu::DeviceProperties& p_;
-  vgpu::CtaCounters& c_;
-};
 
 /// The product stream of A x B, counted naively.
 struct ProductCounts {
@@ -313,15 +281,6 @@ inline std::vector<CostLaunch> spgemm_cost(
   return out;
 }
 
-/// The device's launches minus integrity-guard scans.
-inline std::vector<vgpu::KernelStats> spgemm_launches(const vgpu::Device& dev) {
-  std::vector<vgpu::KernelStats> out;
-  for (const auto& k : dev.log()) {
-    if (k.name.rfind("integrity.", 0) != 0) out.push_back(k);
-  }
-  return out;
-}
-
 /// Runs one flat SpGEMM block of A x B on a fresh device (rows
 /// [r0, r1) of A through spgemm_row_block, or all of A through spgemm)
 /// and pins every launch to the formula.
@@ -342,25 +301,7 @@ inline void expect_spgemm_cost(const sparse::CsrD& a, const sparse::CsrD& b,
     want = spgemm_cost(p, sparse::row_slice(a, r0, r1), b, cfg,
                        prefix[static_cast<std::size_t>(r0)]);
   }
-  const auto got = spgemm_launches(dev);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    SCOPED_TRACE(want[i].name);
-    EXPECT_EQ(got[i].name, want[i].name);
-    ASSERT_EQ(got[i].num_ctas, static_cast<int>(want[i].ctas.size()));
-    vgpu::CtaCounters total;
-    std::vector<double> cycles;
-    for (const auto& cta : want[i].ctas) {
-      total += cta;
-      cycles.push_back(cta.cycles(p));
-    }
-    EXPECT_EQ(got[i].totals.global_bytes, total.global_bytes);
-    EXPECT_EQ(got[i].totals.gather_bytes, total.gather_bytes);
-    EXPECT_EQ(got[i].totals.shared_ops, total.shared_ops);
-    EXPECT_EQ(got[i].totals.warp_iters, total.warp_iters);
-    EXPECT_EQ(got[i].totals.syncs, total.syncs);
-    EXPECT_EQ(got[i].device_cycles, vgpu::schedule_cycles(p, cycles));
-  }
+  expect_launches_match(dev, want);
 }
 
 }  // namespace mps::testing

@@ -12,14 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "core/spgemm.hpp"
+#include "golden.hpp"
 #include "oracle.hpp"
-#include "resilience/integrity.hpp"
 #include "sparse/convert.hpp"
 #include "vgpu/device.hpp"
 #include "workloads/suite.hpp"
@@ -28,72 +25,12 @@ namespace mps {
 namespace {
 
 using core::merge::SpgemmConfig;
+using testing::Golden;
+using testing::GoldenTable;
 using testing::kAllRegimes;
 using testing::kFuzzSeeds;
 using testing::make_regime_matrix;
 using testing::regime_name;
-
-/// resilience::checksum_bytes chained over a sequence of fields.
-class Digest {
- public:
-  void bytes(const void* p, std::size_t n) {
-    h_ = resilience::checksum_bytes(p, n, h_);
-  }
-  template <typename T>
-  void pod(const T& v) {
-    bytes(&v, sizeof(T));
-  }
-  template <typename T>
-  void vec(const std::vector<T>& v) {
-    pod(v.size());
-    bytes(v.data(), v.size() * sizeof(T));
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = resilience::kChecksumSeed;
-};
-
-std::uint64_t csr_digest(const sparse::CsrD& c) {
-  Digest d;
-  d.pod(c.num_rows);
-  d.pod(c.num_cols);
-  d.vec(c.row_offsets);
-  d.vec(c.col);
-  d.vec(c.val);
-  return d.value();
-}
-
-std::uint64_t log_digest(const vgpu::Device& dev) {
-  Digest d;
-  for (const auto& k : dev.log()) {
-    if (k.name.rfind("integrity.", 0) == 0) continue;
-    d.bytes(k.name.data(), k.name.size());
-    d.pod(k.num_ctas);
-    d.pod(k.device_cycles);
-    d.pod(k.modeled_ms);
-    d.pod(k.tail_cycles);
-    d.pod(k.totals.global_bytes);
-    d.pod(k.totals.gather_bytes);
-    d.pod(k.totals.shared_ops);
-    d.pod(k.totals.warp_iters);
-    d.pod(k.totals.syncs);
-    d.pod(k.totals.flops);
-  }
-  return d.value();
-}
-
-vgpu::Device clean_device() {
-  vgpu::Device dev;
-  dev.fault_injector().disarm();
-  return dev;
-}
-
-struct Golden {
-  const char* name;
-  std::uint64_t c;
-  std::uint64_t log;
-};
 
 // Recorded from the implementation that emulated both radix sorts
 // element by element; every row must still match.
@@ -246,34 +183,6 @@ constexpr Golden kTable2Golden[] = {
     {"LP", 0x46fabdfc8b91cc49ULL, 0x021e5c6b00553912ULL},
 };
 
-/// Compares each case's digests with `want` (matched by name, in order)
-/// and prints the table row of every mismatch, so a deliberate
-/// re-recording is a paste.
-class GoldenTable {
- public:
-  explicit GoldenTable(std::span<const Golden> want) : want_(want) {}
-
-  void check(const std::string& name, const sparse::CsrD& c,
-             const vgpu::Device& dev) {
-    const std::uint64_t cd = csr_digest(c);
-    const std::uint64_t ld = log_digest(dev);
-    const Golden* g = next_ < want_.size() ? &want_[next_] : nullptr;
-    ++next_;
-    if (g == nullptr || name != g->name || cd != g->c || ld != g->log) {
-      char row[160];
-      std::snprintf(row, sizeof(row), "{\"%s\", 0x%016llxULL, 0x%016llxULL},",
-                    name.c_str(), static_cast<unsigned long long>(cd),
-                    static_cast<unsigned long long>(ld));
-      ADD_FAILURE() << "golden mismatch: " << row;
-    }
-  }
-  ~GoldenTable() { EXPECT_EQ(next_, want_.size()) << "golden row count"; }
-
- private:
-  std::span<const Golden> want_;
-  std::size_t next_ = 0;
-};
-
 /// A x B for regime matrices: B is the transpose of a second draw, so
 /// the rectangular regimes conform (as tests/fuzz_ops_test.cpp does).
 struct Operands {
@@ -303,12 +212,12 @@ TEST(SpgemmGolden, RegimesFlatAblationAndPlanned) {
       const std::pair<const char*, SpgemmConfig> flat_cfgs[] = {
           {"flat", SpgemmConfig{}}, {"pair", pair}, {"full", full}};
       for (const auto& [what, cfg] : flat_cfgs) {
-        auto dev = clean_device();
+        auto dev = testing::clean_golden_device();
         sparse::CsrD c;
         core::merge::spgemm(dev, a, b, c, cfg);
         table.check(case_name(r, seed, what), c, dev);
       }
-      auto dev = clean_device();
+      auto dev = testing::clean_golden_device();
       core::merge::SpgemmPlan plan;
       core::merge::spgemm_symbolic(dev, a, b, plan);
       sparse::CsrD c;
@@ -330,7 +239,7 @@ TEST(SpgemmGolden, ChunkedAndRowBlock) {
       const auto [a, b] = regime_operands(r, seed);
       const auto prefix = core::merge::spgemm_row_prefix(a, b);
       {
-        auto dev = clean_device();
+        auto dev = testing::clean_golden_device();
         core::merge::ChunkedConfig chunked;
         chunked.chunk_bytes = static_cast<std::size_t>(
             (40 * prefix.back() + 16 * static_cast<std::uint64_t>(a.nnz())) /
@@ -347,7 +256,7 @@ TEST(SpgemmGolden, ChunkedAndRowBlock) {
       }
       const index_t r1 = std::max(r0, 2 * a.num_rows / 3);
       if (r0 < a.num_rows) ++nonzero_phases;
-      auto dev = clean_device();
+      auto dev = testing::clean_golden_device();
       sparse::CsrD c;
       core::merge::spgemm_row_block(dev, a, b, prefix, r0, r1, c);
       table.check(case_name(r, seed, "rowblock"), c, dev);
@@ -362,7 +271,7 @@ TEST(SpgemmGolden, TableII) {
   for (const auto& e : workloads::paper_suite(0.01)) {
     const sparse::CsrD b =
         e.spgemm_transpose ? sparse::transpose(e.matrix) : e.matrix;
-    auto dev = clean_device();
+    auto dev = testing::clean_golden_device();
     sparse::CsrD c;
     core::merge::spgemm(dev, e.matrix, b, c);
     table.check(e.name, c, dev);
