@@ -84,28 +84,54 @@ double compact_launch(vgpu::Device& device, const sparse::CsrMatrix<V>& a,
       .modeled_ms;
 }
 
+/// dst[0..B) = the products of nonzeros [lo, hi) with B adjacent columns
+/// of the row-major block X (k vectors wide; `x` points at the first of
+/// the B columns in X's row 0).  The B sums live in a register tile for
+/// the whole row and are stored once, so a dst that may alias x costs no
+/// reload per product.  Each column starts from +0 and adds in ascending
+/// position: the canonical order, bit for bit.
+template <std::size_t B, typename V>
+void row_columns(const sparse::CsrMatrix<V>& a, const V* x, std::size_t k,
+                 std::size_t lo, std::size_t hi, V* dst) {
+  V acc[B] = {};
+  for (std::size_t i = lo; i < hi; ++i) {
+    const V v = a.val[i];
+    const V* xr = x + static_cast<std::size_t>(a.col[i]) * k;
+    for (std::size_t j = 0; j < B; ++j) acc[j] += v * xr[j];
+  }
+  for (std::size_t j = 0; j < B; ++j) dst[j] = acc[j];
+}
+
 /// dst[0..k) = the products of nonzeros [lo, hi) with their rows of the
 /// row-major block X, each column accumulated in ascending position (the
-/// canonical order).  K is k fixed at compile time: K = 1 keeps SpMV a
-/// scalar loop (a runtime-k inner loop doubles its host wall time); K = 0
-/// reads `k`.
+/// canonical order).  K = 1 is SpMV's scalar loop; K = 0 reads `k` and
+/// runs the columns in register tiles of up to 8 (row_columns), so every
+/// width up to 8 is one pass over the row.
 template <std::size_t K, typename V>
 void row_products(const sparse::CsrMatrix<V>& a, std::span<const V> x,
                   std::size_t k, index_t lo, index_t hi, V* dst) {
+  const auto b = static_cast<std::size_t>(lo);
+  const auto e = static_cast<std::size_t>(hi);
   if constexpr (K == 1) {
     V acc{};
-    for (auto i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi);
-         ++i) {
+    for (std::size_t i = b; i < e; ++i) {
       acc += a.val[i] * x[static_cast<std::size_t>(a.col[i])];
     }
     *dst = acc;
   } else {
-    std::fill(dst, dst + k, V{});
-    for (auto i = static_cast<std::size_t>(lo); i < static_cast<std::size_t>(hi);
-         ++i) {
-      const V v = a.val[i];
-      const V* xr = x.data() + static_cast<std::size_t>(a.col[i]) * k;
-      for (std::size_t j = 0; j < k; ++j) dst[j] += v * xr[j];
+    for (std::size_t j = 0; j < k; j += 8) {
+      const V* xj = x.data() + j;
+      V* dj = dst + j;
+      switch (std::min<std::size_t>(8, k - j)) {
+        case 1: row_columns<1>(a, xj, k, b, e, dj); break;
+        case 2: row_columns<2>(a, xj, k, b, e, dj); break;
+        case 3: row_columns<3>(a, xj, k, b, e, dj); break;
+        case 4: row_columns<4>(a, xj, k, b, e, dj); break;
+        case 5: row_columns<5>(a, xj, k, b, e, dj); break;
+        case 6: row_columns<6>(a, xj, k, b, e, dj); break;
+        case 7: row_columns<7>(a, xj, k, b, e, dj); break;
+        default: row_columns<8>(a, xj, k, b, e, dj); break;
+      }
     }
   }
 }
@@ -182,7 +208,11 @@ void reduce_kernel(vgpu::Device& device, const sparse::CsrMatrix<V>& a,
 
         // Functional reduction: walk rows covering [p_lo, p_hi).  A row
         // that spans CTAs is rebuilt whole by the tail, so only rows
-        // wholly inside the tile are computed here.
+        // wholly inside the tile are computed here.  Each row the tile
+        // ends writes k values, each carry k values and its row id;
+        // both counts are charged once, after the walk.
+        std::size_t rows_written = 0;
+        std::size_t carries = 0;
         for (index_t r = row_lo; r <= row_hi && r < num_seg_rows; ++r) {
           const std::size_t row_begin =
               static_cast<std::size_t>(offsets[static_cast<std::size_t>(r)]);
@@ -197,12 +227,14 @@ void reduce_kernel(vgpu::Device& device, const sparse::CsrMatrix<V>& a,
                               offsets[static_cast<std::size_t>(r) + 1],
                               y.data() + static_cast<std::size_t>(out_row) * kv);
             }
-            cta.charge_global(kv * sizeof(V));
+            ++rows_written;
           } else {
             carry_row[cta_id] = out_row;
-            cta.charge_global(kv * sizeof(V) + sizeof(index_t));
+            ++carries;
           }
         }
+        cta.charge_global(rows_written * kv * sizeof(V) +
+                          carries * (kv * sizeof(V) + sizeof(index_t)));
       },
       [&](vgpu::Cta& cta) {
         // Canonical accumulation order: a CTA-spanning row received its

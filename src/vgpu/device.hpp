@@ -40,6 +40,8 @@ class Device {
 
   /// Execute `kernel(Cta&)` for every CTA of a grid.  CTAs run in parallel
   /// on the host pool; modeled time comes from the per-CTA cost counters.
+  /// A CTA's counters are local to it until it ends, then stored to its
+  /// own slot, so no counter depends on which host thread ran the CTA.
   ///
   /// `kernel` must write disjoint outputs per CTA (as real CUDA kernels in
   /// this codebase do); results and stats are then deterministic.
@@ -90,12 +92,16 @@ class Device {
       Cta cta(cta_id, grid, block_threads, props_, shm, c);
       fn(cta);
     };
+    // Stack-local until the CTA ends: adjacent slots charged by different
+    // pool threads on every charge would share cache lines.
     global_pool().parallel_for(
         static_cast<std::size_t>(num_ctas), [&](std::size_t i) {
-          run_cta(kernel, static_cast<int>(i), num_ctas, counters[i]);
+          CtaCounters c;
+          run_cta(kernel, static_cast<int>(i), num_ctas, c);
           if constexpr (kHasTail) {
-            counters[i].global_bytes += sizeof(std::uint32_t);  // arrival
+            c.global_bytes += sizeof(std::uint32_t);  // arrival
           }
+          counters[i] = c;
         });
 
     KernelStats stats;

@@ -1,5 +1,6 @@
 #include "vgpu/thread_pool.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -48,16 +49,19 @@ bool ThreadPool::try_post(std::function<void()> task) {
 }
 
 void ThreadPool::run_job(Job& job) {
-  for (;;) {
-    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= job.n) break;
-    if (!job.failed.load(std::memory_order_relaxed)) {
-      try {
-        (*job.body)(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(job.error_mutex);
-        if (!job.failed.exchange(true)) job.error = std::current_exception();
-      }
+  // Claims are chunks of consecutive indices; a failure stops further
+  // claims (indices already running finish), and the rest of the failing
+  // chunk is skipped.
+  while (!job.failed.load(std::memory_order_relaxed)) {
+    const std::size_t lo =
+        job.next.fetch_add(job.chunk, std::memory_order_relaxed);
+    if (lo >= job.n) break;
+    const std::size_t hi = std::min(job.n, lo + job.chunk);
+    try {
+      for (std::size_t i = lo; i < hi; ++i) (*job.body)(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(job.error_mutex);
+      if (!job.failed.exchange(true)) job.error = std::current_exception();
     }
   }
 }
@@ -107,20 +111,23 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  bool inline_run;
+  std::size_t threads;
   {
-    // workers_ is mutated under mutex_ (shutdown swaps it out), so the
-    // emptiness check must hold the lock.  Inline covers single-iteration
+    // workers_ is mutated under mutex_ (shutdown swaps it out), so its
+    // size must be read under the lock.  Inline covers single-iteration
     // launches, zero-worker pools, and pools already shut down.
     std::lock_guard<std::mutex> lock(mutex_);
-    inline_run = workers_.empty() || n == 1;
+    threads = workers_.size() + 1;
   }
-  if (inline_run) {
+  if (threads == 1 || n == 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
   Job job;
   job.n = n;
+  // About eight claims per thread: one atomic per chunk, not per index,
+  // while the last chunks still even out uneven iterations.
+  job.chunk = std::max<std::size_t>(1, n / (8 * threads));
   job.body = &body;
   {
     std::lock_guard<std::mutex> lock(mutex_);

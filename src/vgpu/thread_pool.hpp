@@ -46,9 +46,12 @@ class ThreadPool {
 
   unsigned num_threads() const { return static_cast<unsigned>(workers_.size()) + 1; }
 
-  /// Run body(i) for every i in [0, n), dynamically load-balanced.
+  /// Run body(i) for every i in [0, n).  Threads claim chunks of
+  /// max(1, n / (8 * num_threads())) consecutive indices from a shared
+  /// counter, so a launch pays one atomic per chunk, not per index.
   /// Blocks until all iterations complete.  Exceptions thrown by `body`
-  /// are captured and the first one is rethrown on the calling thread.
+  /// are captured and the first one is rethrown on the calling thread;
+  /// indices not yet run when it is thrown may be skipped.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// Enqueue a one-off task for a worker thread.  Returns false — and
@@ -73,6 +76,7 @@ class ThreadPool {
  private:
   struct Job {
     std::size_t n = 0;
+    std::size_t chunk = 1;  ///< indices per claim
     const std::function<void(std::size_t)>* body = nullptr;
     std::atomic<std::size_t> next{0};
     /// Workers currently inside run_job for this job; guarded by mutex_.

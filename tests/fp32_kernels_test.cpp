@@ -17,18 +17,11 @@ namespace {
 
 using sparse::coo_to_csr;
 using testing::random_coo;
+using testing::to_float;
 
 sparse::CooMatrix<float> to_float(const sparse::CooD& a) {
   sparse::CooMatrix<float> f(a.num_rows, a.num_cols);
   f.row = a.row;
-  f.col = a.col;
-  f.val.assign(a.val.begin(), a.val.end());
-  return f;
-}
-
-sparse::CsrMatrix<float> to_float(const sparse::CsrD& a) {
-  sparse::CsrMatrix<float> f(a.num_rows, a.num_cols);
-  f.row_offsets = a.row_offsets;
   f.col = a.col;
   f.val.assign(a.val.begin(), a.val.end());
   return f;

@@ -351,6 +351,58 @@ TEST(ServeChaos, SpaddAbsorbsInjectedOomWithoutRetry) {
   EXPECT_EQ(got.r.modeled_ms, ref.r.modeled_ms);
 }
 
+// A fault the row-block step-down cannot absorb goes through the engine's
+// retry.  The devices are capped (MPS_FAULT_CAPACITY) below the whole
+// block's footprint, so every attempt's block overflows on its first
+// reservation and steps down to row chunks; the injected OOM then lands
+// on the first chunk's first reservation (allocation 2), where no
+// further step-down exists.  The engine retries once, the second attempt
+// steps down like the fault-free twin, and C and modeled time are the
+// twin's, the latter plus exactly the policy's backoff.
+TEST(ServeChaos, MatrixOpOomInsideStepDownIsRetriedWithExactBackoff) {
+  CleanFaultEnv env;
+  EnvVarGuard capacity("MPS_FAULT_CAPACITY", "65536");
+  const auto a = make_matrix(8);
+  const auto b = make_matrix(18);
+  for (const bool spgemm : {false, true}) {
+    SCOPED_TRACE(spgemm ? "spgemm" : "spadd");
+    auto cfg = test_config(1, 1);
+    cfg.start_paused = true;
+    cfg.retry.max_attempts = 3;
+    cfg.retry.jitter_frac = 0.25;
+    struct Run {
+      MatrixHandle h = 0;
+      MatrixResult r;
+      long long retries = 0;
+    };
+    const auto run = [&](const EngineConfig& run_cfg) {
+      Run out;
+      Engine engine(run_cfg);
+      out.h = engine.register_matrix(a);
+      const MatrixHandle hb = engine.register_matrix(b);
+      auto f = spgemm ? engine.submit_spgemm(out.h, hb)
+                      : engine.submit_spadd(out.h, hb);
+      engine.resume();
+      out.r = f.get();
+      engine.shutdown();
+      out.retries = engine.stats().retries;
+      return out;
+    };
+    const Run ref = run(cfg);
+    cfg.chaos = vgpu::ChaosSchedule::parse("oom@alloc=2");
+    cfg.chaos_enabled = 1;
+    const Run got = run(cfg);
+    ASSERT_EQ(got.h, ref.h);
+    EXPECT_EQ(ref.retries, 0) << "the twin's overflow is absorbed in-kernel";
+    EXPECT_EQ(got.retries, 1);
+    EXPECT_TRUE(testing::bitwise_equal(got.r.c, ref.r.c));
+    const double expected_backoff = cfg.retry.backoff_ms(1, ref.h);
+    EXPECT_GT(expected_backoff, 0.0);
+    EXPECT_EQ(got.r.modeled_ms, ref.r.modeled_ms + expected_backoff)
+        << "backoff must be charged into modeled time, bit for bit";
+  }
+}
+
 TEST(ServeChaos, DeadlineIsRecheckedBeforeEachRetry) {
   CleanFaultEnv env;
   // Integrity guards on: a repeating bit flip corrupts every allocation's

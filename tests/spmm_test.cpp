@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "baselines/seq.hpp"
@@ -118,9 +120,10 @@ TEST(Spmm, CheaperThanRepeatedSpmv) {
 // ---------------------------------------------------------------------------
 // SpMM is the SpMV launch over k vectors: one `merge.spmv_reduce` whose
 // cost is pinned to the independent per-CTA formula of
-// tests/merge_cost.hpp, planned and one-shot, at k = 1, 4 and 8.
+// tests/merge_cost.hpp, planned and one-shot, at k = 1, 3, 4, 5, 8, 9
+// and 17 (widths below, at and across the 8-column register tile).
 
-constexpr index_t kFusedVectorCounts[] = {1, 4, 8};
+constexpr index_t kFusedVectorCounts[] = {1, 3, 4, 5, 8, 9, 17};
 
 TEST(SpmmFusedTail, SpanningRowsCostOneLaunchAndStayBitwise) {
   const auto a = testing::spanning_rows_csr(/*empty_rows=*/false, 83);
@@ -139,41 +142,96 @@ TEST(SpmmFusedTail, EmptyRowsCostOneLaunchAndStayBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Planned-SpMM oracle: planned and one-shot SpMM over every fuzz regime
-// and tile geometry, each column memcmp-equal to seq::spmv.
+// Planned-SpMM oracle: planned and one-shot SpMM over every fuzz regime,
+// tile geometry and vector count from 1 to 9 and around 16 (the register
+// tile is 8 columns wide, so 9, 15, 16 and 17 cross it), in double and
+// float, each column memcmp-equal to the sequential reference.
 
-class SpmmOracleTest : public ::testing::TestWithParam<testing::Regime> {};
+constexpr index_t kOracleVectorCounts[] = {1, 2, 3, 4,  5,  6,
+                                           7, 8, 9, 15, 16, 17};
 
-TEST_P(SpmmOracleTest, PlannedAndOneShotColumnsMatchSeqBitwise) {
-  const auto a = testing::make_regime_matrix(GetParam(), 1);
+/// Sequential y = A x in V: seq::spmv for double, and the same canonical
+/// loop (+0 start, ascending position) for float.
+template <typename V>
+void seq_spmv(const sparse::CsrMatrix<V>& a, std::span<const V> x,
+              std::span<V> y) {
+  if constexpr (std::is_same_v<V, double>) {
+    baselines::seq::spmv(a, x, y);
+  } else {
+    for (index_t r = 0; r < a.num_rows; ++r) {
+      V acc{};
+      for (index_t i = a.row_offsets[static_cast<std::size_t>(r)];
+           i < a.row_offsets[static_cast<std::size_t>(r) + 1]; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        acc += a.val[u] * x[static_cast<std::size_t>(a.col[u])];
+      }
+      y[static_cast<std::size_t>(r)] = acc;
+    }
+  }
+}
+
+/// Column j of the row-major block `y` (rows x k) must be memcmp-equal
+/// to seq_spmv of column j of `x`.
+template <typename V>
+void expect_columns_match_reference(const sparse::CsrMatrix<V>& a,
+                                    const std::vector<V>& x,
+                                    const std::vector<V>& y, std::size_t k) {
+  std::vector<V> xj(static_cast<std::size_t>(a.num_cols));
+  std::vector<V> ref(static_cast<std::size_t>(a.num_rows));
+  std::vector<V> col(ref.size());
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t c = 0; c < xj.size(); ++c) xj[c] = x[c * k + j];
+    seq_spmv<V>(a, xj, ref);
+    for (std::size_t r = 0; r < col.size(); ++r) col[r] = y[r * k + j];
+    ASSERT_EQ(std::memcmp(col.data(), ref.data(), ref.size() * sizeof(V)), 0)
+        << "column " << j << " of " << k;
+  }
+}
+
+template <typename V>
+void expect_oracle_widths(const sparse::CsrMatrix<V>& a) {
   for (const core::merge::SpmvConfig& cfg : testing::kTileConfigs) {
     vgpu::Device dev;
     const auto plan = core::merge::spmv_plan(dev, a, cfg);
-    for (const index_t k : {1, 3, 8}) {
-      SCOPED_TRACE(std::to_string(cfg.block_threads) + "x" +
+    for (const index_t k : kOracleVectorCounts) {
+      SCOPED_TRACE(std::string(sizeof(V) == 4 ? "float " : "double ") +
+                   std::to_string(cfg.block_threads) + "x" +
                    std::to_string(cfg.items_per_thread) + " k=" +
                    std::to_string(k));
       const std::size_t kv = static_cast<std::size_t>(k);
       util::Rng rng(static_cast<std::uint64_t>(a.nnz()) + kv);
-      std::vector<double> x(static_cast<std::size_t>(a.num_cols) * kv);
-      for (auto& v : x) v = rng.uniform_double(-1, 1);
+      std::vector<V> x(static_cast<std::size_t>(a.num_cols) * kv);
+      for (auto& v : x) v = static_cast<V>(rng.uniform_double(-1, 1));
       const std::size_t out = static_cast<std::size_t>(a.num_rows) * kv;
-      std::vector<double> planned(out, -9.0);
-      std::vector<double> one_shot(out, -9.0);
-      const auto sp = core::merge::spmv_execute(dev, a, x, planned, plan, k);
-      core::merge::spmv(dev, a, x, one_shot, cfg, k);
-      testing::expect_columns_match_seq(a, x, planned, kv);
-      testing::expect_columns_match_seq(a, x, one_shot, kv);
+      std::vector<V> planned(out, V(-9));
+      std::vector<V> one_shot(out, V(-9));
+      const auto sp = core::merge::spmv_execute(dev, a, std::span<const V>(x),
+                                                std::span<V>(planned), plan, k);
+      core::merge::spmv(dev, a, std::span<const V>(x), std::span<V>(one_shot),
+                        cfg, k);
+      expect_columns_match_reference(a, x, planned, kv);
+      expect_columns_match_reference(a, x, one_shot, kv);
       if (k == 1) {
         // Planned k = 1 is spmv_execute, in y and in modeled time.
-        std::vector<double> y(out, -9.0);
-        const auto se = core::merge::spmv_execute(dev, a, x, y, plan);
-        EXPECT_EQ(std::memcmp(y.data(), planned.data(), out * sizeof(double)),
-                  0);
+        std::vector<V> y(out, V(-9));
+        const auto se = core::merge::spmv_execute(
+            dev, a, std::span<const V>(x), std::span<V>(y), plan);
+        EXPECT_EQ(std::memcmp(y.data(), planned.data(), out * sizeof(V)), 0);
         EXPECT_EQ(se.modeled_ms(), sp.modeled_ms());
       }
     }
   }
+}
+
+class SpmmOracleTest : public ::testing::TestWithParam<testing::Regime> {};
+
+TEST_P(SpmmOracleTest, PlannedAndOneShotColumnsMatchSeqBitwise) {
+  expect_oracle_widths(testing::make_regime_matrix(GetParam(), 1));
+}
+
+TEST_P(SpmmOracleTest, Fp32PlannedAndOneShotColumnsMatchSeqBitwise) {
+  expect_oracle_widths(
+      testing::to_float(testing::make_regime_matrix(GetParam(), 1)));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -32,15 +32,7 @@ using sparse::CsrD;
 
 using testing::Regime;
 using testing::regime_name;
-
-sparse::CsrMatrix<float> to_float(const CsrD& a) {
-  sparse::CsrMatrix<float> f(a.num_rows, a.num_cols);
-  f.row_offsets = a.row_offsets;
-  f.col = a.col;
-  f.val.reserve(a.val.size());
-  for (const double v : a.val) f.val.push_back(static_cast<float>(v));
-  return f;
-}
+using testing::to_float;
 
 class SpmvPlanDifferentialTest
     : public ::testing::TestWithParam<std::tuple<Regime, bool>> {

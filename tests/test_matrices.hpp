@@ -91,6 +91,15 @@ inline sparse::CsrD spanning_rows_csr(bool empty_rows, std::uint64_t seed) {
   return sparse::coo_to_csr(a);
 }
 
+/// A's pattern with its values rounded to float.
+inline sparse::CsrMatrix<float> to_float(const sparse::CsrD& a) {
+  sparse::CsrMatrix<float> f(a.num_rows, a.num_cols);
+  f.row_offsets = a.row_offsets;
+  f.col = a.col;
+  f.val.assign(a.val.begin(), a.val.end());
+  return f;
+}
+
 /// Dense multiply reference (small shapes only).
 inline std::vector<double> dense_of(const sparse::CsrD& a) {
   std::vector<double> d(static_cast<std::size_t>(a.num_rows) *

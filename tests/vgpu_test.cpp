@@ -48,6 +48,39 @@ TEST(ThreadPool, PropagatesException) {
                std::runtime_error);
 }
 
+TEST(ThreadPool, ChunkedClaimsCoverEachIndexOnce) {
+  for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+    ThreadPool pool(threads);
+    for (const std::size_t n : {1u, 2u, 7u, 31u, 32u, 33u, 257u, 4097u}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "index " << i << " of " << n << ", " << threads << " threads";
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, PropagatesExceptionFromMidChunk) {
+  // 4096 indices on 4 threads claim chunks of 4096 / 32 = 128: index 448
+  // is the middle of the chunk [384, 512).  The throw skips the rest of
+  // that chunk, and the pool stays usable.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(4096);
+  EXPECT_THROW(pool.parallel_for(4096,
+                                 [&](std::size_t i) {
+                                   if (i == 448) throw std::runtime_error("boom");
+                                   hits[i].fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(hits[447].load(), 1);  // earlier in the same chunk
+  for (std::size_t i = 449; i < 512; ++i) EXPECT_EQ(hits[i].load(), 0) << i;
+  std::atomic<int> after{0};
+  pool.parallel_for(100, [&](std::size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 100);
+}
+
 TEST(ThreadPool, ReusableAcrossJobs) {
   ThreadPool pool(3);
   for (int rep = 0; rep < 20; ++rep) {
@@ -359,9 +392,12 @@ TEST(DeviceTail, EmptyGridStillRunsTheTailOnce) {
 }
 
 TEST(DeviceTail, PoolProbe) {
-  // Prints the fused launch's exact modeled figures for the pool-size
+  // Prints the exact modeled figures of two launches for the pool-size
   // comparison below.  CTAs finish in a host-schedule-dependent order
-  // (later CTAs sleep less), which the tail's charge must not see.
+  // (later CTAs sleep less), which the tail's charge must not see.  The
+  // second launch charges hundreds of times per CTA over enough CTAs
+  // that pool threads claim chunks of several: each CTA's counters must
+  // land in its own slot whole, whichever thread ran it.
   Device dev = tail_test_device();
   const KernelStats s = dev.launch(
       "probe", 64, 128,
@@ -371,9 +407,33 @@ TEST(DeviceTail, PoolProbe) {
         tail_test_grid(cta);
       },
       tail_test_fixup);
-  std::printf("tail-probe pool=%u cycles=%a ms=%a tail=%a\n",
-              global_pool().num_threads(), s.device_cycles, s.modeled_ms,
-              s.tail_ms);
+  const KernelStats m = dev.launch(
+      "probe_many", 600, 128,
+      [](Cta& cta) {
+        const auto id = static_cast<std::size_t>(cta.cta_id());
+        for (std::size_t j = 0; j < 200 + id % 13; ++j) {
+          cta.charge_global(8 * (j % 5 + 1));
+          cta.charge_gather(j % 3);
+          cta.charge_shared_elems(id % 40 + j);
+          cta.charge_alu_uniform(j + id);
+          cta.charge_flops(2);
+        }
+        cta.charge_sync();
+      },
+      tail_test_fixup);
+  CtaCounters totals;
+  for (const KernelStats& k : dev.log()) totals += k.totals;
+  std::printf(
+      "tail-probe pool=%u cycles=%a ms=%a tail=%a many=%a/%a totals=%llu/%llu/"
+      "%llu/%llu/%llu/%llu\n",
+      global_pool().num_threads(), s.device_cycles, s.modeled_ms, s.tail_ms,
+      m.device_cycles, m.modeled_ms,
+      static_cast<unsigned long long>(totals.global_bytes),
+      static_cast<unsigned long long>(totals.gather_bytes),
+      static_cast<unsigned long long>(totals.shared_ops),
+      static_cast<unsigned long long>(totals.warp_iters),
+      static_cast<unsigned long long>(totals.syncs),
+      static_cast<unsigned long long>(totals.flops));
 }
 
 TEST(DeviceTail, ModeledTimeIdenticalAtPoolSizes1And4) {
