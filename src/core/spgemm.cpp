@@ -1,9 +1,10 @@
 #include "core/spgemm.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <memory>
+#include <atomic>
+#include <bit>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "primitives/cta_radix_sort.hpp"
@@ -11,7 +12,6 @@
 #include "primitives/scan.hpp"
 #include "primitives/search.hpp"
 #include "resilience/integrity.hpp"
-#include "sparse/convert.hpp"
 #include "sparse/validate.hpp"
 #include "telemetry/span.hpp"
 #include "util/timer.hpp"
@@ -43,32 +43,16 @@ struct ProductTiling {
   }
 };
 
-/// Walks the product range [p_lo, p_hi) of the expansion described by the
-/// scan S one source nonzero of A at a time, invoking fn(off, len, k, bk):
-/// the range's products [off, off + len) are source k's, multiplying B's
-/// entries [bk, bk + len).  Returns the number of sources the range
-/// spans, counting those whose B row is empty.
-template <typename Fn>
-std::size_t expand_products(const CsrD& a, const CsrD& b,
-                            std::span<const std::uint64_t> S, std::size_t p_lo,
-                            std::size_t p_hi, Fn&& fn) {
+/// The number of source nonzeros of A that the product range [p_lo, p_hi)
+/// of the expansion described by the scan S spans: from the source
+/// holding p_lo through the one holding p_hi - 1, counting those between
+/// whose B row is empty.
+std::size_t range_sources(std::span<const std::uint64_t> S, std::size_t p_lo,
+                          std::size_t p_hi) {
   if (p_lo >= p_hi) return 0;
-  const std::size_t a_nnz = static_cast<std::size_t>(a.nnz());
-  const std::size_t k0 = primitives::segment_of(
-      S.first(a_nnz), static_cast<std::uint64_t>(p_lo));
-  std::size_t k = k0;
-  for (std::size_t p = p_lo;; ++k) {
-    const std::size_t end = std::min(static_cast<std::size_t>(S[k + 1]), p_hi);
-    if (end > p) {
-      const auto bk = static_cast<std::size_t>(
-          b.row_offsets[static_cast<std::size_t>(a.col[k])]) +
-          (p - static_cast<std::size_t>(S[k]));
-      fn(p - p_lo, end - p, k, bk);
-      p = end;
-    }
-    if (p == p_hi) break;
-  }
-  return k - k0 + 1;
+  const auto starts = S.first(S.size() - 1);
+  return primitives::segment_of(starts, static_cast<std::uint64_t>(p_hi - 1)) -
+         primitives::segment_of(starts, static_cast<std::uint64_t>(p_lo)) + 1;
 }
 
 void charge_expansion(vgpu::Cta& cta, std::size_t a_nnz, std::size_t count,
@@ -87,266 +71,230 @@ void charge_expansion(vgpu::Cta& cta, std::size_t a_nnz, std::size_t count,
   cta.charge_alu_uniform(2 * count);
 }
 
-/// Per-thread scratch of the block-sort, products and reduce CTA bodies,
-/// reused across CTAs and launches so a CTA body allocates nothing.
-struct CtaScratch {
-  std::vector<index_t> rows, cols, urows, ucols;
-  std::vector<std::uint32_t> order, row_order, hist, lens;
-  std::vector<std::uint64_t> wide;
-  std::vector<double> vals, sums;
+/// A's rows cut into consecutive ranges of about kRowGrain products each,
+/// the unit the host row passes run on the vgpu pool: range i is rows
+/// [cuts[i], cuts[i + 1]).
+std::vector<index_t> row_ranges(const CsrD& a,
+                                std::span<const std::uint64_t> S) {
+  constexpr std::uint64_t kRowGrain = 1 << 13;
+  std::vector<index_t> cuts{0};
+  std::uint64_t base = 0;
+  for (index_t r = 0; r < a.num_rows; ++r) {
+    const auto next = static_cast<std::size_t>(r) + 1;
+    const std::uint64_t end = S[static_cast<std::size_t>(a.row_offsets[next])];
+    if (end - base >= kRowGrain || r + 1 == a.num_rows) {
+      cuts.push_back(r + 1);
+      base = end;
+    }
+  }
+  return cuts;
+}
+
+/// Per-thread scratch of the host row passes, dense over B's columns and
+/// kept across calls, so a call allocates none of it once a thread has
+/// seen B's width.
+struct RowScratch {
+  /// Symbolic, per column the current row touched: the last tile holding
+  /// one of the entry's products, and how many tiles do.
+  struct Stamp {
+    std::uint32_t tile = 0;
+    std::uint32_t tiles = 0;
+  };
+  std::vector<Stamp> stamp;
+  std::vector<index_t> touched;
+  /// Symbolic: one bit per column the current row touched, all clear
+  /// between rows.
+  std::vector<std::uint64_t> touched_bits;
+  /// Numeric: column -> C entry of the current row.
+  std::vector<index_t> pos;
 };
 
-CtaScratch& cta_scratch() {
-  thread_local CtaScratch scratch;
+RowScratch& row_scratch() {
+  thread_local RowScratch scratch;
   return scratch;
 }
 
-/// Grows `v` to at least `n` elements and returns its storage.
+/// Grows `v` to at least `n` value-initialized elements; returns its data.
 template <typename T>
 T* at_least(std::vector<T>& v, std::size_t n) {
   if (v.size() < n) v.resize(n);
   return v.data();
 }
 
-/// A counting pass sorts keys that span at most this many values per
-/// key; wider keys sort as (key, index) pairs instead.
-constexpr std::size_t kCountingSpanPerKey = 8;
-
-/// order[0..n) = the indices of keys[0..n) sorted by key, ties by index:
-/// the stable order a radix sort on the keys produces.
-void stable_order(const index_t* keys, std::size_t n, std::uint32_t* order,
-                  CtaScratch& sc) {
-  if (n == 0) return;
-  const auto [lo_it, hi_it] = std::minmax_element(keys, keys + n);
-  const index_t lo = *lo_it;
-  const auto span = static_cast<std::size_t>(*hi_it - lo) + 1;
-  if (span == 1) {
-    std::iota(order, order + n, 0u);
+/// Sorts the current row's touched columns and clears their bits.  A row
+/// whose column span is narrow next to its sort cost reads its columns
+/// off the bitmap in order; a wider one sorts them.
+void order_touched(RowScratch& sc) {
+  std::vector<index_t>& t = sc.touched;
+  std::uint64_t* bits = sc.touched_bits.data();
+  if (t.empty()) return;
+  const auto [lo_it, hi_it] = std::minmax_element(t.begin(), t.end());
+  const auto w_lo = static_cast<std::size_t>(*lo_it) / 64;
+  const auto w_hi = static_cast<std::size_t>(*hi_it) / 64;
+  const auto sort_cost =
+      t.size() * static_cast<std::size_t>(std::bit_width(t.size()));
+  if (w_hi - w_lo > sort_cost) {
+    std::sort(t.begin(), t.end());
+    for (const index_t col : t) bits[static_cast<std::size_t>(col) / 64] = 0;
     return;
   }
-  if (span <= kCountingSpanPerKey * n) {
-    sc.hist.assign(span, 0);
-    std::uint32_t* hist = sc.hist.data();
-    for (std::size_t i = 0; i < n; ++i) ++hist[keys[i] - lo];
-    std::uint32_t acc = 0;
-    for (std::size_t d = 0; d < span; ++d) {
-      const std::uint32_t c = hist[d];
-      hist[d] = acc;
-      acc += c;
+  std::size_t n = 0;
+  for (std::size_t w = w_lo; w <= w_hi; ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      t[n++] = static_cast<index_t>(64 * w + static_cast<std::size_t>(
+                                                 std::countr_zero(word)));
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      order[hist[keys[i] - lo]++] = static_cast<std::uint32_t>(i);
-    }
-    return;
-  }
-  std::uint64_t* wide = at_least(sc.wide, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    wide[i] = (static_cast<std::uint64_t>(keys[i]) << 32) | i;
-  }
-  std::sort(wide, wide + n);
-  for (std::size_t i = 0; i < n; ++i) {
-    order[i] = static_cast<std::uint32_t>(wide[i]);
+    bits[w] = 0;
   }
 }
 
-/// Sorts [first, last) made of ascending runs by bottom-up merging of
-/// adjacent natural runs.  std::inplace_merge keeps the earlier run's
-/// element first on ties.
-void merge_natural_runs(std::uint64_t* first, std::uint64_t* last,
-                        std::vector<std::size_t>& bounds) {
-  const auto n = static_cast<std::size_t>(last - first);
-  bounds.assign(1, 0);
-  for (std::size_t i = 1; i < n; ++i) {
-    if (first[i] < first[i - 1]) bounds.push_back(i);
-  }
-  if (bounds.size() == 1) return;
-  bounds.push_back(n);
-  while (bounds.size() > 2) {
-    std::size_t out = 1;
-    std::size_t i = 0;
-    for (; i + 2 < bounds.size(); i += 2) {
-      std::inplace_merge(first + bounds[i], first + bounds[i + 1],
-                         first + bounds[i + 2]);
-      bounds[out++] = bounds[i + 2];
-    }
-    if (i + 1 < bounds.size()) bounds[out++] = bounds[i + 1];
-    bounds.resize(out);
-  }
-}
-
-/// One block-sort CTA's unique tuples regrouped by row for the global
-/// pass.  `ent` holds (col << 32 | u), u being the tuple's index in the
-/// CTA's pre-sort (column-major) order, row by row in ascending row order
-/// and, within a row, in ascending column order; `rows` holds each row's
-/// (row, count).
-struct CtaTuples {
-  std::vector<std::uint64_t> ent;
-  std::vector<std::pair<index_t, std::uint32_t>> rows;
-};
-
-/// Stable regrouping by row of a CTA's n uniques, given in column-major
-/// order as (urow[u], ucol[u]).
-void group_by_row(const index_t* urow, const index_t* ucol, std::size_t n,
-                  CtaScratch& sc, CtaTuples& out) {
-  std::uint32_t* order = at_least(sc.row_order, n);
-  stable_order(urow, n, order, sc);
-  out.ent.resize(n);
-  out.rows.clear();
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t u = order[j];
-    out.ent[j] = (static_cast<std::uint64_t>(ucol[u]) << 32) | u;
-    if (out.rows.empty() || out.rows.back().first != urow[u]) {
-      out.rows.emplace_back(urow[u], 0);
-    }
-    ++out.rows.back().second;
-  }
-}
-
-/// The global sort's stable order and C's pattern, computed from the
-/// structure of the block sort's output rather than by radix passes.
-/// The device sort orders the per-CTA unique tuples, packed as
-/// row << col_bits | col, by all their bits, ties by pre-sort position.
-/// Two facts make that a per-row problem:
-///   * rows never decrease from one CTA to the next, because the tiles
-///     cut the row-major product stream in order;
-///   * each CTA emits any one row's columns in ascending order, because
-///     its tuples are sorted by column, ties by row.
-/// So the order is a stable counting sort on rows, plus, in a row that
-/// spans CTAs, a stable merge of its CTAs' runs in which the earlier run
-/// wins ties.  The same per-row pass writes rank (pre-sort position ->
-/// sorted index), C's columns and row offsets, and seg (each C entry's
-/// range of the sorted stream).
-void global_order_and_pattern(std::span<const CtaTuples> ctas,
-                              std::span<const std::uint64_t> unique_offset,
-                              std::vector<std::uint32_t>& rank,
-                              std::vector<index_t>& seg, CsrD& c) {
-  // One job per nonempty row of C: its CTA groups, in CTA order.
-  struct Group {
-    std::uint32_t cta, begin, count;
+/// The symbolic row pass: C's pattern (values zeroed) and the counts the
+/// modeled kernels' charges read, from one Gustavson walk of A's rows.
+/// Product p of the expansion sits in tile (p + phase) / tile.  Each C
+/// entry gets the number of tiles holding one of its products
+/// (`entry_tiles`: its run length in the globally sorted stream), and
+/// each tile t gets, added into tile_unique[t], its number of distinct C
+/// entries (the tuples its block sort keeps).  Those are integer sums, so
+/// the pool threads' order does not matter.
+void symbolic_rows(const CsrD& a, const CsrD& b,
+                   std::span<const std::uint64_t> S, std::size_t tile,
+                   std::size_t phase, std::vector<std::uint64_t>& tile_unique,
+                   std::vector<std::uint32_t>& entry_tiles, CsrD& c) {
+  const std::vector<index_t> cuts = row_ranges(a, S);
+  const std::size_t num_ranges = cuts.size() - 1;
+  struct RangeOut {
+    std::vector<index_t> cols;
+    std::vector<std::uint32_t> tiles;
   };
-  struct RowJob {
-    index_t row;
-    std::size_t group_begin, group_end;
-    std::uint64_t start = 0;   ///< first index in the sorted stream
-    std::uint64_t count = 0;   ///< tuples (sorted-stream entries)
-    std::uint64_t merged = 0;  ///< offset into `spans` (spanning rows)
-    index_t distinct = 0;      ///< C entries
-    bool spans_ctas() const { return group_end - group_begin > 1; }
-  };
-  std::vector<Group> groups;
-  std::vector<RowJob> jobs;
-  std::uint64_t m = 0;
-  for (std::size_t t = 0; t < ctas.size(); ++t) {
-    std::uint32_t begin = 0;
-    for (const auto& [row, count] : ctas[t].rows) {
-      if (jobs.empty() || jobs.back().row != row) {
-        MPS_CHECK(jobs.empty() || jobs.back().row < row);
-        jobs.push_back({row, groups.size(), groups.size()});
-        jobs.back().start = m;
-      }
-      groups.push_back({static_cast<std::uint32_t>(t), begin, count});
-      jobs.back().group_end = groups.size();
-      jobs.back().count += count;
-      begin += count;
-      m += count;
-    }
-  }
-  MPS_CHECK(m <= std::numeric_limits<std::uint32_t>::max());
-  std::uint64_t merged_size = 0;
-  for (RowJob& job : jobs) {
-    if (!job.spans_ctas()) continue;
-    job.merged = merged_size;
-    merged_size += job.count;
-  }
-
-  // Job ranges of about kGrain tuples each, run on the vgpu pool.  Every
-  // job writes only its own row's outputs.
-  constexpr std::uint64_t kGrain = 1 << 15;
-  std::vector<std::size_t> cuts{0};
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (jobs[j].start + jobs[j].count - jobs[cuts.back()].start >= kGrain) {
-      cuts.push_back(j + 1);
-    }
-  }
-  if (cuts.back() != jobs.size()) cuts.push_back(jobs.size());
-  auto for_each_job = [&](auto&& fn) {
-    vgpu::global_pool().parallel_for(cuts.size() - 1, [&](std::size_t r) {
-      for (std::size_t j = cuts[r]; j < cuts[r + 1]; ++j) fn(jobs[j]);
-    });
-  };
-  auto position = [&](const Group& g, std::uint64_t e) {
-    return unique_offset[g.cta] + (e & 0xffffffffu);
-  };
-
-  // A row spanning CTAs merges its runs, as (col << 32 | position), in a
-  // per-thread buffer, writes its ranks, and keeps only its C entries,
-  // as (col << 32 | seg - start), in its slice of `spans`.  The slice is
-  // sized for every tuple but filled only up to the row's entries, and
-  // is left uninitialized, so the pages beyond them are never touched.
-  rank.resize(m);
-  const std::unique_ptr<std::uint64_t[]> spans(new std::uint64_t[merged_size]);
-  for_each_job([&](RowJob& job) {
-    if (!job.spans_ctas()) {
-      job.distinct = static_cast<index_t>(job.count);
-      return;
-    }
-    thread_local std::vector<std::uint64_t> run;
-    thread_local std::vector<std::size_t> bounds;
-    std::uint64_t* first = at_least(run, job.count);
-    std::uint64_t* last = first;
-    for (std::size_t gi = job.group_begin; gi < job.group_end; ++gi) {
-      const Group& g = groups[gi];
-      for (std::uint32_t k = 0; k < g.count; ++k) {
-        const std::uint64_t e = ctas[g.cta].ent[g.begin + k];
-        *last++ = (e & ~std::uint64_t{0xffffffffu}) | position(g, e);
-      }
-    }
-    merge_natural_runs(first, last, bounds);
-    std::uint64_t* out = spans.get() + job.merged;
-    std::uint64_t prev_col = ~std::uint64_t{0};
-    for (std::uint64_t k = 0; k < job.count; ++k) {
-      const std::uint64_t col = first[k] >> 32;
-      rank[first[k] & 0xffffffffu] = static_cast<std::uint32_t>(job.start + k);
-      if (col != prev_col) {
-        prev_col = col;
-        out[job.distinct++] = (col << 32) | k;
-      }
-    }
-  });
-
-  const auto num_rows = static_cast<std::size_t>(c.num_rows);
+  std::vector<RangeOut> outs(num_ranges);
+  constexpr std::uint32_t kNoTile = ~std::uint32_t{0};
+  const auto num_rows = static_cast<std::size_t>(a.num_rows);
   c.row_offsets.assign(num_rows + 1, 0);
-  for (const RowJob& job : jobs) {
-    c.row_offsets[static_cast<std::size_t>(job.row) + 1] = job.distinct;
-  }
+  vgpu::global_pool().parallel_for(num_ranges, [&](std::size_t i) {
+    RowScratch& sc = row_scratch();
+    const auto num_cols = static_cast<std::size_t>(b.num_cols);
+    RowScratch::Stamp* stamp = at_least(sc.stamp, num_cols);
+    std::uint64_t* bits = at_least(sc.touched_bits, num_cols / 64 + 1);
+    // Every set bit is in `touched`, so this clears what a row left when
+    // a throw cut it short.
+    for (const index_t col : sc.touched) {
+      bits[static_cast<std::size_t>(col) / 64] = 0;
+    }
+    RangeOut& out = outs[i];
+    // This range's distinct entries in tile cur_tile so far; a tile may
+    // continue in the neighbouring ranges, so it is added atomically.
+    std::uint32_t cur_tile = 0;
+    std::uint64_t cur_count = 0;
+    auto flush = [&] {
+      if (cur_count == 0) return;
+      std::atomic_ref<std::uint64_t>(tile_unique[cur_tile])
+          .fetch_add(cur_count, std::memory_order_relaxed);
+      cur_count = 0;
+    };
+    for (auto r = static_cast<std::size_t>(cuts[i]);
+         r < static_cast<std::size_t>(cuts[i + 1]); ++r) {
+      sc.touched.clear();
+      for (auto k = static_cast<std::size_t>(a.row_offsets[r]);
+           k < static_cast<std::size_t>(a.row_offsets[r + 1]); ++k) {
+        const auto acol = static_cast<std::size_t>(a.col[k]);
+        auto j = static_cast<std::size_t>(b.row_offsets[acol]);
+        const auto j_end = static_cast<std::size_t>(b.row_offsets[acol + 1]);
+        std::size_t p = static_cast<std::size_t>(S[k]) + phase;
+        // The source's products, one tile-sized piece at a time.
+        while (j < j_end) {
+          const auto t = static_cast<std::uint32_t>(p / tile);
+          const std::size_t piece_end =
+              std::min(j_end, j + (static_cast<std::size_t>(t) + 1) * tile - p);
+          if (t != cur_tile) {
+            flush();
+            cur_tile = t;
+          }
+          p += piece_end - j;
+          for (; j < piece_end; ++j) {
+            const auto col = static_cast<std::size_t>(b.col[j]);
+            const std::uint64_t bit = std::uint64_t{1} << (col % 64);
+            RowScratch::Stamp& st = stamp[col];
+            if ((bits[col / 64] & bit) == 0) {
+              // The row's first product in this column: a new C entry,
+              // with no tile yet (tiles never reach kNoTile).
+              sc.touched.push_back(static_cast<index_t>(col));
+              bits[col / 64] |= bit;
+              st = {kNoTile, 0};
+            }
+            // A new (entry, tile) pair, counted without a branch: tile
+            // changes within an entry are too frequent to predict.
+            const std::uint32_t fresh = st.tile != t;
+            st.tile = t;
+            st.tiles += fresh;
+            cur_count += fresh;
+          }
+        }
+      }
+      order_touched(sc);
+      for (const index_t col : sc.touched) {
+        out.cols.push_back(col);
+        out.tiles.push_back(stamp[col].tiles);
+      }
+      c.row_offsets[r + 1] = static_cast<index_t>(sc.touched.size());
+    }
+    flush();
+  });
   for (std::size_t r = 0; r < num_rows; ++r) {
     c.row_offsets[r + 1] += c.row_offsets[r];
   }
   const auto out_n = static_cast<std::size_t>(c.row_offsets[num_rows]);
   c.col.resize(out_n);
   c.val.assign(out_n, 0.0);
-  seg.resize(out_n + 1);
-  for_each_job([&](const RowJob& job) {
+  entry_tiles.resize(out_n);
+  vgpu::global_pool().parallel_for(num_ranges, [&](std::size_t i) {
     const auto e = static_cast<std::size_t>(
-        c.row_offsets[static_cast<std::size_t>(job.row)]);
-    if (job.spans_ctas()) {
-      const std::uint64_t* entries = spans.get() + job.merged;
-      for (index_t k = 0; k < job.distinct; ++k) {
-        const auto ek = e + static_cast<std::size_t>(k);
-        c.col[ek] = static_cast<index_t>(entries[k] >> 32);
-        seg[ek] = static_cast<index_t>(job.start + (entries[k] & 0xffffffffu));
+        c.row_offsets[static_cast<std::size_t>(cuts[i])]);
+    std::copy(outs[i].cols.begin(), outs[i].cols.end(), c.col.begin() + e);
+    std::copy(outs[i].tiles.begin(), outs[i].tiles.end(),
+              entry_tiles.begin() + e);
+  });
+}
+
+/// The numeric row pass: C's values in the canonical Gustavson order.
+/// Each entry starts at +0.0 and adds a_val * b_val in ascending product
+/// position, as seq::spgemm does, so the result is its bits.  `c` holds
+/// the pattern.  A product whose column is not in its row's pattern (a
+/// plan applied to drifted matrices) throws PlanMismatchError instead of
+/// landing in another entry.
+void numeric_rows(const CsrD& a, const CsrD& b,
+                  std::span<const std::uint64_t> S, CsrD& c) {
+  const std::vector<index_t> cuts = row_ranges(a, S);
+  vgpu::global_pool().parallel_for(cuts.size() - 1, [&](std::size_t i) {
+    index_t* pos =
+        at_least(row_scratch().pos, static_cast<std::size_t>(b.num_cols));
+    double* val = c.val.data();
+    for (auto r = static_cast<std::size_t>(cuts[i]);
+         r < static_cast<std::size_t>(cuts[i + 1]); ++r) {
+      const index_t e0 = c.row_offsets[r];
+      const index_t e1 = c.row_offsets[r + 1];
+      for (index_t e = e0; e < e1; ++e) {
+        pos[c.col[static_cast<std::size_t>(e)]] = e;
+        val[e] = 0.0;
       }
-      return;
-    }
-    const Group& g = groups[job.group_begin];
-    for (std::uint32_t k = 0; k < g.count; ++k) {
-      const std::uint64_t ent = ctas[g.cta].ent[g.begin + k];
-      rank[position(g, ent)] = static_cast<std::uint32_t>(job.start + k);
-      c.col[e + k] = static_cast<index_t>(ent >> 32);
-      seg[e + k] = static_cast<index_t>(job.start + k);
+      for (auto k = static_cast<std::size_t>(a.row_offsets[r]);
+           k < static_cast<std::size_t>(a.row_offsets[r + 1]); ++k) {
+        const auto acol = static_cast<std::size_t>(a.col[k]);
+        const double av = a.val[k];
+        for (auto j = static_cast<std::size_t>(b.row_offsets[acol]);
+             j < static_cast<std::size_t>(b.row_offsets[acol + 1]); ++j) {
+          const index_t e = pos[b.col[j]];
+          if (e < e0 || e >= e1 ||
+              c.col[static_cast<std::size_t>(e)] != b.col[j]) {
+            throw PlanMismatchError(
+                "matrix pattern does not match the plan: row " +
+                std::to_string(r) + " gains column " +
+                std::to_string(b.col[j]));
+          }
+          val[e] += av * b.val[j];
+        }
+      }
     }
   });
-  seg[out_n] = static_cast<index_t>(m);
 }
 
 }  // namespace
@@ -501,13 +449,11 @@ SpgemmStats SpgemmPlan::build(vgpu::Device& device, const CsrD& a,
   const int row_bits = std::max(1, log2_ceil(static_cast<std::uint64_t>(
                                     std::max<index_t>(a.num_rows, 1))));
   const int rank_bits = log2_ceil(tile);
-  plan.col_bits_ = col_bits;
   plan.phase_ = static_cast<std::size_t>(origin % tile);
 
   // ======================= Setup =======================================
-  // Row ids of A's nonzeros and the segmented product-offset scan S.
+  // The segmented product-offset scan S over A's nonzeros.
   telemetry::ScopedSpan setup_span("spgemm.setup");
-  plan.a_rows_ = sparse::expand_row_indices(a);
   auto& S = plan.prod_offsets_;
   S.assign(a_nnz + 1, 0);
   for (std::size_t k = 0; k < a_nnz; ++k) {
@@ -535,7 +481,6 @@ SpgemmStats SpgemmPlan::build(vgpu::Device& device, const CsrD& a,
   stats.num_products = plan.num_products_;
   setup_span.end();
   if (num_products == 0) {
-    plan.seg_offsets_.assign(1, 0);
     stats.wall_ms = wall.milliseconds();
     out_plan = std::move(plan);
     return stats;
@@ -546,15 +491,12 @@ SpgemmStats SpgemmPlan::build(vgpu::Device& device, const CsrD& a,
   const int num_ctas = tiling.num_ctas();
   plan.num_ctas_ = num_ctas;
 
-  // Intermediate state carried between the two expansion passes — this is
-  // the scheme's device footprint (what overflows on Dense): a 16-bit
-  // local permutation and a head-flag bit per product, plus the plan's
-  // smaller symbolic arrays.
+  // The modeled kernel's state carried between its two expansion passes
+  // — its device footprint (what overflows on Dense): a 16-bit local
+  // permutation and a head-flag bit per product, plus S.
   plan.device_mem_.emplace(device.memory(),
                            n_prod * sizeof(std::uint16_t) + n_prod / 8 + 1 +
                                (a_nnz + 1) * sizeof(std::uint64_t));
-  plan.perm16_.reset(new std::uint16_t[n_prod]);
-  plan.head_.reset(new std::uint8_t[n_prod]);
 
   // The key-rank embedding fits when col_bits + rank_bits <= 32; otherwise
   // fall back to a key-value pair sort (paper: "when possible").  Sorting
@@ -564,12 +506,13 @@ SpgemmStats SpgemmPlan::build(vgpu::Device& device, const CsrD& a,
       cfg.force_pair_sort || cfg.force_full_bits || (col_bits + rank_bits > 32);
   const int sort_bits = cfg.force_full_bits ? 32 : col_bits;
 
-  // Per-CTA locally-unique tuples, then their compaction offsets.
-  std::vector<CtaTuples> cta_tuples(static_cast<std::size_t>(num_ctas));
-  plan.unique_offset_.assign(static_cast<std::size_t>(num_ctas) + 1, 0);
-
   // ======================= Block Sort ===================================
+  // The host computes C's pattern and every count the symbolic launches
+  // charge in one row pass; the launches below only charge.
   telemetry::ScopedSpan block_sort_span("spgemm.block_sort");
+  plan.unique_offset_.assign(static_cast<std::size_t>(num_ctas) + 1, 0);
+  symbolic_rows(a, b, S, tile, plan.phase_, plan.unique_offset_,
+                plan.entry_tiles_, plan.pattern_);
   {
     primitives::CtaSortConfig sort_cfg;
     sort_cfg.block_threads = cfg.block_threads;
@@ -577,55 +520,20 @@ SpgemmStats SpgemmPlan::build(vgpu::Device& device, const CsrD& a,
     const bool pair_sort = stats.used_pair_sort;
     auto s = device.launch("merge.spgemm_blocksort", num_ctas, cfg.block_threads,
                            [&](vgpu::Cta& cta) {
-      const auto cta_id = static_cast<std::size_t>(cta.cta_id());
+      // The modeled CTA expands its products' (row, col) indices, sorts
+      // them by column with ONE stable bit-limited radix sort (equal
+      // tuples end up adjacent; keys-only embeds the origin rank above
+      // the column bits), flags its locally-unique tuples, and stores
+      // the tuples, the 16-bit permutation and the head flags.
       const std::size_t p_lo = tiling.lo(cta.cta_id());
-      const std::size_t count = tiling.hi(cta.cta_id()) - p_lo;
-      CtaScratch& sc = cta_scratch();
-      index_t* rows = at_least(sc.rows, count);
-      index_t* cols = at_least(sc.cols, count);
-      const std::size_t sources = expand_products(
-          a, b, S, p_lo, p_lo + count,
-          [&](std::size_t off, std::size_t len, std::size_t k, std::size_t bk) {
-            std::fill_n(rows + off, len, plan.a_rows_[k]);
-            std::copy_n(b.col.begin() + static_cast<long>(bk), len, cols + off);
-          });
-      charge_expansion(cta, a_nnz, count, sources, /*with_values=*/false);
-
-      // One bit-limited radix sort on column indices.  Expansion order is
-      // (row-major, column-sorted within each source nonzero), so a single
-      // STABLE pass on columns leaves equal (row, col) tuples adjacent.
-      // Keys-only embeds the origin rank above the column bits; either
-      // way the order is the stable column order, computed directly.
+      const std::size_t p_hi = tiling.hi(cta.cta_id());
+      const std::size_t count = p_hi - p_lo;
+      charge_expansion(cta, a_nnz, count, range_sources(S, p_lo, p_hi),
+                       /*with_values=*/false);
       primitives::cta_radix_sort_charge<std::uint32_t>(
           cta, count, pair_sort, 0, std::min(sort_bits, 32), sort_cfg);
-      std::uint32_t* order = at_least(sc.order, count);
-      stable_order(cols, count, order, sc);
-
-      // Flag locally-unique tuples, store the permutation (16-bit) and the
-      // reduced tuple set, regrouped by row for the global pass.
-      std::uint16_t* perm = plan.perm16_.get() + p_lo;
-      std::uint8_t* head = plan.head_.get() + p_lo;
-      index_t* urows = at_least(sc.urows, count);
-      index_t* ucols = at_least(sc.ucols, count);
-      std::size_t u = 0;
-      index_t prev_row = -1;
-      index_t prev_col = -1;
-      for (std::size_t s_i = 0; s_i < count; ++s_i) {
-        const std::uint32_t o = order[s_i];
-        const index_t row = rows[o];
-        const index_t col = cols[o];
-        const bool is_head = (row != prev_row) | (col != prev_col);
-        perm[s_i] = static_cast<std::uint16_t>(o);
-        head[s_i] = is_head;
-        urows[u] = row;
-        ucols[u] = col;
-        u += is_head;
-        prev_row = row;
-        prev_col = col;
-      }
-      group_by_row(urows, ucols, u, sc, cta_tuples[cta_id]);
-      plan.unique_offset_[cta_id] = u;
-      // Permutation + flags + reduced tuples stream out.
+      const std::uint64_t u =
+          plan.unique_offset_[static_cast<std::size_t>(cta.cta_id())];
       cta.charge_global(count * sizeof(std::uint16_t) + count / 8 + 1);
       cta.charge_global(u * sizeof(std::uint64_t));
       cta.charge_shared_elems(count);
@@ -644,9 +552,7 @@ SpgemmStats SpgemmPlan::build(vgpu::Device& device, const CsrD& a,
   // ======================= Global Sort ==================================
   // The permutation-only device sort of the reduced (row, col) tuples
   // (values still unformed), then the inverse permutation: each pre-sort
-  // tuple's rank.  Both are charged as launched; the host computes the
-  // sort's stable order from the tuples' structure, together with C's
-  // pattern (global_order_and_pattern).
+  // tuple's rank.
   telemetry::ScopedSpan global_sort_span("spgemm.global_sort");
   const auto m = static_cast<std::size_t>(num_unique);
   vgpu::ScopedDeviceAlloc unique_mem(
@@ -656,8 +562,6 @@ SpgemmStats SpgemmPlan::build(vgpu::Device& device, const CsrD& a,
       device, "merge.spgemm_globalsort", m, 64, /*pairs=*/true,
       std::min(64, row_bits + col_bits));
   stats.phases.global_sort_ms += gsort.modeled_ms;
-  global_order_and_pattern(cta_tuples, plan.unique_offset_, plan.rank_,
-                           plan.seg_offsets_, plan.pattern_);
   {
     const int rank_ctas = static_cast<int>(ceil_div(m, std::size_t{2048})) + 1;
     auto s = device.launch("merge.spgemm_rank", rank_ctas, cfg.block_threads,
@@ -674,9 +578,8 @@ SpgemmStats SpgemmPlan::build(vgpu::Device& device, const CsrD& a,
 
   // ================== Other: pattern + segment assembly =================
   // The sorted key stream still holds cross-CTA duplicates; unique runs
-  // become C's entries, and seg_offsets_ records each entry's run so the
-  // numeric phase reduces with a plain segmented sum.  The host did this
-  // in global_order_and_pattern's row pass; the launch charges it.
+  // become C's entries, and each entry's run is what the numeric phase
+  // reduces with a plain segmented sum.
   {
     telemetry::ScopedSpan pattern_span("spgemm.pattern");
     const int csr_ctas = static_cast<int>(ceil_div(m, std::size_t{2048})) + 1;
@@ -741,50 +644,27 @@ double SpgemmBlock::numeric(vgpu::Device& device, const CsrD& a,
   const std::size_t tile = static_cast<std::size_t>(cfg.tile());
   const std::size_t n_prod = static_cast<std::size_t>(plan.num_products_);
   const std::size_t a_nnz = static_cast<std::size_t>(a.nnz());
-  const std::size_t num_unique = plan.rank_.size();
+  const std::span<const std::uint64_t> uniques(plan.unique_offset_);
   const ProductTiling tiling{tile, plan.phase_, n_prod};
 
   // ======================= Product Compute ==============================
-  // Replay the expansion forming values, reduce within the CTA using the
-  // stored permutation + flags, scatter partial sums into sorted order.
+  // The launch charges the replayed expansion forming values, the
+  // permuted segmented reduce within each CTA and the scatter of its
+  // partial sums into sorted order.  The host computes C's values in one
+  // row pass instead (numeric_rows).
   telemetry::ScopedSpan products_span("spgemm.products");
-  // Every entry is written once: rank is a permutation of the uniques.
-  const std::unique_ptr<double[]> sorted_vals(new double[num_unique]);
-  vgpu::ScopedDeviceAlloc vals_mem(device.memory(), num_unique * sizeof(double));
+  vgpu::ScopedDeviceAlloc vals_mem(device.memory(),
+                                   uniques.back() * sizeof(double));
   auto s = device.launch("merge.spgemm_products", plan.num_ctas_,
                          cfg.block_threads, [&](vgpu::Cta& cta) {
+    const auto cta_id = static_cast<std::size_t>(cta.cta_id());
     const std::size_t p_lo = tiling.lo(cta.cta_id());
     const std::size_t p_hi = tiling.hi(cta.cta_id());
     const std::size_t count = p_hi - p_lo;
-    CtaScratch& sc = cta_scratch();
-    double* vals = at_least(sc.vals, count);
-    const std::size_t sources = expand_products(
-        a, b, plan.prod_offsets_, p_lo, p_hi,
-        [&](std::size_t off, std::size_t len, std::size_t k, std::size_t bk) {
-          const double av = a.val[k];
-          for (std::size_t i = 0; i < len; ++i) {
-            vals[off + i] = av * b.val[bk + i];
-          }
-        });
-    charge_expansion(cta, a_nnz, count, sources, /*with_values=*/true);
-
-    // Permuted segmented reduction (stored perm + head flags): a unique's
-    // partial sum is 0.0 plus its products in sorted order, kept per
-    // unique without a branch, then scattered by global rank.
-    const std::uint8_t* head = plan.head_.get() + p_lo;
-    const std::uint16_t* perm = plan.perm16_.get() + p_lo;
-    double* sums = at_least(sc.sums, count);
-    std::size_t u = ~std::size_t{0};  // the first product is a head
-    double acc = 0.0;
-    for (std::size_t s_i = 0; s_i < count; ++s_i) {
-      u += head[s_i];
-      acc = (head[s_i] ? 0.0 : acc) + vals[perm[s_i]];
-      sums[u] = acc;
-    }
-    const std::size_t wrote = u + 1;
-    const std::uint32_t* rank =
-        plan.rank_.data() + plan.unique_offset_[static_cast<std::size_t>(cta.cta_id())];
-    for (std::size_t j = 0; j < wrote; ++j) sorted_vals[rank[j]] = sums[j];
+    charge_expansion(cta, a_nnz, count,
+                     range_sources(plan.prod_offsets_, p_lo, p_hi),
+                     /*with_values=*/true);
+    const std::uint64_t wrote = uniques[cta_id + 1] - uniques[cta_id];
     // Load perm/flags, shared-memory permute + segmented scan, scattered
     // stores of the reduced set.
     cta.charge_global(count * sizeof(std::uint16_t) + count / 8 + 1);
@@ -795,12 +675,13 @@ double SpgemmBlock::numeric(vgpu::Device& device, const CsrD& a,
     cta.charge_sync();
   });
   modeled_ms += s.modeled_ms;
+  numeric_rows(a, b, plan.prod_offsets_, out);
   products_span.end();
 
   // ======================= Product Reduce ===============================
   telemetry::ScopedSpan reduce_span("spgemm.reduce");
-  // Cross-CTA duplicates are adjacent in sorted order; the plan's segment
-  // offsets turn the reduction into a plain segmented sum into C.
+  // Cross-CTA duplicates are adjacent in sorted order: each C entry sums
+  // the run of one partial per tile holding it.
   constexpr std::size_t kRedTile = 2048;
   const std::size_t out_n = out.col.size();
   const int red_ctas = static_cast<int>(ceil_div(out_n, kRedTile)) + 1;
@@ -809,20 +690,11 @@ double SpgemmBlock::numeric(vgpu::Device& device, const CsrD& a,
     const std::size_t lo = static_cast<std::size_t>(cta.cta_id()) * kRedTile;
     const std::size_t hi = std::min(out_n, lo + kRedTile);
     if (lo >= hi) return;
-    std::uint32_t* lens = at_least(cta_scratch().lens, hi - lo);
-    std::size_t read = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      double acc = 0.0;
-      for (index_t k = plan.seg_offsets_[i]; k < plan.seg_offsets_[i + 1]; ++k) {
-        acc += sorted_vals[static_cast<std::size_t>(k)];
-      }
-      out.val[i] = acc;
-      const auto len = static_cast<std::uint32_t>(plan.seg_offsets_[i + 1] -
-                                                  plan.seg_offsets_[i]);
-      lens[i - lo] = len;
-      read += len;
-    }
-    cta.charge_warp_divergent(std::span<const std::uint32_t>(lens, hi - lo));
+    const std::span<const std::uint32_t> lens(plan.entry_tiles_.data() + lo,
+                                              hi - lo);
+    const std::size_t read =
+        std::accumulate(lens.begin(), lens.end(), std::size_t{0});
+    cta.charge_warp_divergent(lens);
     cta.charge_global(read * sizeof(double) +
                       (hi - lo) * (sizeof(double) + 2 * sizeof(index_t)));
   });

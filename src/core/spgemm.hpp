@@ -24,14 +24,21 @@
 //   Product Reduce  — reduce-by-key over the sorted stream forms C;
 //   Other           — row-pointer construction and misc memory ops.
 //
-// Both sorts are charged as the radix sorts above, but the host computes
-// their stable orders directly from the product stream's structure (see
-// "Charge and order" in docs/primitives.md): same plan, same bits, same
-// device log.
+// Every phase is launched and charged as the modeled kernel above, but
+// the host does its own work in two Gustavson row passes over A (see
+// docs/cost_model.md):
+//
+//   symbolic (SpgemmPlan build) — C's pattern plus the counts the charges
+//                     read: each tile's distinct (row, col) tuples and
+//                     each C entry's number of tiles;
+//   numeric         — each C entry starts at +0.0 and adds a_val * b_val
+//                     in ascending product position: seq::spgemm's order,
+//                     so C is its bits under every tiling.
+//
+// No sort order, permutation or per-product array exists on the host.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -84,12 +91,13 @@ SpgemmStats spgemm(vgpu::Device& device, const sparse::CsrD& a,
                    const SpgemmConfig& cfg = {});
 
 // Row blocks: the one rule that makes a row-split SpGEMM (spgemm_chunked,
-// shard::spgemm) bitwise identical to flat.  A block of whole rows of A
-// owns every product of its output rows, so no sum crosses a block.  Its
-// products are tiled as if they sat at their *global* position in the
-// flat product stream — CTA boundaries at multiples of tile() counted
-// from product 0 of the whole A — so each output tuple's products group
-// into the same per-CTA partial sums, added in the same order, as flat's.
+// shard::spgemm) bitwise identical to flat and its charges those of the
+// same tiles.  A block of whole rows of A owns every product of its
+// output rows, so no sum crosses a block, and each row's values come
+// from the same row pass as flat's.  Its products are tiled as if they
+// sat at their *global* position in the flat product stream — CTA
+// boundaries at multiples of tile() counted from product 0 of the whole
+// A — so each tile holds the same products it holds in flat.
 
 /// Per-row product prefix of A x B: entry r is the global index of row
 /// r's first intermediate product (a.num_rows + 1 entries; the last is
@@ -133,8 +141,10 @@ SpgemmStats spgemm_chunked(vgpu::Device& device, const sparse::CsrD& a,
 /// patterns of A and B.  Amortizes the setup/block-sort/global-sort work
 /// across repeated multiplications with identical structure (the AMG and
 /// graph-update pattern real SpGEMM libraries serve with their
-/// symbolic/numeric split).  The plan pins its intermediate arrays in
-/// (accounted) device memory for its lifetime.
+/// symbolic/numeric split).  On the host it holds S, C's pattern and the
+/// counts the numeric launches charge; it reserves the modeled kernel's
+/// intermediate arrays (permutation, head flags, S) in accounted device
+/// memory for its lifetime.
 class SpgemmPlan {
  public:
   SpgemmPlan() = default;
@@ -165,18 +175,15 @@ class SpgemmPlan {
 
   SpgemmConfig cfg_;
   long long num_products_ = -1;
-  int col_bits_ = 0;
   int num_ctas_ = 0;
   std::size_t phase_ = 0;  ///< origin % tile: first CTA's shortfall
   std::vector<std::uint64_t> prod_offsets_;   ///< S: per-A-nonzero scan
-  std::vector<index_t> a_rows_;               ///< row id per A nonzero
-  /// Per-product local permutation and head flag; left uninitialized
-  /// until the block sort writes every entry.
-  std::unique_ptr<std::uint16_t[]> perm16_;
-  std::unique_ptr<std::uint8_t[]> head_;
-  std::vector<std::uint64_t> unique_offset_;  ///< per-CTA base into uniques
-  std::vector<std::uint32_t> rank_;           ///< global rank of each unique
-  std::vector<index_t> seg_offsets_;          ///< C-entry -> sorted-stream range
+  /// Per-CTA base into the locally-unique tuples (the exclusive scan of
+  /// each tile's distinct C entries); the last entry is their total.
+  std::vector<std::uint64_t> unique_offset_;
+  /// Per C entry, the number of tiles holding one of its products: its
+  /// run length in the globally sorted stream, which the reduce charges.
+  std::vector<std::uint32_t> entry_tiles_;
   sparse::CsrD pattern_;                      ///< C's structure (values zeroed)
   std::optional<vgpu::ScopedDeviceAlloc> device_mem_;
 };
@@ -191,7 +198,8 @@ SpgemmStats spgemm_symbolic(vgpu::Device& device, const sparse::CsrD& a,
 /// Numeric phase: recompute C's values for (possibly new) values of A and
 /// B whose sparsity patterns match the plan's.  Returns modeled ms (the
 /// product-compute + product-reduce cost only).  Throws PlanMismatchError
-/// when the matrices' patterns drifted from the plan's.
+/// when the matrices' patterns drifted from the plan's (a product count
+/// or a product's column); `c` is then untouched.
 double spgemm_numeric(vgpu::Device& device, const sparse::CsrD& a,
                       const sparse::CsrD& b, const SpgemmPlan& plan,
                       sparse::CsrD& c);

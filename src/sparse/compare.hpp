@@ -3,6 +3,8 @@
 // but also part of the public API for validating user pipelines).
 
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <string>
 
 #include "sparse/convert.hpp"
@@ -15,9 +17,29 @@ struct CompareResult {
   std::string detail;  ///< first difference, human-readable
 };
 
+/// Bitwise equality of two value arrays (sign of zero and NaN payloads
+/// included).
+template <typename V>
+bool same_bits(std::span<const V> a, std::span<const V> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(V)) == 0);
+}
+
+/// Bitwise equality of two CSR matrices: same shape, row offsets and
+/// columns, and same value bits.  The check for a scheme that reproduces
+/// the sequential reference's accumulation order.
+template <typename V>
+bool same_bits(const CsrMatrix<V>& a, const CsrMatrix<V>& b) {
+  return a.num_rows == b.num_rows && a.num_cols == b.num_cols &&
+         a.row_offsets == b.row_offsets && a.col == b.col &&
+         same_bits(std::span<const V>(a.val), std::span<const V>(b.val));
+}
+
 /// Compare two CSR matrices entry-by-entry.  Structure must match exactly;
-/// values must agree within `rtol * max(|a|,|b|) + atol` (SpGEMM schemes
-/// reduce products in different orders, so exact equality is not expected).
+/// values must agree within `rtol * max(|a|,|b|) + atol` (the baseline
+/// SpGEMM schemes reduce products in their own orders, so exact equality
+/// is not expected of them).
 template <typename V>
 CompareResult compare_csr(const CsrMatrix<V>& a, const CsrMatrix<V>& b,
                           double rtol = 1e-10, double atol = 1e-12) {

@@ -8,7 +8,7 @@
 #include "core/spgemm.hpp"
 #include "core/spmv.hpp"
 #include "primitives/set_ops.hpp"
-#include "sparse/compare.hpp"
+#include "oracle.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/io.hpp"
 #include "test_matrices.hpp"
@@ -78,8 +78,7 @@ TEST(EdgeCases, SpgemmPlanWithForcedPairSort) {
   EXPECT_TRUE(stats.used_pair_sort);
   sparse::CsrD c;
   core::merge::spgemm_numeric(dev, a, a, plan, c);
-  const auto ref = baselines::seq::spgemm(a, a);
-  EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal);
+  EXPECT_TRUE(testing::bitwise_equal(c, baselines::seq::spgemm(a, a)));
 }
 
 TEST(EdgeCases, SpgemmTinyBlockGeometry) {
@@ -92,8 +91,7 @@ TEST(EdgeCases, SpgemmTinyBlockGeometry) {
   cfg.items_per_thread = 1;
   sparse::CsrD c;
   core::merge::spgemm(dev, a, a, c, cfg);
-  const auto ref = baselines::seq::spgemm(a, a);
-  EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal);
+  EXPECT_TRUE(testing::bitwise_equal(c, baselines::seq::spgemm(a, a)));
 }
 
 TEST(EdgeCases, SpmvPlanOnEmptyMatrix) {

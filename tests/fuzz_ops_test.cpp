@@ -92,14 +92,14 @@ TEST_P(FuzzTest, AllSpgemmSchemesAgree) {
 
   CsrD flat;
   core::merge::spgemm(dev_, a, b, flat);
-  EXPECT_TRUE(sparse::compare_csr(flat, ref, 1e-9, 1e-11).equal)
+  EXPECT_TRUE(testing::bitwise_equal(flat, ref))
       << regime_name(regime) << " merge";
   CsrD c;
   baselines::cusplike::spgemm(dev_, a, b, c);
-  EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal)
+  EXPECT_TRUE(testing::bitwise_equal(c, ref))
       << regime_name(regime) << " cusp";
   baselines::rowwise::spgemm(dev_, a, b, c);
-  EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal)
+  EXPECT_TRUE(testing::bitwise_equal(c, ref))
       << regime_name(regime) << " rowwise";
 
   // Chunked at a third of its own whole-matrix footprint estimate (40 B

@@ -6,7 +6,7 @@
 // The oracle contract: for a given matrix the sequential reference
 // defines THE answer; a parallel scheme passes by matching it —
 // elementwise within 1e-11 for SpMV (expect_spmv_matches), structurally
-// canonical + value-compared for SpAdd/SpGEMM.  The fuzz regimes
+// canonical + value-compared for SpAdd, bit for bit for SpGEMM.  The fuzz regimes
 // enumerate the structural extremes (uniform, banded, power-law,
 // hypersparse, near-dense, rectangular) every sweep in this repo probes.
 #include <gtest/gtest.h>
@@ -27,6 +27,44 @@
 #include "workloads/generators.hpp"
 
 namespace mps::testing {
+
+/// Bitwise equality of two double vectors (NaN-safe, sign-of-zero
+/// sensitive) — the assertion behind every "schemes agree exactly"
+/// claim.
+inline ::testing::AssertionResult bitwise_equal(
+    const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << a.size() << " vs " << b.size();
+  }
+  if (!a.empty() &&
+      std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
+        return ::testing::AssertionFailure()
+               << "first divergence at [" << i << "]: " << a[i] << " vs "
+               << b[i];
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Bitwise equality of two CSR matrices: same shape, row offsets and
+/// columns, and values equal bit for bit.
+inline ::testing::AssertionResult bitwise_equal(const sparse::CsrD& a,
+                                                const sparse::CsrD& b) {
+  if (a.num_rows != b.num_rows || a.num_cols != b.num_cols) {
+    return ::testing::AssertionFailure()
+           << "shape " << a.num_rows << "x" << a.num_cols << " vs "
+           << b.num_rows << "x" << b.num_cols;
+  }
+  if (a.row_offsets != b.row_offsets) {
+    return ::testing::AssertionFailure() << "row offsets differ";
+  }
+  if (a.col != b.col) return ::testing::AssertionFailure() << "columns differ";
+  return bitwise_equal(a.val, b.val);
+}
 
 /// Merge SpMV vs. the sequential reference on a deterministic random x
 /// (seeded from the matrix): elementwise within 1e-11.
@@ -60,7 +98,7 @@ inline void expect_spadd_matches(vgpu::Device& dev, const sparse::CooD& a,
 }
 
 /// Merge SpGEMM vs. Gustavson: valid structure, the paper's product
-/// count, values within (1e-9 rel, 1e-11 abs).
+/// count, and the reference's bits.
 inline void expect_spgemm_matches(vgpu::Device& dev, const sparse::CsrD& a,
                                   const sparse::CsrD& b,
                                   const core::merge::SpgemmConfig& cfg = {}) {
@@ -69,8 +107,7 @@ inline void expect_spgemm_matches(vgpu::Device& dev, const sparse::CsrD& a,
   const auto stats = core::merge::spgemm(dev, a, b, c, cfg);
   EXPECT_TRUE(c.is_valid());
   EXPECT_EQ(stats.num_products, baselines::seq::spgemm_num_products(a, b));
-  const auto cmp = sparse::compare_csr(c, ref, 1e-9, 1e-11);
-  EXPECT_TRUE(cmp.equal) << cmp.detail;
+  EXPECT_TRUE(bitwise_equal(c, ref));
 }
 
 /// The structural regimes of tests/fuzz_ops_test.cpp.
@@ -133,44 +170,6 @@ inline std::vector<double> oracle_x(const sparse::CsrD& a) {
   std::vector<double> x(static_cast<std::size_t>(a.num_cols));
   for (auto& v : x) v = rng.uniform_double(-1, 1);
   return x;
-}
-
-/// Bitwise equality of two double vectors (NaN-safe, sign-of-zero
-/// sensitive) — the assertion behind every "schemes agree exactly"
-/// claim.
-inline ::testing::AssertionResult bitwise_equal(
-    const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) {
-    return ::testing::AssertionFailure()
-           << "size " << a.size() << " vs " << b.size();
-  }
-  if (!a.empty() &&
-      std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0) {
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
-        return ::testing::AssertionFailure()
-               << "first divergence at [" << i << "]: " << a[i] << " vs "
-               << b[i];
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
-/// Bitwise equality of two CSR matrices: same shape, row offsets and
-/// columns, and values equal bit for bit.
-inline ::testing::AssertionResult bitwise_equal(const sparse::CsrD& a,
-                                                const sparse::CsrD& b) {
-  if (a.num_rows != b.num_rows || a.num_cols != b.num_cols) {
-    return ::testing::AssertionFailure()
-           << "shape " << a.num_rows << "x" << a.num_cols << " vs "
-           << b.num_rows << "x" << b.num_cols;
-  }
-  if (a.row_offsets != b.row_offsets) {
-    return ::testing::AssertionFailure() << "row offsets differ";
-  }
-  if (a.col != b.col) return ::testing::AssertionFailure() << "columns differ";
-  return bitwise_equal(a.val, b.val);
 }
 
 }  // namespace mps::testing

@@ -6,11 +6,11 @@
 #include "baselines/seq.hpp"
 #include "core/spgemm.hpp"
 #include "oracle.hpp"
-#include "sparse/compare.hpp"
 #include "sparse/convert.hpp"
 #include "spgemm_cost.hpp"
 #include "test_matrices.hpp"
 #include "vgpu/device.hpp"
+#include "workloads/suite.hpp"
 
 namespace mps {
 namespace {
@@ -103,10 +103,8 @@ TEST(MergeSpgemm, PairSortFallbackMatches) {
   EXPECT_TRUE(stats2.used_pair_sort);
   EXPECT_TRUE(c2.is_valid());
   const auto ref2 = baselines::seq::spgemm(b, a);
-  const auto cmp = sparse::compare_csr(c2, ref2, 1e-9, 1e-11);
-  EXPECT_TRUE(cmp.equal) << cmp.detail;
-  const auto cmp1 = sparse::compare_csr(c, ref, 1e-9, 1e-11);
-  EXPECT_TRUE(cmp1.equal) << cmp1.detail;
+  EXPECT_TRUE(testing::bitwise_equal(c2, ref2));
+  EXPECT_TRUE(testing::bitwise_equal(c, ref));
 }
 
 TEST(MergeSpgemm, AblationConfigsMatch) {
@@ -120,6 +118,39 @@ TEST(MergeSpgemm, AblationConfigsMatch) {
       cfg.force_full_bits = full;
       expect_spgemm_matches(dev, a, a, cfg);
     }
+  }
+}
+
+// Every Table II product (LP as A x A^T) carries Gustavson's bits: flat,
+// and stitched from three row blocks whose interior cuts start mid-tile.
+TEST(MergeSpgemm, TableIIBitwiseEqualToGustavson) {
+  const std::uint64_t tile = SpgemmConfig{}.tile();
+  for (const auto& e : workloads::paper_suite(0.01)) {
+    const auto& a = e.matrix;
+    const sparse::CsrD b = e.spgemm_transpose ? sparse::transpose(a) : a;
+    const auto ref = baselines::seq::spgemm(a, b);
+    vgpu::Device dev;
+    sparse::CsrD flat;
+    spgemm(dev, a, b, flat);
+    EXPECT_TRUE(testing::bitwise_equal(flat, ref)) << e.name << " flat";
+
+    const auto prefix = core::merge::spgemm_row_prefix(a, b);
+    index_t r0 = a.num_rows / 3;
+    while (r0 < a.num_rows &&
+           prefix[static_cast<std::size_t>(r0)] % tile == 0) {
+      ++r0;
+    }
+    ASSERT_LT(r0, a.num_rows) << e.name << ": no mid-tile row cut";
+    const index_t cuts[] = {0, r0, std::max(r0, 2 * a.num_rows / 3),
+                            a.num_rows};
+    sparse::CsrD stitched(0, b.num_cols);
+    for (std::size_t i = 0; i + 1 < std::size(cuts); ++i) {
+      sparse::CsrD block;
+      core::merge::spgemm_row_block(dev, a, b, prefix, cuts[i], cuts[i + 1],
+                                    block);
+      sparse::append_rows(stitched, block);
+    }
+    EXPECT_TRUE(testing::bitwise_equal(stitched, ref)) << e.name << " blocks";
   }
 }
 

@@ -1,9 +1,11 @@
 // Tests for the SpGEMM symbolic/numeric split (pattern-reuse API).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/seq.hpp"
 #include "core/spgemm.hpp"
-#include "sparse/compare.hpp"
+#include "oracle.hpp"
 #include "sparse/convert.hpp"
 #include "test_matrices.hpp"
 #include "vgpu/device.hpp"
@@ -29,14 +31,13 @@ TEST(SpgemmPlan, SymbolicThenNumericMatchesReference) {
   sparse::CsrD c;
   spgemm_numeric(dev, a, b, plan, c);
   const auto ref = baselines::seq::spgemm(a, b);
-  const auto cmp = sparse::compare_csr(c, ref, 1e-9, 1e-11);
-  EXPECT_TRUE(cmp.equal) << cmp.detail;
+  EXPECT_TRUE(testing::bitwise_equal(c, ref));
   EXPECT_EQ(plan.output_nnz(), ref.nnz());
 }
 
 TEST(SpgemmPlan, NumericReusesPlanForNewValues) {
   // Same pattern, new values: the symbolic work must not be repeated and
-  // the numbers must still be right.
+  // the numbers must still be the reference's bits.
   vgpu::Device dev;
   util::Rng rng(203);
   auto a = coo_to_csr(random_coo(rng, 300, 300, 3000));
@@ -51,8 +52,7 @@ TEST(SpgemmPlan, NumericReusesPlanForNewValues) {
     const double ms = spgemm_numeric(dev, a2, a2, plan, c);
     EXPECT_GT(ms, 0.0);
     const auto ref = baselines::seq::spgemm(a2, a2);
-    const auto cmp = sparse::compare_csr(c, ref, 1e-9, 1e-11);
-    ASSERT_TRUE(cmp.equal) << "iter " << iter << ": " << cmp.detail;
+    ASSERT_TRUE(testing::bitwise_equal(c, ref)) << "iter " << iter;
   }
 }
 
@@ -105,6 +105,27 @@ TEST(SpgemmPlan, RejectsMismatchedStructure) {
   spgemm_symbolic(dev, a, a, plan);
   sparse::CsrD c;
   EXPECT_THROW(spgemm_numeric(dev, other, other, plan, c), mps::PlanMismatchError);
+}
+
+// B's columns move but every row keeps its length, so each nonzero of A
+// still expands to its planned product count: the numeric row pass
+// catches the drift at the first product outside its row's pattern.
+TEST(SpgemmPlan, RejectsColumnDriftWithSameProductCounts) {
+  vgpu::Device dev;
+  util::Rng rng(212);
+  const auto a = coo_to_csr(random_coo(rng, 100, 100, 700));
+  SpgemmPlan plan;
+  spgemm_symbolic(dev, a, a, plan);
+  auto b = a;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(b.num_rows); ++r) {
+    const auto lo = b.col.begin() + b.row_offsets[r];
+    const auto hi = b.col.begin() + b.row_offsets[r + 1];
+    for (auto it = lo; it != hi; ++it) *it = (*it + 1) % b.num_cols;
+    std::sort(lo, hi);
+  }
+  sparse::CsrD c;
+  EXPECT_THROW(spgemm_numeric(dev, a, b, plan, c), mps::PlanMismatchError);
+  EXPECT_EQ(c.nnz(), 0) << "c must be untouched";
 }
 
 TEST(SpgemmPlan, PlanHoldsDeviceMemoryUntilDestroyed) {

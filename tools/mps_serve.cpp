@@ -24,8 +24,9 @@
 //   --device-spec S              fleet heterogeneity, e.g. "fast*2,slow*2"
 //                                (default all titan; see docs/sharding.md
 //                                for the grammar)
-//   --verify                     check every SpMV answer against the
-//                                sequential reference
+//   --verify                     check every answer (SpMV, SpAdd, SpGEMM)
+//                                bit for bit against the sequential
+//                                reference
 //   --chaos-seed N               arm a seeded fault schedule (device loss,
 //                                stragglers, OOM, bit flips) and run the
 //                                CHAOS HARNESS: the trace is replayed twice
@@ -102,9 +103,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <unistd.h>
@@ -114,6 +117,7 @@
 #include "resilience/integrity.hpp"
 #include "serve/engine.hpp"
 #include "serve/trace.hpp"
+#include "sparse/compare.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profile.hpp"
@@ -326,6 +330,7 @@ void verify_manifest(const serve::Engine& engine, const std::string& path) {
 struct Pending {
   serve::OpKind kind = serve::OpKind::kSpmv;
   std::size_t matrix = 0;
+  std::size_t matrix_b = 0;
   std::uint64_t x_seed = 0;
   std::future<serve::SpmvResult> spmv;
   std::future<serve::MatrixResult> matrix_op;
@@ -409,6 +414,7 @@ ReplayOutcome replay(const Options& opt,
     Pending p;
     p.kind = op.kind;
     p.matrix = op.matrix;
+    p.matrix_b = op.matrix_b;
     p.x_seed = op.x_seed;
     switch (op.kind) {
       case serve::OpKind::kSpmv:
@@ -442,7 +448,23 @@ ReplayOutcome replay(const Options& opt,
 
   // Settle every future; the drain guarantee means none may block or be
   // abandoned.  Fingerprint successes for cross-run comparison and
-  // optionally verify answers against the sequential reference.
+  // optionally verify answers bit for bit against the sequential
+  // reference.  A matrix op's reference is computed once per operand
+  // pair of this replay's tenants.
+  std::map<std::tuple<serve::OpKind, std::size_t, std::size_t>, sparse::CsrD>
+      matrix_refs;
+  auto matrix_ref = [&](const Pending& p) -> const sparse::CsrD& {
+    const auto [it, fresh] =
+        matrix_refs.try_emplace({p.kind, p.matrix, p.matrix_b});
+    if (fresh) {
+      const auto& a = tenants[p.matrix].matrix;
+      const auto& b = tenants[p.matrix_b].matrix;
+      it->second = p.kind == serve::OpKind::kSpadd
+                       ? baselines::seq::spadd(a, b)
+                       : baselines::seq::spgemm(a, b);
+    }
+    return it->second;
+  };
   out.ok.assign(pending.size(), 0);
   out.hash.assign(pending.size(), 0);
   for (std::size_t i = 0; i < pending.size(); ++i) {
@@ -456,12 +478,11 @@ ReplayOutcome replay(const Options& opt,
           const auto& a = tenants[p.matrix].matrix;
           std::vector<double> ref(static_cast<std::size_t>(a.num_rows));
           baselines::seq::spmv(a, make_x(a, p.x_seed), ref);
-          bool good = r.y.size() == ref.size();
-          for (std::size_t k = 0; good && k < ref.size(); ++k) {
-            good = std::abs(r.y[k] - ref[k]) <= 1e-9;
-          }
           ++out.verified;
-          if (!good) ++out.mismatched;
+          if (!sparse::same_bits(std::span<const double>(r.y),
+                                 std::span<const double>(ref))) {
+            ++out.mismatched;
+          }
         }
       } else {
         serve::MatrixResult r = p.matrix_op.get();
@@ -471,6 +492,10 @@ ReplayOutcome replay(const Options& opt,
         h = resilience::checksum_span(std::span<const index_t>(r.c.col), h);
         out.hash[i] =
             resilience::checksum_span(std::span<const double>(r.c.val), h);
+        if (opt.verify) {
+          ++out.verified;
+          if (!sparse::same_bits(r.c, matrix_ref(p))) ++out.mismatched;
+        }
       }
       out.ok[i] = 1;
       ++out.settled_ok;
