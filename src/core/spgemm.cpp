@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -90,9 +92,7 @@ std::vector<index_t> row_ranges(const CsrD& a,
   return cuts;
 }
 
-/// Per-thread scratch of the host row passes, dense over B's columns and
-/// kept across calls, so a call allocates none of it once a thread has
-/// seen B's width.
+/// Scratch of one host row-pass task, dense over B's columns.
 struct RowScratch {
   /// Symbolic, per column the current row touched: the last tile holding
   /// one of the entry's products, and how many tiles do.
@@ -101,18 +101,52 @@ struct RowScratch {
     std::uint32_t tiles = 0;
   };
   std::vector<Stamp> stamp;
+  /// Symbolic: the columns the current row touched, and one bit per
+  /// column, set for exactly those.
   std::vector<index_t> touched;
-  /// Symbolic: one bit per column the current row touched, all clear
-  /// between rows.
   std::vector<std::uint64_t> touched_bits;
   /// Numeric: column -> C entry of the current row.
   std::vector<index_t> pos;
 };
 
-RowScratch& row_scratch() {
-  thread_local RowScratch scratch;
-  return scratch;
-}
+/// The row scratch of one pass.  A task leases one for its duration, so
+/// the pass makes at most one per task running at once, and frees them
+/// all when it returns: no B width stays resident after a call.
+struct ScratchPool {
+  std::mutex mu;
+  std::vector<std::unique_ptr<RowScratch>> idle;
+};
+
+class ScratchLease {
+ public:
+  explicit ScratchLease(ScratchPool& pool) : pool_(pool) {
+    {
+      const std::lock_guard<std::mutex> lock(pool_.mu);
+      if (!pool_.idle.empty()) {
+        s_ = std::move(pool_.idle.back());
+        pool_.idle.pop_back();
+      }
+    }
+    if (!s_) s_ = std::make_unique<RowScratch>();
+  }
+  /// Gives the scratch back, also when the task throws.
+  ~ScratchLease() {
+    const std::lock_guard<std::mutex> lock(pool_.mu);
+    try {
+      pool_.idle.push_back(std::move(s_));
+    } catch (const std::bad_alloc&) {
+      // Not pooled: freed with the lease.
+    }
+  }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  RowScratch* operator->() const { return s_.get(); }
+
+ private:
+  ScratchPool& pool_;
+  std::unique_ptr<RowScratch> s_;
+};
 
 /// Grows `v` to at least `n` value-initialized elements; returns its data.
 template <typename T>
@@ -121,12 +155,12 @@ T* at_least(std::vector<T>& v, std::size_t n) {
   return v.data();
 }
 
-/// Sorts the current row's touched columns and clears their bits.  A row
-/// whose column span is narrow next to its sort cost reads its columns
-/// off the bitmap in order; a wider one sorts them.
-void order_touched(RowScratch& sc) {
-  std::vector<index_t>& t = sc.touched;
-  std::uint64_t* bits = sc.touched_bits.data();
+/// Sorts the current row's touched columns `t`.  A row whose columns
+/// span at most t.size() * bit_width(t.size()) bitmap words reads them
+/// off `bits` in order; a wider one sorts them.  Reading the bitmap is the
+/// faster order on the banded Table II products (Protein, Cantilever,
+/// Ship), and sorting on the scattered rows of Webbase and Epidemiology.
+void order_touched(std::vector<index_t>& t, const std::uint64_t* bits) {
   if (t.empty()) return;
   const auto [lo_it, hi_it] = std::minmax_element(t.begin(), t.end());
   const auto w_lo = static_cast<std::size_t>(*lo_it) / 64;
@@ -135,7 +169,6 @@ void order_touched(RowScratch& sc) {
       t.size() * static_cast<std::size_t>(std::bit_width(t.size()));
   if (w_hi - w_lo > sort_cost) {
     std::sort(t.begin(), t.end());
-    for (const index_t col : t) bits[static_cast<std::size_t>(col) / 64] = 0;
     return;
   }
   std::size_t n = 0;
@@ -144,7 +177,6 @@ void order_touched(RowScratch& sc) {
       t[n++] = static_cast<index_t>(64 * w + static_cast<std::size_t>(
                                                  std::countr_zero(word)));
     }
-    bits[w] = 0;
   }
 }
 
@@ -170,16 +202,13 @@ void symbolic_rows(const CsrD& a, const CsrD& b,
   constexpr std::uint32_t kNoTile = ~std::uint32_t{0};
   const auto num_rows = static_cast<std::size_t>(a.num_rows);
   c.row_offsets.assign(num_rows + 1, 0);
+  ScratchPool pool;
   vgpu::global_pool().parallel_for(num_ranges, [&](std::size_t i) {
-    RowScratch& sc = row_scratch();
+    const ScratchLease sc(pool);
     const auto num_cols = static_cast<std::size_t>(b.num_cols);
-    RowScratch::Stamp* stamp = at_least(sc.stamp, num_cols);
-    std::uint64_t* bits = at_least(sc.touched_bits, num_cols / 64 + 1);
-    // Every set bit is in `touched`, so this clears what a row left when
-    // a throw cut it short.
-    for (const index_t col : sc.touched) {
-      bits[static_cast<std::size_t>(col) / 64] = 0;
-    }
+    RowScratch::Stamp* stamp = at_least(sc->stamp, num_cols);
+    std::uint64_t* bits = at_least(sc->touched_bits, num_cols / 64 + 1);
+    std::vector<index_t>& touched = sc->touched;
     RangeOut& out = outs[i];
     // This range's distinct entries in tile cur_tile so far; a tile may
     // continue in the neighbouring ranges, so it is added atomically.
@@ -193,7 +222,12 @@ void symbolic_rows(const CsrD& a, const CsrD& b,
     };
     for (auto r = static_cast<std::size_t>(cuts[i]);
          r < static_cast<std::size_t>(cuts[i + 1]); ++r) {
-      sc.touched.clear();
+      // Clear the bits of the scratch's last row (that row may be another
+      // task's, cut short by a throw).
+      for (const index_t col : touched) {
+        bits[static_cast<std::size_t>(col) / 64] = 0;
+      }
+      touched.clear();
       for (auto k = static_cast<std::size_t>(a.row_offsets[r]);
            k < static_cast<std::size_t>(a.row_offsets[r + 1]); ++k) {
         const auto acol = static_cast<std::size_t>(a.col[k]);
@@ -217,7 +251,7 @@ void symbolic_rows(const CsrD& a, const CsrD& b,
             if ((bits[col / 64] & bit) == 0) {
               // The row's first product in this column: a new C entry,
               // with no tile yet (tiles never reach kNoTile).
-              sc.touched.push_back(static_cast<index_t>(col));
+              touched.push_back(static_cast<index_t>(col));
               bits[col / 64] |= bit;
               st = {kNoTile, 0};
             }
@@ -230,12 +264,12 @@ void symbolic_rows(const CsrD& a, const CsrD& b,
           }
         }
       }
-      order_touched(sc);
-      for (const index_t col : sc.touched) {
+      order_touched(touched, bits);
+      for (const index_t col : touched) {
         out.cols.push_back(col);
-        out.tiles.push_back(stamp[col].tiles);
+        out.tiles.push_back(stamp[static_cast<std::size_t>(col)].tiles);
       }
-      c.row_offsets[r + 1] = static_cast<index_t>(sc.touched.size());
+      c.row_offsets[r + 1] = static_cast<index_t>(touched.size());
     }
     flush();
   });
@@ -264,9 +298,10 @@ void symbolic_rows(const CsrD& a, const CsrD& b,
 void numeric_rows(const CsrD& a, const CsrD& b,
                   std::span<const std::uint64_t> S, CsrD& c) {
   const std::vector<index_t> cuts = row_ranges(a, S);
+  ScratchPool pool;
   vgpu::global_pool().parallel_for(cuts.size() - 1, [&](std::size_t i) {
-    index_t* pos =
-        at_least(row_scratch().pos, static_cast<std::size_t>(b.num_cols));
+    const ScratchLease sc(pool);
+    index_t* pos = at_least(sc->pos, static_cast<std::size_t>(b.num_cols));
     double* val = c.val.data();
     for (auto r = static_cast<std::size_t>(cuts[i]);
          r < static_cast<std::size_t>(cuts[i + 1]); ++r) {
@@ -606,6 +641,14 @@ double spgemm_numeric(vgpu::Device& device, const CsrD& a, const CsrD& b,
     throw PlanMismatchError("spgemm_numeric requires a built plan");
   }
   MPS_CHECK(a.num_cols == b.num_rows);
+  if (a.num_rows != plan.pattern_.num_rows ||
+      b.num_cols != plan.pattern_.num_cols) {
+    throw PlanMismatchError(
+        "matrix shape does not match the plan: C is " +
+        std::to_string(a.num_rows) + "x" + std::to_string(b.num_cols) +
+        ", planned " + std::to_string(plan.pattern_.num_rows) + "x" +
+        std::to_string(plan.pattern_.num_cols));
+  }
   if (a.nnz() + 1 != static_cast<index_t>(plan.prod_offsets_.size())) {
     throw PlanMismatchError("matrix pattern does not match the plan: " +
                             std::to_string(a.nnz()) + " nonzeros vs " +

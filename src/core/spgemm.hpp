@@ -198,7 +198,7 @@ SpgemmStats spgemm_symbolic(vgpu::Device& device, const sparse::CsrD& a,
 /// Numeric phase: recompute C's values for (possibly new) values of A and
 /// B whose sparsity patterns match the plan's.  Returns modeled ms (the
 /// product-compute + product-reduce cost only).  Throws PlanMismatchError
-/// when the matrices' patterns drifted from the plan's (a product count
+/// when the matrices drifted from the plan's (C's shape, a product count
 /// or a product's column); `c` is then untouched.
 double spgemm_numeric(vgpu::Device& device, const sparse::CsrD& a,
                       const sparse::CsrD& b, const SpgemmPlan& plan,

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -37,23 +38,21 @@ inline ::testing::AssertionResult bitwise_equal(
     return ::testing::AssertionFailure()
            << "size " << a.size() << " vs " << b.size();
   }
-  if (!a.empty() &&
-      std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0) {
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
-        return ::testing::AssertionFailure()
-               << "first divergence at [" << i << "]: " << a[i] << " vs "
-               << b[i];
-      }
-    }
+  if (sparse::same_bits(std::span<const double>(a),
+                        std::span<const double>(b))) {
+    return ::testing::AssertionSuccess();
   }
-  return ::testing::AssertionSuccess();
+  std::size_t i = 0;
+  while (std::memcmp(&a[i], &b[i], sizeof(double)) == 0) ++i;
+  return ::testing::AssertionFailure()
+         << "first divergence at [" << i << "]: " << a[i] << " vs " << b[i];
 }
 
 /// Bitwise equality of two CSR matrices: same shape, row offsets and
 /// columns, and values equal bit for bit.
 inline ::testing::AssertionResult bitwise_equal(const sparse::CsrD& a,
                                                 const sparse::CsrD& b) {
+  if (sparse::same_bits(a, b)) return ::testing::AssertionSuccess();
   if (a.num_rows != b.num_rows || a.num_cols != b.num_cols) {
     return ::testing::AssertionFailure()
            << "shape " << a.num_rows << "x" << a.num_cols << " vs "

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <memory>
 #include <numeric>
@@ -66,27 +65,6 @@ struct Fleet {
 
 std::vector<double> uniform_weights(std::size_t n) {
   return std::vector<double>(n, 1.0);
-}
-
-/// Bitwise CSR equality: identical structure AND identical value bits.
-::testing::AssertionResult csr_bitwise_equal(const sparse::CsrD& a,
-                                             const sparse::CsrD& b) {
-  if (a.num_rows != b.num_rows || a.num_cols != b.num_cols) {
-    return ::testing::AssertionFailure() << "shape mismatch";
-  }
-  if (a.row_offsets != b.row_offsets) {
-    return ::testing::AssertionFailure() << "row_offsets differ";
-  }
-  if (a.col != b.col) return ::testing::AssertionFailure() << "cols differ";
-  if (a.val.size() != b.val.size()) {
-    return ::testing::AssertionFailure() << "nnz mismatch";
-  }
-  if (!a.val.empty() &&
-      std::memcmp(a.val.data(), b.val.data(),
-                  a.val.size() * sizeof(double)) != 0) {
-    return ::testing::AssertionFailure() << "value bits differ";
-  }
-  return ::testing::AssertionSuccess();
 }
 
 // ---------------------------------------------------------------------------
@@ -443,7 +421,7 @@ TEST(ShardExecOracle, SpaddBitwiseAcrossRegimes) {
       sparse::CsrD c;
       const auto stats =
           spadd(a, b, fleet.ptrs, fleet.ordinals, fleet.weights, c);
-      EXPECT_TRUE(csr_bitwise_equal(c, c_ref))
+      EXPECT_TRUE(bitwise_equal(c, c_ref))
           << regime_name(r) << " seed " << seed;
       EXPECT_EQ(stats.shards, 2);
     }
@@ -462,7 +440,7 @@ TEST(ShardExecOracle, SpgemmBitwiseAcrossRegimes) {
       Fleet fleet("", 3);
       sparse::CsrD c;
       spgemm(a, b, fleet.ptrs, fleet.ordinals, fleet.weights, c);
-      EXPECT_TRUE(csr_bitwise_equal(c, c_ref))
+      EXPECT_TRUE(bitwise_equal(c, c_ref))
           << regime_name(r) << " seed " << seed;
     }
   }
@@ -477,7 +455,7 @@ TEST(ShardExecOracle, RectangularSpgemmBitwise) {
   Fleet fleet("", 2);
   sparse::CsrD c;
   spgemm(a, b, fleet.ptrs, fleet.ordinals, fleet.weights, c);
-  EXPECT_TRUE(csr_bitwise_equal(c, c_ref));
+  EXPECT_TRUE(bitwise_equal(c, c_ref));
 }
 
 // One slot with weight {1.0} is one block on the whole matrix, which is
@@ -503,8 +481,8 @@ TEST(ShardExecOracle, OneSlotIsTheCoreKernel) {
         spadd(a, b, fleet.ptrs, fleet.ordinals, uniform_weights(1), add);
     const auto gemm_stats =
         spgemm(a, at, fleet.ptrs, fleet.ordinals, uniform_weights(1), gemm);
-    EXPECT_TRUE(csr_bitwise_equal(add, add_ref)) << regime_name(r);
-    EXPECT_TRUE(csr_bitwise_equal(gemm, gemm_ref)) << regime_name(r);
+    EXPECT_TRUE(bitwise_equal(add, add_ref)) << regime_name(r);
+    EXPECT_TRUE(bitwise_equal(gemm, gemm_ref)) << regime_name(r);
     EXPECT_EQ(add_stats.modeled_ms, add_ms) << regime_name(r);
     EXPECT_EQ(gemm_stats.modeled_ms, gemm_ms) << regime_name(r);
     EXPECT_EQ(add_stats.shards, 1);
@@ -743,9 +721,9 @@ TEST(EngineSharded, HeteroFleetServesServingSizeMatricesOnTheFastPair) {
   sparse::CsrD gemm_ref;
   core::merge::spadd_csr(flat_dev, a, b, add_ref);
   core::merge::spgemm(flat_dev, a, b, gemm_ref);
-  EXPECT_TRUE(csr_bitwise_equal(engine.submit_spadd(h, hb).get().c, add_ref));
+  EXPECT_TRUE(bitwise_equal(engine.submit_spadd(h, hb).get().c, add_ref));
   EXPECT_TRUE(
-      csr_bitwise_equal(engine.submit_spgemm(h, hb).get().c, gemm_ref));
+      bitwise_equal(engine.submit_spgemm(h, hb).get().c, gemm_ref));
   engine.shutdown();
   const auto stats = engine.stats();
   ASSERT_EQ(stats.devices.size(), 4u);

@@ -128,6 +128,28 @@ TEST(SpgemmPlan, RejectsColumnDriftWithSameProductCounts) {
   EXPECT_EQ(c.nnz(), 0) << "c must be untouched";
 }
 
+// The same nonzeros, so every count check passes, but C's shape moved:
+// A gains empty rows, or B gains columns.
+TEST(SpgemmPlan, RejectsShapeDriftWithSameNonzeros) {
+  vgpu::Device dev;
+  util::Rng rng(214);
+  const auto a = coo_to_csr(random_coo(rng, 100, 100, 700));
+  SpgemmPlan plan;
+  spgemm_symbolic(dev, a, a, plan);
+  auto padded = a;
+  padded.num_rows += 20;
+  padded.row_offsets.resize(padded.row_offsets.size() + 20,
+                            padded.row_offsets.back());
+  ASSERT_TRUE(padded.is_valid());
+  sparse::CsrD c;
+  EXPECT_THROW(spgemm_numeric(dev, padded, a, plan, c), mps::PlanMismatchError);
+  auto wide = a;
+  wide.num_cols += 20;
+  ASSERT_TRUE(wide.is_valid());
+  EXPECT_THROW(spgemm_numeric(dev, a, wide, plan, c), mps::PlanMismatchError);
+  EXPECT_EQ(c.nnz(), 0) << "c must be untouched";
+}
+
 TEST(SpgemmPlan, PlanHoldsDeviceMemoryUntilDestroyed) {
   vgpu::Device dev;
   util::Rng rng(213);
