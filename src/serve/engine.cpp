@@ -8,6 +8,7 @@
 
 #include "core/spmv.hpp"
 #include "shard/exec.hpp"
+#include "sparse/compare.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profile.hpp"
@@ -540,7 +541,28 @@ MatrixHandle Engine::register_matrix(const sparse::CsrD& a) {
     throw InvalidInputError("register_matrix: structurally invalid CSR");
   }
   const MatrixHandle h = pattern_fingerprint(a);
-  auto copy = std::make_shared<const sparse::CsrD>(a);
+  // One registration at a time, so the shard layout published last is
+  // the one built from the matrix the registry holds.
+  std::lock_guard<std::mutex> serial(register_mutex_);
+  const auto copy = std::make_shared<const sparse::CsrD>(a);
+  std::shared_ptr<const sparse::CsrD> prior;
+  {
+    std::lock_guard<std::mutex> lock(registry_mutex_);
+    if (const auto it = registry_.find(h); it != registry_.end()) {
+      prior = it->second;
+    }
+  }
+  // The handle fingerprints the pattern, so a re-registration nearly
+  // always repeats it; the stored bytes decide.  The same pattern keeps
+  // everything the pattern determines: the placement, the row blocks,
+  // the halo maps and every value-free plan.
+  const bool same_pattern = prior && sparse::same_pattern(*prior, a);
+  // The one invalidation rule: an ELL/CMRS plan holds converted storage
+  // bound to the value buffer it was built from, so it goes; every other
+  // plan is value-free and stays.  Applied before the new buffers become
+  // visible too: a plan an in-flight request built from a since-freed
+  // buffer must not meet a new buffer at the same address.
+  plan_cache_.invalidate(h, /*value_bound_only=*/true);
   {
     std::lock_guard<std::mutex> lock(registry_mutex_);
     const std::uint64_t version = versions_[h] + 1;
@@ -551,19 +573,16 @@ MatrixHandle Engine::register_matrix(const sparse::CsrD& a) {
     // from this line ordering, not from fsync.
     if (store_) store_->append_register(h, version, a);
     versions_[h] = version;
-    registry_[h] = std::move(copy);  // same pattern => refreshed values
+    registry_[h] = copy;
   }
-  // An ELL/CMRS plan holds converted storage bound to the previous
-  // registration's value buffer; re-registration (even with an identical
-  // pattern) must drop it.  Every other plan is value-free and stays valid.
-  if (auto plan = plan_cache_.peek(h); plan && plan->binds_values()) {
-    plan_cache_.invalidate(h);
+  if (same_pattern) {
+    refresh_sharding(h, *copy);
+  } else {
+    invalidate_shard_plans(h);
+    build_sharding(h, *copy);
   }
-  // Sharded mode: drop the handle's per-shard plans and rebuild the
-  // layout — identical structure re-shards identically, but the
-  // shard-local value buffers must refresh.
-  invalidate_shard_plans(h);
-  build_sharding(h, a);
+  plan_cache_.invalidate(h, /*value_bound_only=*/true);
+  invalidate_shard_plans(h, /*value_bound_only=*/true);
   return h;
 }
 
@@ -648,6 +667,34 @@ void Engine::build_sharding(MatrixHandle h, const sparse::CsrD& a) {
   s.replica.reset();
 }
 
+void Engine::refresh_sharding(MatrixHandle h, const sparse::CsrD& a) {
+  std::shared_ptr<const shard::ShardedMatrix> primary;
+  std::shared_ptr<const shard::ShardedMatrix> replica;
+  {
+    std::lock_guard<std::mutex> lock(shard_mutex_);
+    const auto it = shardings_.find(h);
+    if (it == shardings_.end() || !it->second.primary) return;  // unsharded
+    primary = it->second.primary;
+    replica = it->second.replica;
+  }
+  // Copy-on-write: requests that leased the old layouts keep them.
+  auto fresh = std::make_shared<const shard::ShardedMatrix>(
+      primary->with_values(a));
+  std::shared_ptr<const shard::ShardedMatrix> fresh_replica;
+  if (replica) {
+    fresh_replica = std::make_shared<const shard::ShardedMatrix>(
+        replica->with_values(a));
+  }
+  // The fresh buffers are not yet visible: see register_matrix.
+  invalidate_shard_plans(h, /*value_bound_only=*/true);
+  std::lock_guard<std::mutex> lock(shard_mutex_);
+  Sharding& s = shardings_[h];
+  s.primary = std::move(fresh);
+  // A replica installed since the read above may hold either
+  // registration's values; drop it, and the next hot request rebuilds it.
+  s.replica = s.replica == replica ? std::move(fresh_replica) : nullptr;
+}
+
 bool Engine::note_sharded_request(MatrixHandle, Sharding& s) {
   ++sharded_requests_total_;
   ++s.requests;
@@ -661,7 +708,7 @@ bool Engine::note_sharded_request(MatrixHandle, Sharding& s) {
          cfg_.shard_replicate_hot * static_cast<double>(sharded_requests_total_);
 }
 
-void Engine::invalidate_shard_plans(MatrixHandle h) {
+void Engine::invalidate_shard_plans(MatrixHandle h, bool value_bound_only) {
   std::size_t primary = 0;
   std::size_t replica = 0;
   {
@@ -672,11 +719,19 @@ void Engine::invalidate_shard_plans(MatrixHandle h) {
     if (it->second.replica) replica = it->second.replica->shards().size();
   }
   for (std::size_t i = 0; i < primary; ++i) {
-    plan_cache_.invalidate(shard_plan_key(h, i, false));
+    plan_cache_.invalidate(shard_plan_key(h, i, false), value_bound_only);
   }
   for (std::size_t i = 0; i < replica; ++i) {
-    plan_cache_.invalidate(shard_plan_key(h, i, true));
+    plan_cache_.invalidate(shard_plan_key(h, i, true), value_bound_only);
   }
+}
+
+std::shared_ptr<const shard::ShardedMatrix> Engine::layout(
+    MatrixHandle h, bool replica) const {
+  std::lock_guard<std::mutex> lock(shard_mutex_);
+  const auto it = shardings_.find(h);
+  if (it == shardings_.end()) return nullptr;
+  return replica ? it->second.replica : it->second.primary;
 }
 
 std::vector<std::shared_ptr<const autotune::TunedPlan>> Engine::shard_plans(
@@ -1201,13 +1256,17 @@ Engine::Lease Engine::acquire_lease(Batch& batch) {
   if (sharded_mode && head.kind == Request::Kind::kSpmv) {
     bool build_replica = false;
     shard::Placement replica_placement;
+    std::shared_ptr<const shard::ShardedMatrix> noted_primary;
     {
       std::lock_guard<std::mutex> lock(shard_mutex_);
       const auto it = shardings_.find(head.handle_a);
       if (it != shardings_.end() && it->second.primary) {
         Sharding& s = it->second;
         build_replica = note_sharded_request(head.handle_a, s);
-        if (build_replica) replica_placement = s.replica_placement;
+        if (build_replica) {
+          replica_placement = s.replica_placement;
+          noted_primary = s.primary;
+        }
         // Route across the two placements by salt parity: deterministic
         // per request, roughly half the traffic each.
         if (s.replica && (head.salt & 1u) != 0) {
@@ -1223,15 +1282,23 @@ Engine::Lease Engine::acquire_lease(Batch& batch) {
     if (build_replica) {
       // Built OUTSIDE shard_mutex_: lookup takes registry_mutex_, and
       // the lock order everywhere is registry before shard.  Losing an
-      // install race is harmless — the first install wins.
+      // install race is harmless — the first install wins — and so is
+      // losing one to a re-registration, which publishes a new primary:
+      // the replica is dropped, as its values may be the old ones.
       const auto a = lookup(head.handle_a);
       shard::ShardOptions opt;
       opt.split_2d_nnz = cfg_.shard_2d_nnz;
       auto replica = std::make_shared<const shard::ShardedMatrix>(
           *a, replica_placement.ordinals, replica_placement.weights, opt);
+      // New buffers again: no value-bound plan of a freed one may stay.
+      for (std::size_t i = 0; i < replica->shards().size(); ++i) {
+        plan_cache_.invalidate(shard_plan_key(head.handle_a, i, true),
+                               /*value_bound_only=*/true);
+      }
       std::lock_guard<std::mutex> lock(shard_mutex_);
       const auto it = shardings_.find(head.handle_a);
-      if (it != shardings_.end() && it->second.primary && !it->second.replica) {
+      if (it != shardings_.end() && it->second.primary == noted_primary &&
+          !it->second.replica) {
         it->second.replica = std::move(replica);
       }
     }
@@ -1674,7 +1741,10 @@ PlanExplain Engine::explain(MatrixHandle h) const {
       ex.replicated = it->second.replica != nullptr;
       const auto& shards = it->second.primary->shards();
       ex.shards = static_cast<int>(shards.size());
-      for (const shard::Shard& sh : shards) ex.shard_devices.push_back(sh.device);
+      for (const shard::Shard& sh : shards) {
+        ex.shard_devices.push_back(sh.device);
+        ex.shard_weights.push_back(sh.weight);
+      }
     }
   }
   if (ex.sharded) {

@@ -260,9 +260,9 @@ struct EngineConfig {
 /// same handle (and refreshes the stored values); matrices that differ
 /// anywhere in their structure — including in column indices alone —
 /// get distinct handles and distinct registry entries, so one tenant's
-/// registration can never silently replace another's.  Cached plans
-/// stay valid because they depend only on the row structure, which the
-/// handle key refines.
+/// registration can never silently replace another's.  A re-registration
+/// with the same pattern keeps the shard layout and every value-free plan
+/// (register_matrix; docs/serving.md's invalidation rule).
 using MatrixHandle = std::uint64_t;
 
 struct SpmvResult {
@@ -382,6 +382,9 @@ struct PlanExplain {
   bool replicated = false;
   int shards = 0;
   std::vector<int> shard_devices;  ///< primary placement ordinals
+  /// The primary's cut weights, one per shard: ShardedMatrix(a,
+  /// shard_devices, shard_weights) rebuilds the layout it serves.
+  std::vector<double> shard_weights;
   /// Resident per-shard plan state, one entry per primary shard: the
   /// plan's choice name or "cold".
   std::vector<std::string> shard_plans;
@@ -408,7 +411,10 @@ class Engine {
   /// The matrix is copied into the engine (requests may outlive the
   /// caller's storage).  With durability enabled the registration is
   /// appended to the WAL before this returns — an acknowledged handle
-  /// survives any subsequent crash.
+  /// survives any subsequent crash.  Re-registering a handle whose stored
+  /// row offsets and columns are byte-equal to `a`'s keeps the shard
+  /// layouts (re-gathering their values) and drops only the plans whose
+  /// binds_values() is true.
   MatrixHandle register_matrix(const sparse::CsrD& a);
 
   /// True when `h` is registered (recovered or live).
@@ -470,6 +476,12 @@ class Engine {
   /// trial record, and the shard layout.  Read-only — never builds a
   /// plan, never touches LRU order or hit/miss counters.
   PlanExplain explain(MatrixHandle h) const;
+
+  /// The shard layout the handle's SpMV serves (the hot replica's with
+  /// `replica`); null when the handle serves unsharded or has no replica.
+  /// Read-only, like explain().
+  std::shared_ptr<const shard::ShardedMatrix> layout(
+      MatrixHandle h, bool replica = false) const;
 
   /// Export the correlated Perfetto timeline: every request span recorded
   /// by the telemetry tracer (track "serve"), host phase spans, and each
@@ -537,6 +549,10 @@ class Engine {
   /// (no-op when the fleet or matrix is too small, or the cost model
   /// picks one slot); rebuilds deterministically on re-registration.
   void build_sharding(MatrixHandle h, const sparse::CsrD& a);
+  /// Same-pattern re-registration: publish copies of the handle's primary
+  /// and replica layouts carrying `a`'s values.  Placement, row blocks
+  /// and halo maps depend only on the pattern, so they are kept as is.
+  void refresh_sharding(MatrixHandle h, const sparse::CsrD& a);
   /// Place an op of `cost` on at most `width` of `candidates` (fleet
   /// ordinals in preference order): the cost-model solver under
   /// "weighted" placement, the first `width` candidates at weight 1
@@ -548,8 +564,9 @@ class Engine {
   /// the replication threshold — the caller builds the replica OUTSIDE
   /// the lock (lock order is registry before shard).
   bool note_sharded_request(MatrixHandle h, Sharding& s);
-  /// Drop a handle's per-shard plan-cache entries (both placements).
-  void invalidate_shard_plans(MatrixHandle h);
+  /// Drop a handle's per-shard plan-cache entries (both placements);
+  /// with `value_bound_only`, only those whose plan binds_values().
+  void invalidate_shard_plans(MatrixHandle h, bool value_bound_only = false);
   /// Per-shard plans for `sm` (null where a shard has no nonzeros), each
   /// built on its shard's slot on a miss; `all_hit` (optional) reports
   /// whether every lookup hit.  A build-time device loss throws
@@ -678,6 +695,8 @@ class Engine {
   std::atomic<long long> modeled_clock_us_{0};
   std::atomic<std::uint64_t> admit_seq_{0};  ///< retry-jitter salt source
 
+  /// Serializes register_matrix (taken before registry_mutex_).
+  std::mutex register_mutex_;
   mutable std::mutex registry_mutex_;
   std::unordered_map<MatrixHandle, std::shared_ptr<const sparse::CsrD>>
       registry_;

@@ -105,9 +105,11 @@ std::shared_ptr<const autotune::TunedPlan> PlanCache::peek(
   return it == index_.end() ? nullptr : it->second->plan;
 }
 
-void PlanCache::invalidate(std::uint64_t key) {
+void PlanCache::invalidate(std::uint64_t key, bool value_bound_only) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (auto it = index_.find(key); it != index_.end()) {
+  if (auto it = index_.find(key);
+      it != index_.end() &&
+      (!value_bound_only || it->second->plan->binds_values())) {
     bytes_in_use_ -= it->second->bytes;
     lru_.erase(it->second);
     index_.erase(it);

@@ -69,8 +69,10 @@ class PlanCache {
   std::shared_ptr<const autotune::TunedPlan> peek(std::uint64_t key) const;
 
   /// Drop the entry for `key` if resident (integrity failure, stale
-  /// pattern, or a re-registration that replaced bound values).
-  void invalidate(std::uint64_t key);
+  /// pattern).  With `value_bound_only`, drop it only when its plan
+  /// binds_values(): the one rule a same-pattern re-registration applies,
+  /// since every other plan depends on the pattern alone.
+  void invalidate(std::uint64_t key, bool value_bound_only = false);
 
   /// Drop every entry (shutdown path; in-flight executes keep their
   /// shared_ptrs alive until they finish).

@@ -46,6 +46,12 @@ ShardedMatrix::ShardedMatrix(const sparse::CsrD& a,
     }
   }
 
+  // Column -> local index, -1 for a column the current shard has not
+  // touched.  One dense array serves every shard: each shard marks its
+  // columns, orders and numbers only its halo, remaps through the array,
+  // and then clears exactly the entries it set, so the build is linear
+  // in nnz plus the halo orderings (and one fill of the column count).
+  std::vector<index_t> local_of(static_cast<std::size_t>(a.num_cols), -1);
   shards_.reserve(blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     Shard shard;
@@ -54,16 +60,39 @@ ShardedMatrix::ShardedMatrix(const sparse::CsrD& a,
     shard.device = device_ordinals[i];
     shard.weight = weights[i];
 
-    // Halo: the sorted unique global columns this shard's nonzeros touch.
+    // Halo: the sorted unique global columns this shard's nonzeros touch,
+    // each recorded once on first touch.
     std::vector<index_t>& xmap = shard.xmap;
+    std::size_t nnz = 0;
     for (index_t r = shard.row_begin; r < shard.row_end; ++r) {
       if (is_dense[static_cast<std::size_t>(r)]) continue;
       const index_t k0 = a.row_offsets[static_cast<std::size_t>(r)];
       const index_t k1 = a.row_offsets[static_cast<std::size_t>(r) + 1];
-      xmap.insert(xmap.end(), a.col.begin() + k0, a.col.begin() + k1);
+      nnz += static_cast<std::size_t>(k1 - k0);
+      for (index_t k = k0; k < k1; ++k) {
+        const index_t c = a.col[static_cast<std::size_t>(k)];
+        index_t& slot = local_of[static_cast<std::size_t>(c)];
+        if (slot < 0) {
+          slot = 0;
+          xmap.push_back(c);
+        }
+      }
     }
-    std::sort(xmap.begin(), xmap.end());
-    xmap.erase(std::unique(xmap.begin(), xmap.end()), xmap.end());
+    if (xmap.size() * 32 >= local_of.size()) {
+      // A halo of at least 1/32 of the columns: one ordered pass over the
+      // marks costs less than sorting it, and numbers it on the way.
+      xmap.clear();
+      for (std::size_t c = 0; c < local_of.size(); ++c) {
+        if (local_of[c] < 0) continue;
+        local_of[c] = static_cast<index_t>(xmap.size());
+        xmap.push_back(static_cast<index_t>(c));
+      }
+    } else {
+      std::sort(xmap.begin(), xmap.end());
+      for (std::size_t l = 0; l < xmap.size(); ++l) {
+        local_of[static_cast<std::size_t>(xmap[l])] = static_cast<index_t>(l);
+      }
+    }
 
     // Local CSR: rebased rows, columns remapped through the monotone
     // halo map (ascending per row is preserved, so is_valid holds).
@@ -71,24 +100,53 @@ ShardedMatrix::ShardedMatrix(const sparse::CsrD& a,
     local.num_rows = shard.row_end - shard.row_begin;
     local.num_cols = static_cast<index_t>(xmap.size());
     local.row_offsets.assign(static_cast<std::size_t>(local.num_rows) + 1, 0);
-    index_t filled = 0;
+    local.col.reserve(nnz);
+    local.val.reserve(nnz);
     for (index_t r = shard.row_begin; r < shard.row_end; ++r) {
       if (!is_dense[static_cast<std::size_t>(r)]) {
         const index_t k0 = a.row_offsets[static_cast<std::size_t>(r)];
         const index_t k1 = a.row_offsets[static_cast<std::size_t>(r) + 1];
         for (index_t k = k0; k < k1; ++k) {
-          const auto it = std::lower_bound(xmap.begin(), xmap.end(),
-                                           a.col[static_cast<std::size_t>(k)]);
-          local.col.push_back(static_cast<index_t>(it - xmap.begin()));
-          local.val.push_back(a.val[static_cast<std::size_t>(k)]);
-          ++filled;
+          local.col.push_back(local_of[static_cast<std::size_t>(
+              a.col[static_cast<std::size_t>(k)])]);
         }
+        local.val.insert(local.val.end(), a.val.begin() + k0,
+                         a.val.begin() + k1);
       }
       local.row_offsets[static_cast<std::size_t>(r - shard.row_begin) + 1] =
-          filled;
+          static_cast<index_t>(local.col.size());
     }
+    for (const index_t c : xmap) local_of[static_cast<std::size_t>(c)] = -1;
     shards_.push_back(std::move(shard));
   }
+}
+
+ShardedMatrix ShardedMatrix::with_values(const sparse::CsrD& a) const {
+  MPS_CHECK(a.num_rows == num_rows_ && a.num_cols == num_cols_);
+  ShardedMatrix out = *this;
+  // A local row holds either all of its global row's nonzeros, in order,
+  // or none (a 2D-split dense row), so each shard's values are its
+  // non-empty rows' global values, concatenated.
+  for (Shard& sh : out.shards_) {
+    auto dst = sh.local.val.begin();
+    for (index_t r = sh.row_begin; r < sh.row_end; ++r) {
+      const auto lr = static_cast<std::size_t>(r - sh.row_begin);
+      const index_t len = sh.local.row_offsets[lr + 1] - sh.local.row_offsets[lr];
+      if (len == 0) continue;
+      const index_t k0 = a.row_offsets[static_cast<std::size_t>(r)];
+      MPS_CHECK(a.row_offsets[static_cast<std::size_t>(r) + 1] - k0 == len);
+      dst = std::copy(a.val.begin() + k0, a.val.begin() + k0 + len, dst);
+    }
+  }
+  for (DenseRow& dense : out.dense_rows_) {
+    auto src = a.val.begin() + a.row_offsets[static_cast<std::size_t>(dense.row)];
+    for (DenseRowSegment& seg : dense.segments) {
+      std::copy(src, src + static_cast<std::ptrdiff_t>(seg.val.size()),
+                seg.val.begin());
+      src += static_cast<std::ptrdiff_t>(seg.val.size());
+    }
+  }
+  return out;
 }
 
 std::size_t ShardedMatrix::halo_bytes() const {

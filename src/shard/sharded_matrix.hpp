@@ -74,9 +74,18 @@ class ShardedMatrix {
   /// Partition `a` into device_ordinals.size() row blocks with diagonal
   /// spans proportional to `weights` (partition_rows), building each
   /// shard's local CSR and halo map.  Deterministic: a pure function of
-  /// (a, ordinals, weights, options).
+  /// (a, ordinals, weights, options).  Costs O(nnz + num_cols + sum of
+  /// halo * log(halo)): columns are collected through a dense per-column
+  /// mark, and only each shard's distinct columns are ordered.
   ShardedMatrix(const sparse::CsrD& a, std::span<const int> device_ordinals,
                 std::span<const double> weights, const Options& options = {});
+
+  /// This layout carrying `a`'s values: every shard-local and dense-row
+  /// value is re-gathered from `a`, everything else is copied.  `a` must
+  /// have the sparsity pattern the layout was built from (the row blocks,
+  /// halo maps and local columns depend on nothing else), and the result
+  /// is then identical to ShardedMatrix(a, ...) with the same arguments.
+  ShardedMatrix with_values(const sparse::CsrD& a) const;
 
   index_t num_rows() const { return num_rows_; }
   index_t num_cols() const { return num_cols_; }

@@ -26,13 +26,20 @@ bool same_bits(std::span<const V> a, std::span<const V> b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(V)) == 0);
 }
 
-/// Bitwise equality of two CSR matrices: same shape, row offsets and
-/// columns, and same value bits.  The check for a scheme that reproduces
-/// the sequential reference's accumulation order.
+/// Same sparsity pattern: same shape, row offsets and columns, whatever
+/// the values.
+template <typename V>
+bool same_pattern(const CsrMatrix<V>& a, const CsrMatrix<V>& b) {
+  return a.num_rows == b.num_rows && a.num_cols == b.num_cols &&
+         a.row_offsets == b.row_offsets && a.col == b.col;
+}
+
+/// Bitwise equality of two CSR matrices: same pattern and same value
+/// bits.  The check for a scheme that reproduces the sequential
+/// reference's accumulation order.
 template <typename V>
 bool same_bits(const CsrMatrix<V>& a, const CsrMatrix<V>& b) {
-  return a.num_rows == b.num_rows && a.num_cols == b.num_cols &&
-         a.row_offsets == b.row_offsets && a.col == b.col &&
+  return same_pattern(a, b) &&
          same_bits(std::span<const V>(a.val), std::span<const V>(b.val));
 }
 

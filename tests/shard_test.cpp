@@ -9,11 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autotune/autotune.hpp"
@@ -30,10 +34,12 @@
 #include "shard/sharded_matrix.hpp"
 #include "sparse/compare.hpp"
 #include "sparse/convert.hpp"
+#include "telemetry/metrics.hpp"
 #include "test_matrices.hpp"
 #include "util/error.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/device_set.hpp"
+#include "workloads/suite.hpp"
 
 namespace mps::shard {
 namespace {
@@ -318,6 +324,211 @@ TEST(ShardedMatrix, ShardsPartitionRowsWithMonotoneHalos) {
   }
 }
 
+// The layout build as it was before the dense column map: collect and
+// sort every column index of a shard, unique them, and place each
+// nonzero with a lower_bound.  Kept as the reference the linear build
+// must reproduce byte for byte.
+struct ReferenceLayout {
+  std::vector<Shard> shards;
+  std::vector<DenseRow> dense_rows;
+};
+
+ReferenceLayout reference_layout(const sparse::CsrD& a,
+                                 std::span<const int> ordinals,
+                                 std::span<const double> weights,
+                                 const ShardOptions& options = {}) {
+  ReferenceLayout out;
+  std::vector<char> is_dense(static_cast<std::size_t>(a.num_rows), 0);
+  if (options.split_2d_nnz > 0) {
+    for (index_t r = 0; r < a.num_rows; ++r) {
+      if (static_cast<long long>(a.row_length(r)) < options.split_2d_nnz) {
+        continue;
+      }
+      is_dense[static_cast<std::size_t>(r)] = 1;
+      DenseRow dense;
+      dense.row = r;
+      const index_t k0 = a.row_offsets[static_cast<std::size_t>(r)];
+      const index_t len = a.row_length(r);
+      const auto parts = static_cast<index_t>(ordinals.size());
+      const index_t chunk = ceil_div(len, parts);
+      for (index_t p = 0; p < parts; ++p) {
+        const index_t s0 = k0 + std::min(len, p * chunk);
+        const index_t s1 = k0 + std::min(len, (p + 1) * chunk);
+        if (s0 >= s1) break;
+        DenseRowSegment seg;
+        seg.device = ordinals[static_cast<std::size_t>(p)];
+        seg.col.assign(a.col.begin() + s0, a.col.begin() + s1);
+        seg.val.assign(a.val.begin() + s0, a.val.begin() + s1);
+        dense.segments.push_back(std::move(seg));
+      }
+      out.dense_rows.push_back(std::move(dense));
+    }
+  }
+  const auto blocks = partition_rows(a.row_offsets, weights);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    Shard shard;
+    shard.row_begin = blocks[i].row_begin;
+    shard.row_end = blocks[i].row_end;
+    shard.device = ordinals[i];
+    shard.weight = weights[i];
+    std::vector<index_t>& xmap = shard.xmap;
+    for (index_t r = shard.row_begin; r < shard.row_end; ++r) {
+      if (is_dense[static_cast<std::size_t>(r)]) continue;
+      xmap.insert(xmap.end(),
+                  a.col.begin() + a.row_offsets[static_cast<std::size_t>(r)],
+                  a.col.begin() + a.row_offsets[static_cast<std::size_t>(r) + 1]);
+    }
+    std::sort(xmap.begin(), xmap.end());
+    xmap.erase(std::unique(xmap.begin(), xmap.end()), xmap.end());
+    sparse::CsrD& local = shard.local;
+    local.num_rows = shard.row_end - shard.row_begin;
+    local.num_cols = static_cast<index_t>(xmap.size());
+    local.row_offsets.assign(static_cast<std::size_t>(local.num_rows) + 1, 0);
+    for (index_t r = shard.row_begin; r < shard.row_end; ++r) {
+      if (!is_dense[static_cast<std::size_t>(r)]) {
+        for (index_t k = a.row_offsets[static_cast<std::size_t>(r)];
+             k < a.row_offsets[static_cast<std::size_t>(r) + 1]; ++k) {
+          const auto it = std::lower_bound(xmap.begin(), xmap.end(),
+                                           a.col[static_cast<std::size_t>(k)]);
+          local.col.push_back(static_cast<index_t>(it - xmap.begin()));
+          local.val.push_back(a.val[static_cast<std::size_t>(k)]);
+        }
+      }
+      local.row_offsets[static_cast<std::size_t>(r - shard.row_begin) + 1] =
+          static_cast<index_t>(local.col.size());
+    }
+    out.shards.push_back(std::move(shard));
+  }
+  return out;
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+}
+
+/// memcmp-equality of two layouts: every shard's block, slot, weight,
+/// halo map and local CSR arrays, and every dense-row segment.
+::testing::AssertionResult same_layout(std::span<const Shard> want,
+                                       std::span<const DenseRow> want_dense,
+                                       const ShardedMatrix& got) {
+  if (got.shards().size() != want.size()) {
+    return ::testing::AssertionFailure() << "shard count";
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Shard& w = want[i];
+    const Shard& g = got.shards()[i];
+    if (w.row_begin != g.row_begin || w.row_end != g.row_end ||
+        w.device != g.device ||
+        std::memcmp(&w.weight, &g.weight, sizeof(double)) != 0 ||
+        w.local.num_rows != g.local.num_rows ||
+        w.local.num_cols != g.local.num_cols || !same_bytes(w.xmap, g.xmap) ||
+        !same_bytes(w.local.row_offsets, g.local.row_offsets) ||
+        !same_bytes(w.local.col, g.local.col) ||
+        !same_bytes(w.local.val, g.local.val)) {
+      return ::testing::AssertionFailure() << "shard " << i;
+    }
+  }
+  if (got.dense_rows().size() != want_dense.size()) {
+    return ::testing::AssertionFailure() << "dense row count";
+  }
+  for (std::size_t i = 0; i < want_dense.size(); ++i) {
+    const DenseRow& w = want_dense[i];
+    const DenseRow& g = got.dense_rows()[i];
+    if (w.row != g.row || w.segments.size() != g.segments.size()) {
+      return ::testing::AssertionFailure() << "dense row " << i;
+    }
+    for (std::size_t k = 0; k < w.segments.size(); ++k) {
+      if (w.segments[k].device != g.segments[k].device ||
+          !same_bytes(w.segments[k].col, g.segments[k].col) ||
+          !same_bytes(w.segments[k].val, g.segments[k].val)) {
+        return ::testing::AssertionFailure()
+               << "dense row " << i << " segment " << k;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult same_layout(const ReferenceLayout& want,
+                                       const ShardedMatrix& got) {
+  return same_layout(want.shards, want.dense_rows, got);
+}
+
+::testing::AssertionResult same_layout(const ShardedMatrix& want,
+                                       const ShardedMatrix& got) {
+  return same_layout(want.shards(), want.dense_rows(), got);
+}
+
+/// `a` with every value replaced, pattern unchanged.
+sparse::CsrD with_new_values(sparse::CsrD a, double scale) {
+  for (std::size_t k = 0; k < a.val.size(); ++k) {
+    a.val[k] = a.val[k] * scale + 0.125 * static_cast<double>(k % 7);
+  }
+  return a;
+}
+
+TEST(ShardedMatrix, LinearBuildMatchesSortedReferenceOnTableII) {
+  // Every Table II matrix at 0.05 on 1, 2, 4 and 8 slots, cut once by
+  // bandwidth weights and once by the cost model's hetero-fleet weights.
+  for (const auto& e : workloads::paper_suite(0.05)) {
+    const sparse::CsrD& a = e.matrix;
+    for (const int n : {1, 2, 4, 8}) {
+      const std::string spec =
+          n == 1 ? "fast"
+                 : "fast*" + std::to_string(n / 2) + ",slow*" +
+                       std::to_string(n / 2);
+      Fleet fleet(spec, n);
+      std::vector<Candidate> slots;
+      for (std::size_t i = 0; i < fleet.set.size(); ++i) {
+        slots.push_back({static_cast<int>(i), fleet.set.props(i)});
+      }
+      const Placement placed = place(slots, spmv_cost(a), n);
+      const std::pair<std::vector<int>, std::vector<double>> cuts[] = {
+          {fleet.ordinals, fleet.weights},
+          {placed.ordinals, placed.weights}};
+      for (const auto& [ordinals, weights] : cuts) {
+        const ShardedMatrix sm(a, ordinals, weights);
+        EXPECT_TRUE(same_layout(reference_layout(a, ordinals, weights), sm))
+            << e.name << " on " << ordinals.size() << " of " << n;
+      }
+    }
+  }
+}
+
+TEST(ShardedMatrix, LinearBuildMatchesReferenceWithMoreSlotsThanRows) {
+  sparse::CsrD eye(3, 3);
+  for (int r = 0; r < 3; ++r) {
+    eye.col.push_back(2 - r);
+    eye.val.push_back(2.0 + r);
+    eye.row_offsets[static_cast<std::size_t>(r) + 1] = r + 1;
+  }
+  Fleet fleet("", 8);
+  const ShardedMatrix sm(eye, fleet.ordinals, uniform_weights(8));
+  EXPECT_TRUE(same_layout(
+      reference_layout(eye, fleet.ordinals, uniform_weights(8)), sm));
+}
+
+TEST(ShardedMatrix, WithValuesEqualsAFreshBuild) {
+  // A re-gathered layout is byte-for-byte the one a fresh build of the
+  // new values makes, the 2D split's dense-row segments included.
+  std::size_t dense_rows = 0;
+  for (const Regime r : kAllRegimes) {
+    const auto a = make_regime_matrix(r, 1);
+    const auto b = with_new_values(a, -0.75);
+    Fleet fleet("fast*2,slow*2", 4);
+    ShardOptions opt;
+    opt.split_2d_nnz = 64;
+    const ShardedMatrix sm(a, fleet.ordinals, fleet.weights, opt);
+    const ShardedMatrix fresh(b, fleet.ordinals, fleet.weights, opt);
+    EXPECT_TRUE(same_layout(fresh, sm.with_values(b))) << regime_name(r);
+    dense_rows += sm.dense_rows().size();
+  }
+  EXPECT_GT(dense_rows, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Differential oracle: sharded execution vs the flat merge kernels.
 
@@ -568,6 +779,8 @@ TEST(ShardExec2D, DenseRowSplitIsDeterministicAndAccurate) {
   const ShardedMatrix sm(a, fleet.ordinals, uniform_weights(3), opt);
   ASSERT_FALSE(sm.dense_rows().empty());
   EXPECT_EQ(sm.dense_rows()[0].row, 7);
+  EXPECT_TRUE(same_layout(
+      reference_layout(a, fleet.ordinals, uniform_weights(3), opt), sm));
 
   std::vector<double> y1(static_cast<std::size_t>(a.num_rows), -2.0);
   std::vector<double> y2(static_cast<std::size_t>(a.num_rows), -3.0);
@@ -661,14 +874,33 @@ TEST(EngineSharded, HotMatrixGetsABitwiseReplica) {
     }
   }
 
-  // Re-registration (same pattern, new values) resets the replica; the
-  // handle's traffic history survives, so the next request rebuilds it
-  // from the new values.
-  for (double& v : a.val) v *= -0.5;
+  // Re-registration (same pattern, new values) keeps both placements:
+  // each layout is re-gathered, byte for byte what a fresh build of the
+  // new values makes, and both keep serving bitwise answers.
+  const auto primary = engine.layout(h);
+  const auto replica = engine.layout(h, /*replica=*/true);
+  ASSERT_TRUE(primary && replica);
+  a = with_new_values(a, -0.5);
   ASSERT_EQ(engine.register_matrix(a), h);
-  EXPECT_EQ(engine.stats().replicated_matrices, 0);
-  EXPECT_FALSE(engine.explain(h).replicated);
+  EXPECT_EQ(engine.stats().replicated_matrices, 1);
+  for (const bool r : {false, true}) {
+    const auto& served = r ? replica : primary;
+    std::vector<int> ordinals;
+    std::vector<double> weights;
+    for (const Shard& sh : served->shards()) {
+      ordinals.push_back(sh.device);
+      weights.push_back(sh.weight);
+    }
+    const auto fresh = engine.layout(h, r);
+    ASSERT_TRUE(fresh);
+    EXPECT_NE(fresh, served) << "copy-on-write: a new layout is published";
+    EXPECT_TRUE(same_layout(ShardedMatrix(a, ordinals, weights), *fresh))
+        << (r ? "replica" : "primary");
+  }
+  const long long misses = engine.stats().plan_cache.misses;
   serve_and_check(8);
+  EXPECT_EQ(engine.stats().plan_cache.misses, misses)
+      << "both placements' merge plans stay resident";
   EXPECT_EQ(engine.stats().replicated_matrices, 1);
   engine.shutdown();
 }
@@ -776,6 +1008,164 @@ TEST(EngineSharded, HeteroFleetBuildsNoSlowReplica) {
   EXPECT_FALSE(engine.explain(h).replicated);
   ASSERT_EQ(stats.devices.size(), 4u);
   EXPECT_EQ(stats.devices[2].dispatched + stats.devices[3].dispatched, 0);
+}
+
+serve::EngineConfig tuned_hetero_config() {
+  serve::EngineConfig cfg = hetero_config();
+  cfg.autotune = 1;
+  cfg.shard_min_nnz = 2048;
+  return cfg;
+}
+
+std::vector<double> seq_spmv(const sparse::CsrD& a,
+                             const std::vector<double>& x) {
+  std::vector<double> y(static_cast<std::size_t>(a.num_rows));
+  baselines::seq::spmv(a, x, y);
+  return y;
+}
+
+long long autotune_trials() {
+  return telemetry::metrics().counter("autotune.trials").value();
+}
+
+TEST(EngineSharded, ExplainWeightsRebuildTheServedLayout) {
+  // PlanExplain names the primary's slots and cut weights, so a layout
+  // built from them outside the engine is the one the engine serves.
+  serve::Engine engine(tuned_hetero_config());
+  for (const char* name : {"Circuit", "Webbase", "QCD"}) {
+    const auto a = workloads::suite_entry(name, 0.05).matrix;
+    const auto h = engine.register_matrix(a);
+    const serve::PlanExplain ex = engine.explain(h);
+    ASSERT_TRUE(ex.sharded) << name;
+    ASSERT_EQ(ex.shard_weights.size(), ex.shard_devices.size()) << name;
+    const auto served = engine.layout(h);
+    ASSERT_TRUE(served) << name;
+    EXPECT_TRUE(same_layout(
+        ShardedMatrix(a, ex.shard_devices, ex.shard_weights), *served))
+        << name;
+  }
+  engine.shutdown();
+}
+
+TEST(EngineSharded, SamePatternReRegistrationKeepsLayoutAndValueFreePlans) {
+  // Circuit's shards win merge plans (value-free); Economics' two shards
+  // win CMRS, whose converted storage binds the values.  Re-registering
+  // both with new values must keep the first set resident and rebuild
+  // only the second, and every answer must be the new values' bits.
+  serve::Engine engine(tuned_hetero_config());
+  const auto circuit = workloads::suite_entry("Circuit", 0.05).matrix;
+  const auto economics = workloads::suite_entry("Economics", 0.05).matrix;
+  const auto hc = engine.register_matrix(circuit);
+  const auto he = engine.register_matrix(economics);
+  const auto xc = oracle_x(circuit);
+  const auto xe = oracle_x(economics);
+  engine.submit_spmv(hc, xc).get();
+  engine.submit_spmv(he, xe).get();
+  const serve::PlanExplain before_c = engine.explain(hc);
+  const serve::PlanExplain before_e = engine.explain(he);
+  ASSERT_TRUE(before_c.sharded && before_e.sharded);
+  for (const std::string& plan : before_c.shard_plans) {
+    ASSERT_TRUE(plan != "cmrs" && plan != "ell" && plan != "cold") << plan;
+  }
+  ASSERT_EQ(before_e.shard_plans,
+            std::vector<std::string>(before_e.shard_plans.size(), "cmrs"));
+  const auto layout_c = engine.layout(hc);
+
+  // Value-free plans stay resident: no miss, no trial, a cache hit.
+  const auto circuit2 = with_new_values(circuit, -0.5);
+  const long long misses = engine.stats().plan_cache.misses;
+  const long long trials = autotune_trials();
+  ASSERT_EQ(engine.register_matrix(circuit2), hc);
+  EXPECT_EQ(engine.explain(hc).shard_plans, before_c.shard_plans);
+  const serve::SpmvResult rc = engine.submit_spmv(hc, xc).get();
+  EXPECT_TRUE(bitwise_equal(rc.y, seq_spmv(circuit2, xc)));
+  EXPECT_TRUE(rc.plan_cache_hit);
+  EXPECT_EQ(engine.stats().plan_cache.misses, misses);
+  EXPECT_EQ(autotune_trials(), trials);
+  const serve::PlanExplain after_c = engine.explain(hc);
+  EXPECT_EQ(after_c.shard_devices, before_c.shard_devices);
+  EXPECT_EQ(after_c.shard_weights, before_c.shard_weights);
+  const auto served = engine.layout(hc);
+  ASSERT_TRUE(served);
+  EXPECT_NE(served, layout_c) << "copy-on-write: a new layout is published";
+  EXPECT_TRUE(same_layout(
+      ShardedMatrix(circuit2, after_c.shard_devices, after_c.shard_weights),
+      *served));
+  EXPECT_TRUE(bitwise_equal(engine.submit_spadd(hc, hc).get().c,
+                            baselines::seq::spadd(circuit2, circuit2)));
+  EXPECT_TRUE(bitwise_equal(engine.submit_spgemm(hc, hc).get().c,
+                            baselines::seq::spgemm(circuit2, circuit2)));
+
+  // Value-bound winners are dropped and rebuilt, one miss per shard.
+  const auto economics2 = with_new_values(economics, 2.0);
+  const long long misses_e = engine.stats().plan_cache.misses;
+  ASSERT_EQ(engine.register_matrix(economics2), he);
+  EXPECT_EQ(engine.explain(he).shard_plans,
+            std::vector<std::string>(before_e.shard_plans.size(), "cold"));
+  const serve::SpmvResult re = engine.submit_spmv(he, xe).get();
+  EXPECT_TRUE(bitwise_equal(re.y, seq_spmv(economics2, xe)));
+  EXPECT_FALSE(re.plan_cache_hit);
+  EXPECT_EQ(engine.stats().plan_cache.misses,
+            misses_e + static_cast<long long>(before_e.shard_plans.size()));
+  EXPECT_EQ(engine.explain(he).shard_plans, before_e.shard_plans);
+  EXPECT_EQ(engine.stats().failed, 0);
+  engine.shutdown();
+}
+
+TEST(EngineSharded, SamePatternReRegistrationUnderLoad) {
+  // A client keeps SpMV bursts in flight while the tenant is re-registered
+  // back and forth between two value sets.  Requests that leased the old
+  // layout finish on it, so every answer is bitwise the old or the new
+  // values' result; once the last registration returns, the new ones'.
+  // Epidemiology's shards win ELL at 0.01, so every registration also
+  // drops value-bound plans that requests on the old layout may rebuild.
+  const auto a = workloads::suite_entry("Epidemiology", 0.01).matrix;
+  const auto b = with_new_values(a, -3.0);
+  const auto x = oracle_x(a);
+  const auto ya = seq_spmv(a, x);
+  const auto yb = seq_spmv(b, x);
+  serve::EngineConfig cfg = tuned_hetero_config();
+  cfg.batch_window = 4;
+  serve::Engine engine(cfg);
+  const auto h = engine.register_matrix(a);
+  ASSERT_TRUE(bitwise_equal(engine.submit_spmv(h, x).get().y, ya));
+  const serve::PlanExplain ex = engine.explain(h);
+  ASSERT_TRUE(ex.sharded);
+  ASSERT_NE(std::find(ex.shard_plans.begin(), ex.shard_plans.end(), "ell"),
+            ex.shard_plans.end());
+
+  std::atomic<bool> stop{false};
+  std::atomic<long long> answered{0};
+  std::atomic<long long> neither{0};
+  std::thread client([&] {
+    while (!stop.load()) {
+      std::vector<std::future<serve::SpmvResult>> burst;
+      for (int i = 0; i < 8; ++i) burst.push_back(engine.submit_spmv(h, x));
+      for (auto& f : burst) {
+        const auto y = f.get().y;
+        if (!bitwise_equal(y, ya) && !bitwise_equal(y, yb)) ++neither;
+        ++answered;
+      }
+    }
+  });
+  constexpr int kRegistrations = 25;  // odd: the last one registers b
+  for (int i = 0; i < kRegistrations; ++i) {
+    const long long seen = answered.load();
+    while (answered.load() < seen + 4) std::this_thread::yield();
+    ASSERT_EQ(engine.register_matrix(i % 2 == 0 ? b : a), h);
+  }
+  stop = true;
+  client.join();
+  EXPECT_EQ(neither.load(), 0);
+  EXPECT_TRUE(bitwise_equal(engine.submit_spmv(h, x).get().y, yb))
+      << "the last registration's values serve";
+  engine.shutdown();
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.failed, 0);
+  EXPECT_EQ(engine.matrix_version(h), kRegistrations + 1u);
+  std::printf("answered %lld requests with %lld retries\n", answered.load(),
+              stats.retries);
+  RecordProperty("retries", static_cast<int>(stats.retries));
 }
 
 TEST(EngineSharded, LegacyModeReportsOneSlotPerWorker) {
