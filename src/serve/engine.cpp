@@ -581,6 +581,9 @@ MatrixHandle Engine::register_matrix(const sparse::CsrD& a) {
     invalidate_shard_plans(h);
     build_sharding(h, *copy);
   }
+  // Again once published, which only trims retries: a request still on
+  // the old values can insert such a plan later, and it then fails its
+  // value-buffer guard and retries.
   plan_cache_.invalidate(h, /*value_bound_only=*/true);
   invalidate_shard_plans(h, /*value_bound_only=*/true);
   return h;

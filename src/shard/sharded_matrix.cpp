@@ -48,9 +48,9 @@ ShardedMatrix::ShardedMatrix(const sparse::CsrD& a,
 
   // Column -> local index, -1 for a column the current shard has not
   // touched.  One dense array serves every shard: each shard marks its
-  // columns, orders and numbers only its halo, remaps through the array,
+  // columns, sorts and numbers only its halo, remaps through the array,
   // and then clears exactly the entries it set, so the build is linear
-  // in nnz plus the halo orderings (and one fill of the column count).
+  // in nnz plus the halo sorts (and one fill of the column count).
   std::vector<index_t> local_of(static_cast<std::size_t>(a.num_cols), -1);
   shards_.reserve(blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -78,20 +78,9 @@ ShardedMatrix::ShardedMatrix(const sparse::CsrD& a,
         }
       }
     }
-    if (xmap.size() * 32 >= local_of.size()) {
-      // A halo of at least 1/32 of the columns: one ordered pass over the
-      // marks costs less than sorting it, and numbers it on the way.
-      xmap.clear();
-      for (std::size_t c = 0; c < local_of.size(); ++c) {
-        if (local_of[c] < 0) continue;
-        local_of[c] = static_cast<index_t>(xmap.size());
-        xmap.push_back(static_cast<index_t>(c));
-      }
-    } else {
-      std::sort(xmap.begin(), xmap.end());
-      for (std::size_t l = 0; l < xmap.size(); ++l) {
-        local_of[static_cast<std::size_t>(xmap[l])] = static_cast<index_t>(l);
-      }
+    std::sort(xmap.begin(), xmap.end());
+    for (std::size_t l = 0; l < xmap.size(); ++l) {
+      local_of[static_cast<std::size_t>(xmap[l])] = static_cast<index_t>(l);
     }
 
     // Local CSR: rebased rows, columns remapped through the monotone

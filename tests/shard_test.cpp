@@ -10,12 +10,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <future>
 #include <memory>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -402,13 +405,6 @@ ReferenceLayout reference_layout(const sparse::CsrD& a,
   return out;
 }
 
-template <typename T>
-bool same_bytes(const std::vector<T>& x, const std::vector<T>& y) {
-  return x.size() == y.size() &&
-         (x.empty() ||
-          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
-}
-
 /// memcmp-equality of two layouts: every shard's block, slot, weight,
 /// halo map and local CSR arrays, and every dense-row segment.
 ::testing::AssertionResult same_layout(std::span<const Shard> want,
@@ -423,11 +419,9 @@ bool same_bytes(const std::vector<T>& x, const std::vector<T>& y) {
     if (w.row_begin != g.row_begin || w.row_end != g.row_end ||
         w.device != g.device ||
         std::memcmp(&w.weight, &g.weight, sizeof(double)) != 0 ||
-        w.local.num_rows != g.local.num_rows ||
-        w.local.num_cols != g.local.num_cols || !same_bytes(w.xmap, g.xmap) ||
-        !same_bytes(w.local.row_offsets, g.local.row_offsets) ||
-        !same_bytes(w.local.col, g.local.col) ||
-        !same_bytes(w.local.val, g.local.val)) {
+        !sparse::same_bits(std::span<const index_t>(w.xmap),
+                           std::span<const index_t>(g.xmap)) ||
+        !sparse::same_bits(w.local, g.local)) {
       return ::testing::AssertionFailure() << "shard " << i;
     }
   }
@@ -442,8 +436,10 @@ bool same_bytes(const std::vector<T>& x, const std::vector<T>& y) {
     }
     for (std::size_t k = 0; k < w.segments.size(); ++k) {
       if (w.segments[k].device != g.segments[k].device ||
-          !same_bytes(w.segments[k].col, g.segments[k].col) ||
-          !same_bytes(w.segments[k].val, g.segments[k].val)) {
+          !sparse::same_bits(std::span<const index_t>(w.segments[k].col),
+                             std::span<const index_t>(g.segments[k].col)) ||
+          !sparse::same_bits(std::span<const double>(w.segments[k].val),
+                             std::span<const double>(g.segments[k].val))) {
         return ::testing::AssertionFailure()
                << "dense row " << i << " segment " << k;
       }
@@ -1137,25 +1133,49 @@ TEST(EngineSharded, SamePatternReRegistrationUnderLoad) {
   std::atomic<bool> stop{false};
   std::atomic<long long> answered{0};
   std::atomic<long long> neither{0};
+  std::atomic<long long> thrown{0};
   std::thread client([&] {
     while (!stop.load()) {
       std::vector<std::future<serve::SpmvResult>> burst;
       for (int i = 0; i < 8; ++i) burst.push_back(engine.submit_spmv(h, x));
       for (auto& f : burst) {
-        const auto y = f.get().y;
-        if (!bitwise_equal(y, ya) && !bitwise_equal(y, yb)) ++neither;
+        try {
+          const auto y = f.get().y;
+          if (!bitwise_equal(y, ya) && !bitwise_equal(y, yb)) ++neither;
+        } catch (const std::exception&) {
+          ++thrown;
+        }
         ++answered;
       }
     }
   });
+  // Stops and joins the client on every way out of this test, a failed
+  // assertion included, so a failure is reported rather than aborting.
+  struct StopAndJoin {
+    std::atomic<bool>& stop;
+    std::thread& thread;
+    ~StopAndJoin() {
+      stop = true;
+      if (thread.joinable()) thread.join();
+    }
+  } join_client{stop, client};
   constexpr int kRegistrations = 25;  // odd: the last one registers b
   for (int i = 0; i < kRegistrations; ++i) {
+    // Let a few requests land between registrations, but do not wait
+    // forever on a client that stopped answering.
     const long long seen = answered.load();
-    while (answered.load() < seen + 4) std::this_thread::yield();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (answered.load() < seen + 4 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_GE(answered.load(), seen + 4) << "registration " << i;
     ASSERT_EQ(engine.register_matrix(i % 2 == 0 ? b : a), h);
   }
   stop = true;
   client.join();
+  EXPECT_EQ(thrown.load(), 0);
   EXPECT_EQ(neither.load(), 0);
   EXPECT_TRUE(bitwise_equal(engine.submit_spmv(h, x).get().y, yb))
       << "the last registration's values serve";
